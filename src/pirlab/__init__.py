@@ -20,8 +20,8 @@ from .general import (GeneralScheme, answer_distribution, answers,
                       build_general_query, general_rate,
                       random_general_scheme, reconstruct)
 from .graphs import Graph, make_graph, matching_number
-from .patterns import (IndependenceError, check_independence, check_srp,
-                       extract_patterns)
+from .patterns import (IndependenceError, analyze, check_independence,
+                       check_srp, extract_patterns)
 from .scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
                      RecoveryPattern, Summation)
 from .sequences import (answer_count, build_sequences, closed_form_x, rate,
@@ -43,7 +43,7 @@ __all__ = [
     "build_general_query", "general_rate", "random_general_scheme",
     "reconstruct",
     "Graph", "make_graph", "matching_number",
-    "IndependenceError", "check_independence", "check_srp",
+    "IndependenceError", "analyze", "check_independence", "check_srp",
     "extract_patterns",
     "DeterministicScheme", "ProbabilisticScheme", "ProbRow",
     "RecoveryPattern", "Summation",

@@ -279,7 +279,7 @@ def verify_scheme(scheme):
     pattern partition, the per-type multiplicity invariant, and the even
     split of desired rows across the two endpoints.
     """
-    from .patterns import IndependenceError, check_independence, extract_patterns
+    from .patterns import analyze
 
     problems = []
     n = scheme.graph.n
@@ -292,15 +292,9 @@ def verify_scheme(scheme):
         if targets != list(range(1, scheme.L + 1)):
             problems.append("pattern targets do not cover 1..L exactly once")
 
-    rep = check_independence(scheme)
-    if not rep.ok:
-        problems += [f"condition {v.condition}: {v.detail}"
-                     for v in rep.violations]
-    else:
-        try:
-            extract_patterns(scheme)
-        except IndependenceError as exc:
-            problems.append(str(exc))
+    rep = analyze(scheme)[0]
+    problems += [f"condition {v.condition}: {v.detail}"
+                 for v in rep.violations]
 
     theta = scheme.theta
     t1, t2 = scheme.graph.endpoints(theta)

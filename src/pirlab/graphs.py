@@ -68,10 +68,19 @@ class Graph:
     def file_id(self, u, v):
         """File id for edge (u, v); first copy wins on multigraphs."""
         key = (min(u, v), max(u, v))
+        try:
+            return self._file_ids[key]
+        except KeyError:
+            raise ParameterError(f"no file stored on edge {key}")
+
+    @functools.cached_property
+    def _file_ids(self):
+        # Kept in the instance __dict__, outside the dataclass fields, so
+        # equality, hashing, repr and to_json do not see it.
+        ids = {}
         for i, e in enumerate(self.edges):
-            if e == key:
-                return i
-        raise ParameterError(f"no file stored on edge {key}")
+            ids.setdefault(e, i)
+        return ids
 
     # ---- constructions ------------------------------------------------
 

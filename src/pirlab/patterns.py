@@ -13,6 +13,16 @@ The independence conditions checked here:
      file it does not store,
   3. the desired subfiles across all rows are not exactly 1..L,
   4. a component is neither a valid pattern nor pure side information.
+
+`analyze` produces the report and the extraction from one walk over the
+rows.  Rows get integer ids in (server, index) order, and union-find runs
+over a flat parent list.  Symbols are keyed by one integer each.  The walk
+checks conditions 1 and 2 against each server's set of stored files, and
+collects the desired subfiles for condition 3.  Afterwards each component
+is classified once, without reading its terms again: all occurrences of a
+non-desired symbol lie in one component, so the symbol's total count gives
+its parity there, and desired terms are bucketed by component.
+`check_independence` and `extract_patterns` are views of that one result.
 """
 
 from collections import Counter, defaultdict
@@ -50,15 +60,23 @@ class IndependenceError(RuntimeError):
 
 
 # ============================================================
-# shared row walk
+# the single row walk
 # ============================================================
 
-def _components(scheme):
-    """Union rows sharing a non-desired symbol; return component lists."""
-    nodes = [(srv, idx)
-             for srv, rows in sorted(scheme.queries.items())
-             for idx in range(len(rows))]
-    parent = {node: node for node in nodes}
+def analyze(scheme):
+    """Check independence and extract patterns in one walk over the rows.
+
+    Returns (IndependenceReport, Extraction); the extraction is None when
+    the report lists any violation.
+    """
+    graph, theta = scheme.graph, scheme.theta
+    nfiles = len(graph.edges)
+    violations = []
+    refs = []           # row id -> (server, index)
+    parent = []         # union-find over row ids; a root is its set's min
+    first = {}          # non-desired symbol key -> first row holding it
+    linked = []         # every non-desired symbol key, once per occurrence
+    desired = []        # (row id, subfile) for every desired term
 
     def find(a):
         while parent[a] != a:
@@ -66,84 +84,47 @@ def _components(scheme):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    occurrences = defaultdict(list)
-    for srv, idx in nodes:
-        for f, s, _sign in scheme.queries[srv][idx].terms:
-            if f != scheme.theta:
-                occurrences[(f, s)].append((srv, idx))
-    for places in occurrences.values():
-        for other in places[1:]:
-            union(places[0], other)
-
-    groups = defaultdict(list)
-    for node in nodes:
-        groups[find(node)].append(node)
-    return [sorted(group) for root, group in sorted(groups.items())]
-
-
-def _classify(scheme, component):
-    """Return ("pattern", target, selections) / ("side",) / ("bad", detail)."""
-    residue = Counter()
-    per_server = Counter()
-    theta_hits = 0
-    for srv, idx in component:
-        per_server[srv] += 1
-        for f, s, _sign in scheme.queries[srv][idx].terms:
-            residue[(f, s)] += 1
-            if f == scheme.theta:
-                theta_hits += 1
-    odd = {sym for sym, cnt in residue.items() if cnt % 2}
-    if theta_hits == 0:
-        return ("side",)
-    crowded = sorted(srv for srv, cnt in per_server.items() if cnt > 1)
-    if crowded:
-        return ("bad", f"servers {crowded} each contribute several rows "
-                       f"to one component")
-    if len(odd) == 1:
-        (f, s) = next(iter(odd))
-        if f == scheme.theta:
-            selections = {srv: idx for srv, idx in component}
-            return ("pattern", s, selections)
-    leftover = sorted(odd - {(scheme.theta, s) for s in range(1, scheme.L + 1)})
-    return ("bad", f"rows {component} leave uncancelled symbols {leftover}")
-
-
-# ============================================================
-# public checks
-# ============================================================
-
-def check_independence(scheme):
-    """Evaluate all four independence conditions, collecting every breach."""
-    violations = []
-    theta = scheme.theta
-
-    theta_subs = Counter()
     for srv, rows in sorted(scheme.queries.items()):
-        seen_here = Counter()
+        stored = set(graph.incident(srv))
+        keys_here = []
         for idx, row in enumerate(rows):
-            files = [f for f, s, _sign in row.terms]
-            dup_files = sorted(f for f, c in Counter(files).items() if c > 1)
-            if dup_files:
-                violations.append(Violation(
-                    1, f"row {idx} at server {srv} repeats files {dup_files}"))
+            rid = len(parent)
+            parent.append(rid)
+            refs.append((srv, idx))
+            mark = len(violations)
+            prev = None
+            repeats_file = False
             for f, s, _sign in row.terms:
-                if srv not in scheme.graph.endpoints(f):
+                repeats_file = repeats_file or f == prev  # terms are sorted
+                prev = f
+                if f not in stored:
+                    graph.endpoints(f)  # ParameterError for an unknown id
                     violations.append(Violation(
                         2, f"server {srv} asked for file {f} it does not "
                            f"store (row {idx})"))
-                seen_here[(f, s)] += 1
+                key = s * nfiles + f
+                keys_here.append(key)
                 if f == theta:
-                    theta_subs[s] += 1
-        dups = sorted(sym for sym, c in seen_here.items() if c > 1)
-        if dups:
+                    desired.append((rid, s))
+                    continue
+                linked.append(key)
+                other = first.setdefault(key, rid)
+                if other != rid:
+                    ra, rb = find(other), find(rid)
+                    if ra != rb:
+                        parent[max(ra, rb)] = min(ra, rb)
+            if repeats_file:
+                files = Counter(f for f, _s, _sign in row.terms)
+                violations.insert(mark, Violation(
+                    1, f"row {idx} at server {srv} repeats files "
+                       f"{sorted(f for f, c in files.items() if c > 1)}"))
+        if len(set(keys_here)) != len(keys_here):
+            dups = sorted((key % nfiles, key // nfiles)
+                          for key, c in Counter(keys_here).items() if c > 1)
             violations.append(Violation(
                 2, f"subfile symbols {dups} repeat at server {srv}"))
 
+    theta_subs = Counter(s for _rid, s in desired)
     expected = set(range(1, scheme.L + 1))
     missing = sorted(expected - set(theta_subs))
     extra = sorted(s for s, c in theta_subs.items()
@@ -153,12 +134,69 @@ def check_independence(scheme):
             3, f"desired subfiles must appear exactly once each: "
                f"missing {missing}, repeated or out of range {extra}"))
 
-    for component in _components(scheme):
-        verdict = _classify(scheme, component)
-        if verdict[0] == "bad":
+    components = {}
+    for rid in range(len(parent)):
+        components.setdefault(find(rid), []).append(refs[rid])
+    desired_in = defaultdict(list)
+    for rid, s in desired:
+        desired_in[find(rid)].append(s)
+    odd_in = defaultdict(list)
+    for key, c in Counter(linked).items():
+        if c % 2:
+            odd_in[find(first[key])].append((key % nfiles, key // nfiles))
+
+    patterns = []
+    side_info = []
+    for root, component in components.items():
+        verdict = _classify(component, desired_in.get(root),
+                            odd_in.get(root, []), theta, scheme.L)
+        if verdict[0] == "pattern":
+            patterns.append(RecoveryPattern(target=verdict[1],
+                                            selections=dict(component)))
+        elif verdict[0] == "side":
+            side_info.extend(component)
+        else:
             violations.append(Violation(4, verdict[1]))
 
-    return IndependenceReport(ok=not violations, violations=tuple(violations))
+    report = IndependenceReport(ok=not violations,
+                                violations=tuple(violations))
+    if not report.ok:
+        return report, None
+    patterns.sort(key=lambda p: p.target)
+    return report, Extraction(patterns=tuple(patterns),
+                              side_info=tuple(sorted(side_info)))
+
+
+def _classify(component, desired, odd_other, theta, L):
+    """Return ("pattern", target) / ("side",) / ("bad", detail).
+
+    `component` is the sorted list of (server, index) rows, `desired` the
+    desired subfiles in those rows, and `odd_other` the non-desired
+    symbols left over an odd number of times.
+    """
+    if not desired:
+        return ("side",)
+    servers = [srv for srv, _idx in component]
+    if len(set(servers)) != len(servers):
+        crowded = sorted(srv for srv, c in Counter(servers).items() if c > 1)
+        return ("bad", f"servers {crowded} each contribute several rows "
+                       f"to one component")
+    if len(desired) > 1:
+        desired = [s for s, c in Counter(desired).items() if c % 2]
+    if len(desired) == 1 and not odd_other:
+        return ("pattern", desired[0])
+    leftover = sorted(odd_other + [(theta, s) for s in desired
+                                   if not 1 <= s <= L])
+    return ("bad", f"rows {component} leave uncancelled symbols {leftover}")
+
+
+# ============================================================
+# public checks
+# ============================================================
+
+def check_independence(scheme):
+    """Evaluate all four independence conditions, collecting every breach."""
+    return analyze(scheme)[0]
 
 
 def extract_patterns(scheme):
@@ -167,22 +205,10 @@ def extract_patterns(scheme):
     Raises IndependenceError (carrying the full report) when any
     independence condition fails.
     """
-    report = check_independence(scheme)
+    report, extraction = analyze(scheme)
     if not report.ok:
         raise IndependenceError(report)
-
-    patterns = []
-    side_info = []
-    for component in _components(scheme):
-        verdict = _classify(scheme, component)
-        if verdict[0] == "pattern":
-            patterns.append(RecoveryPattern(target=verdict[1],
-                                            selections=verdict[2]))
-        else:
-            side_info.extend(component)
-    patterns.sort(key=lambda p: p.target)
-    return Extraction(patterns=tuple(patterns),
-                      side_info=tuple(sorted(side_info)))
+    return extraction
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,10 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
         dists = {}
         for theta in thetas:
             s = schemes[theta]
-            if isinstance(s, ProbabilisticScheme):
+            if isinstance(s, Graph):
+                per = {srv: answer_distribution(s, theta, srv, q=q)
+                       for srv in s.servers}
+            elif isinstance(s, ProbabilisticScheme):
                 per = {}
                 for srv in s.graph.servers:
                     d = defaultdict(Fraction)

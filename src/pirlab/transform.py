@@ -43,15 +43,19 @@ def transform(scheme, extraction=None):
             row[srv] = _combo(scheme.queries[srv][idx])
         servers_of[pattern.target - 1] = tuple(sorted(pattern.selections))
 
+    # Slots only ever fill, so each server's search for an idle row can
+    # resume where its previous one stopped.
+    cursor = dict.fromkeys(scheme.graph.servers, 0)
     for srv, idx in ex.side_info:
         combo = _combo(scheme.queries[srv][idx])
-        for row in slots:
-            if row[srv] is None:
-                row[srv] = combo
-                break
-        else:
+        at = cursor[srv]
+        while at < scheme.L and slots[at][srv] is not None:
+            at += 1
+        if at == scheme.L:
             raise InternalConsistencyError(
                 f"no idle row left at server {srv} for side information")
+        slots[at][srv] = combo
+        cursor[srv] = at + 1
 
     p = Fraction(1, scheme.L)
     rows = tuple(ProbRow(p=p, q=row, pattern_servers=servers)
@@ -74,23 +78,36 @@ def entropy_proxy_ok(scheme):
 
     When they are, every answer symbol carries a full symbol of entropy,
     so counting summations equals counting downloaded information.
+
+    Rows in which no (file, subfile) symbol repeats at the server have
+    disjoint supports, so they are independent exactly when none is empty.
+    Only a server where some symbol repeats needs Gaussian elimination,
+    with bit positions local to that server.
     """
-    bit_of = {}
     for srv in scheme.graph.servers:
-        basis = {}  # leading bit -> reduced vector
-        for row in scheme.queries[srv]:
-            vec = 0
-            for f, s, _sign in row.terms:
-                key = (f, s)
-                if key not in bit_of:
-                    bit_of[key] = len(bit_of)
-                vec ^= 1 << bit_of[key]
-            while vec:
-                lead = vec.bit_length() - 1
-                if lead not in basis:
-                    basis[lead] = vec
-                    break
-                vec ^= basis[lead]
-            if vec == 0:
+        rows = scheme.queries[srv]
+        symbols = [(f, s) for row in rows for f, s, _sign in row.terms]
+        if len(set(symbols)) == len(symbols):
+            if not all(row.terms for row in rows):
                 return False
+        elif not _gf2_independent(rows):
+            return False
+    return True
+
+
+def _gf2_independent(rows):
+    bit_of = {}
+    basis = {}  # leading bit -> reduced vector
+    for row in rows:
+        vec = 0
+        for f, s, _sign in row.terms:
+            vec ^= 1 << bit_of.setdefault((f, s), len(bit_of))
+        while vec:
+            lead = vec.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = vec
+                break
+            vec ^= basis[lead]
+        if vec == 0:
+            return False
     return True

@@ -237,6 +237,15 @@ def test_audit_distributional_transform(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_audit_distributional_general(capsys):
+    rc, out, _ = run_cli(capsys, "audit", "--family", "general:star:4",
+                         "--mode", "distributional")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert doc["max_deviation"] == 0
+
+
 def test_audit_statistical_general(capsys):
     rc, out, _ = run_cli(capsys, "audit", "--family",
                          "general:edges:1-2,1-3,2-3,1-4",

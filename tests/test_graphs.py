@@ -20,6 +20,28 @@ def test_complete_graph_edge_order():
     assert not g.multigraph
 
 
+def test_file_id_first_copy_wins_on_multigraph():
+    g = Graph(3, ((1, 2), (1, 2), (2, 3)), multigraph=True).extend(2)
+    assert g.edges == ((1, 2),) * 4 + ((2, 3),) * 2
+    assert g.file_id(2, 1) == 0
+    assert g.file_id(3, 2) == 4
+
+
+def test_file_id_missing_edge_raises():
+    g = make_graph("path", [3])
+    with pytest.raises(ParameterError):
+        g.file_id(1, 3)
+
+
+def test_file_id_index_leaves_value_semantics_alone():
+    g = make_graph("complete", [4])
+    twin = make_graph("complete", [4])
+    before = (hash(g), repr(g), g.to_json())
+    assert g.file_id(4, 2) == 4
+    assert (hash(g), repr(g), g.to_json()) == before
+    assert g == twin and hash(g) == hash(twin)
+
+
 def test_star_has_center_plus_leaves():
     g = make_graph("star", [4])
     assert g.n == 5

@@ -88,9 +88,12 @@ def test_star_srp_fails(star4_scheme):
 # targeted mutations: conditions 2, 3, 4
 # ============================================================
 
-def _mutate(fixture_name, server, index, new_terms):
+def _mutate(fixture_name, server, index, new_terms, *more):
+    """Load a fixture with row `index` at `server` replaced; `more` holds
+    further (server, index, new_terms) edits."""
     doc = load_json(fixture_name)
-    doc["queries"][str(server)][index]["terms"] = new_terms
+    for srv, idx, terms in ((server, index, new_terms),) + more:
+        doc["queries"][str(srv)][idx]["terms"] = terms
     return DeterministicScheme.from_json(doc)
 
 

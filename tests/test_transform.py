@@ -7,6 +7,7 @@ import pytest
 
 from pirlab.builder import build_scheme
 from pirlab.patterns import extract_patterns
+from pirlab.scheme import Summation
 from pirlab.sequences import rate
 from pirlab.transform import InfeasibleError, entropy_proxy_ok, prob_rate, transform
 
@@ -103,6 +104,20 @@ def test_every_summation_lands_in_exactly_one_row(star4_scheme):
     assert total == sum(len(qs) for qs in star4_scheme.queries.values())
 
 
+def test_side_info_fills_earliest_idle_rows_in_order(k3_scheme):
+    # S3 sits out of the patterns for targets 1 and 2, so rows 0 and 1 are
+    # its only idle slots; two unshared rows b4 and c4 become side
+    # information and must land there, in side-info order.
+    queries = dict(k3_scheme.queries)
+    queries[3] += (Summation(((1, 4, 1),)), Summation(((2, 4, 1),)))
+    s = k3_scheme.replace(queries=queries, patterns=None, side_info=())
+    assert extract_patterns(s).side_info == ((3, 4), (3, 5))
+    p = transform(s)
+    assert [row.q[3] for row in p.rows] == [
+        ((1, 1),), ((2, 1),), ((1, 1),), ((2, 1),),
+        ((1, 1), (2, 1)), ((1, 1), (2, 1))]
+
+
 # ============================================================
 # entropy proxy flag
 # ============================================================
@@ -111,6 +126,31 @@ def test_entropy_proxy_on_fixtures(k3_scheme, star4_scheme):
     assert entropy_proxy_ok(k3_scheme)
     assert entropy_proxy_ok(star4_scheme)
     assert entropy_proxy_ok(build_scheme(4))
+
+
+def _with_server_rows(scheme, server, rows):
+    queries = dict(scheme.queries)
+    queries[server] = tuple(Summation(terms) for terms in rows)
+    return scheme.replace(queries=queries, patterns=None, side_info=())
+
+
+def test_entropy_proxy_repeated_symbol_dependent_rows(k3_scheme):
+    # a1+b1, a1, b1 at S1: the first row is the sum of the other two
+    bad = _with_server_rows(k3_scheme, 1, [((0, 1, 1), (1, 1, 1)),
+                                           ((0, 1, 1),), ((1, 1, 1),)])
+    assert not entropy_proxy_ok(bad)
+
+
+def test_entropy_proxy_repeated_symbol_independent_rows(k3_scheme):
+    # a1+b1, a1, b2 at S1: a1 repeats, but the rows stay independent
+    good = _with_server_rows(k3_scheme, 1, [((0, 1, 1), (1, 1, 1)),
+                                            ((0, 1, 1),), ((1, 2, 1),)])
+    assert entropy_proxy_ok(good)
+
+
+def test_entropy_proxy_empty_row(k3_scheme):
+    bad = _with_server_rows(k3_scheme, 1, [((0, 1, 1),), ()])
+    assert not entropy_proxy_ok(bad)
 
 
 def test_transform_accepts_precomputed_extraction(k3_scheme):
