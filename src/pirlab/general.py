@@ -9,14 +9,18 @@ Each server only ever sees independent uniform bits, so the per-server
 answer distribution is identical for every desired file.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import itemgetter
 
 from .errors import ParameterError, UnsupportedSizeError
 from .graphs import Graph
 
 DISTRIBUTION_DEGREE_CAP = 12
+
+# sampled queries held in memory at once by sample_combo_counts
+_SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,18 @@ def _sign(at_lower, lam_bit, q):
     return (-1) ** lam_bit if at_lower else (-1) ** (lam_bit + 1)
 
 
+def _query_term(fid, theta, at_lower, mu_bit, lam_bit, q):
+    """The (file, sign) term one copy of a file adds to its server's query.
+
+    Returns None when that copy stays out.  Both copies of a file follow
+    mu, except the higher copy of the desired file, which takes the
+    opposite choice so that exactly one copy of it survives the sum.
+    """
+    if mu_bit == (fid == theta and not at_lower):
+        return None
+    return (fid, _sign(at_lower, lam_bit, q))
+
+
 def build_general_query(graph, theta, mu, lam, q=2):
     """Assemble per-server query combos from explicit randomness bits."""
     mu, lam = tuple(mu), tuple(lam)
@@ -88,12 +104,9 @@ def build_general_query(graph, theta, mu, lam, q=2):
     for fid in graph.files:
         lo, hi = graph.endpoints(fid)
         for v, at_lower in ((lo, True), (hi, False)):
-            if fid == theta:
-                include = mu[fid] == 1 if at_lower else mu[fid] == 0
-            else:
-                include = mu[fid] == 1
-            if include:
-                queries[v].append((fid, _sign(at_lower, lam[fid], q)))
+            term = _query_term(fid, theta, at_lower, mu[fid], lam[fid], q)
+            if term is not None:
+                queries[v].append(term)
     return GeneralScheme(graph=graph, theta=theta, q=q, mu=mu, lam=lam,
                          queries={v: tuple(sorted(combo))
                                   for v, combo in queries.items()})
@@ -104,6 +117,48 @@ def random_general_scheme(graph, theta, rng, q=2):
     mu = tuple(rng.randrange(2) for _ in range(m))
     lam = tuple(rng.randrange(2) for _ in range(m))
     return build_general_query(graph, theta, mu, lam, q=q)
+
+
+def sample_combo_counts(graph, theta, trials, rng, q=2):
+    """Count each server's query combo over `trials` sampled queries.
+
+    Draws exactly the bits that `trials` calls of random_general_scheme
+    draw (per query, m randrange(2) for mu and then m for lam), so the RNG
+    stream is the same, but assembles no GeneralScheme.  Each server
+    counts the bit patterns of its own files, and each distinct pattern is
+    turned into a combo once.  Returns {server: Counter(combo -> count)}.
+    """
+    m = len(graph.edges)
+    _check_inputs(graph, theta, (0,) * m, (0,) * m, q)
+    draw = rng.randrange
+    servers = []
+    for v in graph.servers:
+        copies = graph.copies(v)
+        fids = [fid for fid, _ in copies]
+        # a server's pattern: the mu bits of its files, then their lam bits
+        pick = itemgetter(*fids, *(m + fid for fid in fids)) if fids \
+            else (lambda bits: ())
+        terms = [[[_query_term(fid, theta, at_lower, mu_bit, lam_bit, q)
+                   for lam_bit in (0, 1)] for mu_bit in (0, 1)]
+                 for fid, at_lower in copies]
+        servers.append((v, pick, terms, Counter()))
+    done = 0
+    while done < trials:
+        block = [[draw(2) for _ in range(2 * m)]
+                 for _ in range(min(_SAMPLE_BLOCK, trials - done))]
+        done += len(block)
+        for _v, pick, _terms, patterns in servers:
+            patterns.update(map(pick, block))
+
+    counts = {}
+    for v, _pick, terms, patterns in servers:
+        deg = len(terms)
+        combos = counts[v] = Counter()
+        for bits, count in patterns.items():
+            combo = (table[mu_bit][lam_bit] for table, mu_bit, lam_bit
+                     in zip(terms, bits[:deg], bits[deg:]))
+            combos[tuple(t for t in combo if t is not None)] += count
+    return counts
 
 
 def answers(scheme, contents):
@@ -134,10 +189,14 @@ def general_rate(graph):
 def answer_distribution(graph, theta, server, q=2):
     """Exact distribution of one server's query combo.
 
-    Enumerates the 4^degree joint values of the incident randomness bits;
-    refuses degrees past DISTRIBUTION_DEGREE_CAP to keep that enumeration
-    honest.  The result is identical for every theta, which is the privacy
-    statement in exact form.
+    Each incident file carries its own uniform (mu, lam) pair, so the
+    combo is a product of independent per-file factors: each of the four
+    equally likely codes adds one term or nothing.  The distribution is
+    built as the product of those marginals, in O(support x degree) steps.
+    The support itself still grows as 2^degree (3^degree for q > 2), so
+    degrees past DISTRIBUTION_DEGREE_CAP are refused.  The result is
+    identical for every theta, which is the privacy statement in exact
+    form.
     """
     if not 0 <= theta < len(graph.edges):
         raise ParameterError(f"theta {theta} is not a file id")
@@ -145,26 +204,22 @@ def answer_distribution(graph, theta, server, q=2):
         raise ParameterError(f"server {server} is not a vertex")
     if not isinstance(q, int) or q < 2:
         raise ParameterError(f"alphabet size q must be an integer >= 2")
-    incident = graph.incident(server)
-    if len(incident) > DISTRIBUTION_DEGREE_CAP:
+    copies = graph.copies(server)
+    if len(copies) > DISTRIBUTION_DEGREE_CAP:
         raise UnsupportedSizeError(
-            f"degree {len(incident)} exceeds the enumeration cap "
+            f"degree {len(copies)} exceeds the enumeration cap "
             f"{DISTRIBUTION_DEGREE_CAP}")
 
-    dist = {}
-    weight = Fraction(1, 4) ** len(incident)
-    for assignment in product(range(4), repeat=len(incident)):
-        combo = []
-        for fid, code in zip(incident, assignment):
-            mu_bit, lam_bit = code >> 1, code & 1
-            lo, _hi = graph.endpoints(fid)
-            at_lower = server == lo
-            if fid == theta:
-                include = mu_bit == 1 if at_lower else mu_bit == 0
-            else:
-                include = mu_bit == 1
-            if include:
-                combo.append((fid, _sign(at_lower, lam_bit, q)))
-        key = tuple(sorted(combo))
-        dist[key] = dist.get(key, Fraction(0)) + weight
-    return dist
+    # Integer weights out of 4^degree.  Terms are appended in file-id
+    # order, so every combo is already sorted, and no two (combo, term)
+    # pairs collide.
+    counts = {(): 1}
+    for fid, at_lower in copies:
+        marginal = Counter(
+            _query_term(fid, theta, at_lower, code >> 1, code & 1, q)
+            for code in range(4))
+        counts = {combo if term is None else combo + (term,): count * k
+                  for combo, count in counts.items()
+                  for term, k in marginal.items()}
+    total = 4 ** len(copies)
+    return {combo: Fraction(count, total) for combo, count in counts.items()}

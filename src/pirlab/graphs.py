@@ -82,6 +82,23 @@ class Graph:
             ids.setdefault(e, i)
         return ids
 
+    def copies(self, v):
+        """Server v's file copies as (file id, at_lower) pairs.
+
+        `at_lower` says whether v is the lower endpoint of that file's
+        edge.  Pairs come in file-id order, as in `incident`.
+        """
+        return self._copies[v]
+
+    @functools.cached_property
+    def _copies(self):
+        # cached like _file_ids, outside the dataclass fields
+        out = {v: [] for v in self.servers}
+        for fid, (lo, hi) in enumerate(self.edges):
+            out[lo].append((fid, True))
+            out[hi].append((fid, False))
+        return {v: tuple(pairs) for v, pairs in out.items()}
+
     # ---- constructions ------------------------------------------------
 
     def extend(self, r):

@@ -7,6 +7,7 @@ that the group cancels to a single desired subfile.  Side information rows
 are downloaded but not used by any pattern.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
 
@@ -206,6 +207,19 @@ class ProbabilisticScheme:
         object.__setattr__(self, "rows", tuple(self.rows))
         if not 0 <= self.theta < len(self.graph.edges):
             raise ParameterError(f"theta {self.theta} is not a file id")
+        # numerators summed per denominator: one pass, and few Fraction
+        # additions, since rows tend to share a denominator
+        mass = defaultdict(int)
+        for i, row in enumerate(self.rows):
+            p = row.p
+            if p.numerator < 0:
+                raise ParameterError(f"row {i} has negative probability "
+                                     f"{frac_str(p)}")
+            mass[p.denominator] += p.numerator
+        total = sum(Fraction(num, den) for den, num in mass.items())
+        if total != 1:
+            raise ParameterError(f"row probabilities sum to "
+                                 f"{frac_str(total)}, not 1")
 
     def to_json(self):
         return {

@@ -4,6 +4,14 @@ Deterministic and probabilistic trials evaluate summations by XOR-ing
 stored symbols, which cancels pairs regardless of the alphabet; a trial
 passes when the reconstructed desired file matches storage exactly.
 
+Sampling is exact and cheap.  A sampled probabilistic trial converts each
+float draw to a Fraction (exactly) and bisects the cumulative row
+probabilities, so it picks the first row whose edge exceeds the draw in
+O(log rows) comparisons.  The statistical audit counts each server's
+combo straight from the sampled (mu, lam) bits, in integers, and builds
+no scheme per query; it consumes the same random stream as drawing one
+`random_general_scheme` per query.
+
 Privacy audits come in three strengths:
 
   structural      per-server multisets of summation shapes must coincide
@@ -15,12 +23,14 @@ Privacy audits come in three strengths:
 """
 
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import ParameterError
-from .general import answer_distribution, random_general_scheme
+from .general import answer_distribution, sample_combo_counts
 from .graphs import Graph
 from .patterns import extract_patterns
 from .scheme import DeterministicScheme, ProbabilisticScheme
@@ -159,18 +169,16 @@ def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
         return ProbTrialReport(ok=ok, mode="exact", rate=1 / total)
 
     if mode == "sample":
-        if not trials or rng is None:
-            raise ParameterError("sample mode needs trials and rng")
-        cumulative = []
-        acc = Fraction(0)
-        for row in pscheme.rows:
-            acc += row.p
-            cumulative.append((acc, row))
+        _check_trials(trials, rng, mode)
+        rows = pscheme.rows
+        edges = list(accumulate(row.p for row in rows))
         ok = True
         answered = 0
         for _ in range(trials):
-            draw = rng.random()
-            row = next(r for edge, r in cumulative if draw < edge)
+            # the first row whose cumulative edge exceeds the draw;
+            # Fraction(float) is exact, so rounding never moves a draw
+            # across an edge
+            row = rows[bisect_right(edges, Fraction(rng.random()))]
             ok = ok and recovers(row)
             answered += sum(1 for combo in row.q.values()
                             if combo is not None)
@@ -245,35 +253,41 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
         return AuditReport(ok=worst == 0, mode=mode, max_deviation=worst)
 
     if mode == "statistical":
-        if not trials or rng is None:
-            raise ParameterError("statistical mode needs trials and rng")
+        _check_trials(trials, rng, mode)
         empirical = {}
         support = defaultdict(set)
         for theta in thetas:
-            graph = schemes[theta]
-            per = defaultdict(Counter)
-            for _ in range(trials):
-                s = random_general_scheme(graph, theta, rng, q=q)
-                for srv, combo in s.queries.items():
-                    per[srv][combo] += 1
-            empirical[theta] = {
-                srv: {combo: Fraction(cnt, trials)
-                      for combo, cnt in counter.items()}
-                for srv, counter in per.items()}
-            for srv, counter in per.items():
-                support[srv] |= set(counter)
+            empirical[theta] = sample_combo_counts(schemes[theta], theta,
+                                                   trials, rng, q=q)
+            for srv, counter in empirical[theta].items():
+                support[srv] |= counter.keys()
         if epsilon is None:
             widest = max(len(combos) for combos in support.values())
             epsilon = 3 * math.sqrt(math.log(2 * widest) / trials)
-        worst = 0.0
+        # TV distance in units of 1/(2 trials): sum |c1 - c2| over combos,
+        # which is c1 + c2 - 2 min(c1, c2) summed.  Rounding a rational to
+        # a float is monotone, so the float of the largest numerator is the
+        # largest float TV distance.
+        widest_gap = 0
         for i, t1 in enumerate(thetas):
             for t2 in thetas[i + 1:]:
-                servers = set(empirical[t1]) | set(empirical[t2])
-                for srv in servers:
-                    worst = max(worst, float(_tv(
-                        empirical[t1].get(srv, {}),
-                        empirical[t2].get(srv, {}))))
+                for srv in empirical[t1].keys() | empirical[t2].keys():
+                    c1 = empirical[t1].get(srv, {})
+                    c2 = empirical[t2].get(srv, {})
+                    overlap = sum(min(c1[k], c2[k])
+                                  for k in c1.keys() & c2.keys())
+                    gap = sum(c1.values()) + sum(c2.values()) - 2 * overlap
+                    widest_gap = max(widest_gap, gap)
+        worst = float(Fraction(widest_gap, 2 * trials))
         return AuditReport(ok=worst < epsilon, mode=mode,
                            max_deviation=worst, epsilon=epsilon)
 
     raise ParameterError(f"unknown audit mode {mode!r}")
+
+
+def _check_trials(trials, rng, mode):
+    if not trials or rng is None:
+        raise ParameterError(f"{mode} mode needs trials and rng")
+    if not isinstance(trials, int) or trials < 1:
+        raise ParameterError(f"trials must be a positive integer, "
+                             f"got {trials}")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -217,6 +218,68 @@ def test_simulate_probabilistic_scheme(capsys, tmp_path):
     assert doc["rate"] == "1/2"
 
 
+def _k3_prob_doc(capsys, tmp_path):
+    prob = tmp_path / "k3_prob.json"
+    rc, _, _ = run_cli(capsys, "transform", "--scheme",
+                       str(FIXTURES / "k3_scheme.json"), "--out", str(prob))
+    assert rc == 0
+    return prob, json.loads(prob.read_text())
+
+
+def _one_line_error(err):
+    lines = err.splitlines()
+    assert "Traceback" not in err
+    assert len(lines) == 2 and lines[1].startswith("error: ")
+    return lines[1]
+
+
+@pytest.mark.parametrize("trials", [[], ["--trials", "50"]])
+def test_simulate_rejects_probabilities_off_one(capsys, tmp_path, trials):
+    prob, doc = _k3_prob_doc(capsys, tmp_path)
+    for row in doc["rows"]:
+        row["p"] = str(Fraction(row["p"]) / 2)
+    prob.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", str(prob),
+                           "--seed", "1", *trials)
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        "error: row probabilities sum to 1/2, not 1"
+
+
+def test_simulate_rejects_negative_probability(capsys, tmp_path):
+    prob, doc = _k3_prob_doc(capsys, tmp_path)
+    first, second = doc["rows"][0], doc["rows"][1]
+    second["p"] = str(Fraction(second["p"]) + 2 * Fraction(first["p"]))
+    first["p"] = str(-Fraction(first["p"]))
+    prob.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", str(prob))
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        "error: row 0 has negative probability -1/6"
+
+
+def test_simulate_negative_trials(capsys, tmp_path):
+    prob, _doc = _k3_prob_doc(capsys, tmp_path)
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", str(prob),
+                           "--trials", "-3", "--seed", "1")
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        "error: trials must be a positive integer, got -3"
+
+
+def test_simulate_zero_trials_means_exact(capsys, tmp_path):
+    prob, _doc = _k3_prob_doc(capsys, tmp_path)
+    rc, out, _ = run_cli(capsys, "simulate", "--scheme", str(prob),
+                         "--trials", "0", "--seed", "1")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert doc["rate"] == "1/2"
+
+
 # ============================================================
 # audit
 # ============================================================
@@ -255,6 +318,16 @@ def test_audit_statistical_general(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert float(doc["max_deviation"]) < float(doc["epsilon"])
+
+
+def test_audit_statistical_negative_trials(capsys):
+    rc, out, err = run_cli(capsys, "audit", "--family", "general:star:3",
+                           "--mode", "statistical", "--trials", "-5",
+                           "--seed", "1")
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        "error: trials must be a positive integer, got -5"
 
 
 def test_audit_bad_family(capsys):

@@ -9,6 +9,7 @@ import pytest
 from pirlab.bounds import multigraph_lower_bound
 from pirlab.errors import ParameterError, UnsupportedSizeError
 from pirlab.general import (
+    DISTRIBUTION_DEGREE_CAP,
     GeneralScheme,
     answer_distribution,
     answers,
@@ -168,9 +169,17 @@ def test_parameter_checks(pendant_triangle):
 
 
 def test_distribution_degree_cap():
-    g = make_graph("star", [13])
-    with pytest.raises(UnsupportedSizeError):
-        answer_distribution(g, 0, 1)
+    at_cap = make_graph("star", [DISTRIBUTION_DEGREE_CAP])
+    d = answer_distribution(at_cap, 0, 1)
+    assert len(d) == 2 ** DISTRIBUTION_DEGREE_CAP == 4096
+    assert sum(d.values()) == 1
+    assert set(d.values()) == {F(1, 4096)}
+    past_cap = make_graph("star", [DISTRIBUTION_DEGREE_CAP + 1])
+    with pytest.raises(UnsupportedSizeError, match="degree 13 exceeds"):
+        answer_distribution(past_cap, 0, 1)
+    # the leaves stay within the cap
+    assert answer_distribution(past_cap, 0, 2) == {(): F(1, 2),
+                                                   ((0, 1),): F(1, 2)}
 
 
 def test_json_round_trip(pendant_triangle):

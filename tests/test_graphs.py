@@ -128,6 +128,17 @@ def test_incident_files():
     assert g.endpoints(2) == (2, 3)
 
 
+def test_copies_follow_incident_files():
+    g = make_graph("complete", [3]).extend(2)
+    assert g.copies(1) == ((0, True), (1, True), (2, True), (3, True))
+    assert g.copies(3) == ((2, False), (3, False), (4, False), (5, False))
+    lonely = Graph(3, ((1, 2),))
+    assert lonely.copies(3) == ()
+    for v in g.servers:
+        assert tuple(f for f, _ in g.copies(v)) == g.incident(v)
+    assert g == make_graph("complete", [3]).extend(2)  # cache is not a field
+
+
 # ============================================================
 # matching number: brute-force oracle
 # ============================================================

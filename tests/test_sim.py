@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from pirlab.builder import build_scheme
+from pirlab.errors import ParameterError
 from pirlab.general import build_general_query
 from pirlab.graphs import Graph, make_graph
 from pirlab.scheme import Summation
@@ -97,6 +98,35 @@ def test_sampled_probabilistic_trials(k3_scheme):
     assert abs(float(r1.rate) - 0.5) < 0.05
 
 
+def test_probabilistic_scheme_rejects_bad_mass(k3_scheme):
+    p = transform(k3_scheme)
+    rows = p.rows
+    with pytest.raises(ParameterError, match="sum to 5/6, not 1"):
+        dataclasses.replace(p, rows=rows[:-1])
+    with pytest.raises(ParameterError, match="sum to 0, not 1"):
+        dataclasses.replace(p, rows=())
+    flipped = (dataclasses.replace(rows[0], p=-rows[0].p),
+               dataclasses.replace(rows[1], p=rows[1].p + 2 * rows[0].p))
+    with pytest.raises(ParameterError, match="row 0 has negative"):
+        dataclasses.replace(p, rows=flipped + rows[2:])
+
+
+@pytest.mark.parametrize("trials", [-3, 2.5])
+def test_sampling_needs_positive_trials(k3_scheme, pendant_triangle,
+                                        trials):
+    p = transform(k3_scheme)
+    with pytest.raises(ParameterError, match="positive integer"):
+        run_probabilistic_trials(p, [1, 0, 1], mode="sample", trials=trials,
+                                 rng=random.Random(1))
+    family = {theta: pendant_triangle for theta in range(4)}
+    with pytest.raises(ParameterError, match="positive integer"):
+        privacy_audit(family, mode="statistical", trials=trials,
+                      rng=random.Random(1))
+    with pytest.raises(ParameterError, match="needs trials and rng"):
+        privacy_audit(family, mode="statistical", trials=0,
+                      rng=random.Random(1))
+
+
 # ============================================================
 # privacy audits
 # ============================================================
@@ -121,8 +151,12 @@ def test_distributional_audit_on_transforms():
     schemes = {theta: transform(build_scheme(3, theta)) for theta in range(3)}
     report = privacy_audit(schemes, mode="distributional")
     assert report.ok
+    # move the last row's mass onto the first: still a distribution, but
+    # no longer the same one at every server
     rows = schemes[0].rows
-    schemes[0] = dataclasses.replace(schemes[0], rows=rows[:-1])
+    heavier = dataclasses.replace(rows[0], p=rows[0].p + rows[-1].p)
+    schemes[0] = dataclasses.replace(schemes[0],
+                                     rows=(heavier,) + rows[1:-1])
     assert not privacy_audit(schemes, mode="distributional").ok
 
 
