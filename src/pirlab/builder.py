@@ -8,13 +8,21 @@ emits four pattern classes per desired endpoint i and helper set T:
   gamma  both endpoints participate and every helper answers a fresh k-sum,
   zeta   one non-endpoint server contributes an all-overlap summation.
 
+One table drives steps 2..n-1: each class lists its variants for a helper
+set T (beta: the helper left out of the matching and the matching; zeta:
+the overlap server) and gives the rows one variant creates and consumes.
+The loop builds those rows once per variant and emits them the ledger's
+number of times, in class order alpha, beta, gamma, zeta.
+
 Bookkeeping invariant: after step k, every k-subset of the non-desired
 files stored at a server accounts for exactly x_k * M summations of that
 shape — some already materialized inside step-k patterns, the rest pooled
 for later consumption (or, once the late-regime cap binds, left over as
-side information).  Subfile subscripts come from global per-file pattern
-counters: a pattern bumps the counter of every file it touches, and all
-terms of that file inside the pattern share the new value.
+side information).  `_types` enumerates those (server, k-subset) types
+once, for both the build's inventory and `verify_scheme`'s quota check.
+Subfile subscripts come from global per-file pattern counters, in
+emission order: a pattern bumps the counter of every file it touches, and
+all terms of that file inside the pattern share the new value.
 """
 
 import itertools
@@ -36,9 +44,10 @@ def _as_int(value, what):
 
 
 def perfect_matchings(items):
-    """All perfect matchings of an even-size tuple, deterministically ordered.
+    """All perfect matchings of a tuple, deterministically ordered.
 
     Each matching is returned as a dict mapping every element to its partner.
+    An odd-size tuple has none, so the list is empty.
     """
     items = tuple(sorted(items))
     if not items:
@@ -52,6 +61,14 @@ def perfect_matchings(items):
             m.update(sub)
             out.append(m)
     return out
+
+
+def _types(graph, theta, k):
+    """Each (server, size-k set of the non-desired files it stores)."""
+    for v in graph.servers:
+        stored = [f for f in graph.incident(v) if f != theta]
+        for combo in itertools.combinations(stored, k):
+            yield v, frozenset(combo)
 
 
 # ============================================================
@@ -115,107 +132,82 @@ def build_scheme(n, theta=0):
     def settle_inventory(k):
         """After step k: pool the uncreated share of every size-k type."""
         quota = _as_int(led.x[k] * m, f"x_{k} M")
-        for v in graph.servers:
-            stored = [f for f in graph.incident(v) if f != theta]
-            for combo in itertools.combinations(stored, k):
-                key = (v, frozenset(combo))
-                fresh = created.pop(key, 0)
-                if fresh > quota:
-                    raise InternalConsistencyError(
-                        f"over-created type {sorted(combo)} at server {v}")
-                pool[key] += quota - fresh
+        for key in _types(graph, theta, k):
+            fresh = created.pop(key, 0)
+            if fresh > quota:
+                raise InternalConsistencyError(
+                    f"over-created type {sorted(key[1])} at server {key[0]}")
+            pool[key] += quota - fresh
         if created:
             raise InternalConsistencyError(
                 f"created rows outside the type inventory: {dict(created)}")
 
     # ---- step 1: direct requests -------------------------------------
-    for copy in range(_as_int(led.x[1] * m, "x_1 M")):
-        emit(1, "direct", {t1: {theta}}, {})
-    for copy in range(_as_int(led.x[1] * m, "x_1 M")):
-        emit(1, "direct", {t2: {theta}}, {})
+    for i in (t1, t2):
+        for copy in range(_as_int(led.x[1] * m, "x_1 M")):
+            emit(1, "direct", {i: {theta}}, {})
     settle_inventory(1)
 
-    # ---- steps 2..n-1 --------------------------------------------------
-    by_k = {st.k: st for st in step_ledger(n)}
-    for k in range(2, n):
-        st = by_k[k]
-        alpha_copies = _as_int(st.alpha_per * m, "alpha count")
-        beta_copies = _as_int(st.beta_per * m, "beta count")
-        gamma_copies = _as_int(st.gamma_per * m, "gamma count")
-        zeta_copies = _as_int(st.zeta_per * m, "zeta count")
+    # ---- steps 2..n-1: one table of pattern classes --------------------
+    # Every row is one server's sum over its edges to a set of servers; the
+    # desired endpoint i's row holds theta, the edge (i, other).  A class
+    # maps (i, other, T, variant) to the rows it creates fresh and the
+    # pooled rows it consumes.
+    def star(v, ends):
+        return {eid(v, s) for s in ends if s != v}
 
-        # alpha: desired endpoint + helper chains
-        for i, other in ((t1, t2), (t2, t1)):
-            for tset in itertools.combinations(helpers, k - 1):
-                for copy in range(alpha_copies):
-                    new_rows = {i: {theta, *(eid(i, j) for j in tset)}}
-                    old_rows = {
-                        j: {eid(i, j), *(eid(j, s) for s in tset if s != j)}
-                        for j in tset}
-                    emit(k, "alpha", new_rows, old_rows)
+    def alpha(i, other, tset, _):
+        return ({i: star(i, (other, *tset))},
+                {j: star(j, (i, *tset)) for j in tset})
 
-        # beta: both endpoints + matched helpers
-        if k >= 3 and beta_copies:
+    def beta(i, other, tset, variant):
+        j_star, match = variant
+        new_rows = {i: star(i, (other, *tset))}
+        if j_star is not None:
+            new_rows[j_star] = star(j_star, (i, other, *tset))
+        old_rows = {other: star(other, tset)}
+        for j in tset:
+            if j != j_star:  # matched helpers drop the edge to their partner
+                old_rows[j] = star(j, (i, other, *tset)) - {eid(j, match[j])}
+        return new_rows, old_rows
+
+    def beta_variants(tset):
+        # (j*, matching): j* answers a fresh k-sum and the other helpers
+        # pair up.  Odd-size sets have no perfect matching, so an even T
+        # yields j* = None only and an odd T yields each j* in T.
+        return [(j_star, match) for j_star in (None, *tset)
+                for match in perfect_matchings(
+                    tuple(j for j in tset if j != j_star))]
+
+    def gamma(i, other, tset, _):
+        return ({i: star(i, (other, *tset)),
+                 **{j: star(j, (i, other, *tset)) for j in tset}},
+                {other: star(other, tset)})
+
+    def zeta(i, other, tset, j0):
+        return ({i: star(i, (other, *tset)),
+                 **{j: star(j, (i, j0, *tset)) for j in tset}},
+                {j0: star(j0, tset)})
+
+    classes = (
+        ("alpha", alpha, lambda tset: (None,)),
+        ("beta", beta, beta_variants),
+        ("gamma", gamma, lambda tset: (None,)),
+        ("zeta", zeta, lambda tset: [v for v in helpers if v not in tset]),
+    )
+
+    for st in step_ledger(n):
+        k = st.k
+        for cls, rows, variants in classes:
+            copies = _as_int(getattr(st, f"{cls}_per") * m, f"{cls} count")
+            if not copies:
+                continue
             for i, other in ((t1, t2), (t2, t1)):
                 for tset in itertools.combinations(helpers, k - 1):
-                    blues_other = {eid(other, j) for j in tset}
-                    if k % 2:
-                        for match in perfect_matchings(tset):
-                            for copy in range(beta_copies):
-                                new_rows = {
-                                    i: {theta, *(eid(i, j) for j in tset)}}
-                                old_rows = {other: set(blues_other)}
-                                for j in tset:
-                                    reds = {eid(j, s) for s in tset
-                                            if s not in (j, match[j])}
-                                    old_rows[j] = {eid(i, j), eid(other, j),
-                                                   *reds}
-                                emit(k, "beta", new_rows, old_rows)
-                    else:
-                        for j_star in tset:
-                            others = tuple(j for j in tset if j != j_star)
-                            for match in perfect_matchings(others):
-                                for copy in range(beta_copies):
-                                    new_rows = {
-                                        i: {theta,
-                                            *(eid(i, j) for j in tset)},
-                                        j_star: {eid(i, j_star),
-                                                 eid(other, j_star),
-                                                 *(eid(j_star, s)
-                                                   for s in others)}}
-                                    old_rows = {other: set(blues_other)}
-                                    for j in others:
-                                        reds = {eid(j, s) for s in tset
-                                                if s not in (j, match[j])}
-                                        old_rows[j] = {eid(i, j),
-                                                       eid(other, j), *reds}
-                                    emit(k, "beta", new_rows, old_rows)
-
-        # gamma: both endpoints + fresh helper k-sums
-        for i, other in ((t1, t2), (t2, t1)):
-            for tset in itertools.combinations(helpers, k - 1):
-                for copy in range(gamma_copies):
-                    new_rows = {i: {theta, *(eid(i, j) for j in tset)}}
-                    for j in tset:
-                        new_rows[j] = {eid(i, j), eid(other, j),
-                                       *(eid(j, s) for s in tset if s != j)}
-                    old_rows = {other: {eid(other, j) for j in tset}}
-                    emit(k, "gamma", new_rows, old_rows)
-
-        # zeta: one overlap server outside the pattern's helper set
-        if zeta_copies:
-            for i, other in ((t1, t2), (t2, t1)):
-                for tset in itertools.combinations(helpers, k - 1):
-                    for j0 in (v for v in helpers if v not in tset):
-                        for copy in range(zeta_copies):
-                            new_rows = {i: {theta,
-                                            *(eid(i, j) for j in tset)}}
-                            for j in tset:
-                                reds = {eid(j, s)
-                                        for s in (j0, *tset) if s != j}
-                                new_rows[j] = {eid(i, j), *reds}
-                            old_rows = {j0: {eid(j0, j) for j in tset}}
-                            emit(k, "zeta", new_rows, old_rows)
+                    for variant in variants(tset):
+                        new_rows, old_rows = rows(i, other, tset, variant)
+                        for copy in range(copies):
+                            emit(k, cls, new_rows, old_rows)
 
         if k <= n - 2:
             settle_inventory(k)
@@ -297,35 +289,24 @@ def verify_scheme(scheme):
                  for v in rep.violations]
 
     theta = scheme.theta
-    t1, t2 = scheme.graph.endpoints(theta)
-    desired = {t1: 0, t2: 0}
-    type_counts = defaultdict(int)
-    for v, rows in scheme.queries.items():
-        for row in rows:
-            files = row.files
-            if theta in files:
-                if v in desired:
-                    desired[v] += 1
-                else:
-                    problems.append(f"desired term at non-endpoint server {v}")
-            else:
-                type_counts[(v, frozenset(files))] += 1
-    if desired[t1] * 2 != scheme.L or desired[t2] * 2 != scheme.L:
+    shapes = {v: Counter(frozenset(row.files) for row in rows)
+              for v, rows in scheme.queries.items()}
+    desired = {v: sum(c for files, c in shapes[v].items() if theta in files)
+               for v in scheme.graph.endpoints(theta)}
+    if any(count * 2 != scheme.L for count in desired.values()):
         problems.append(f"desired rows split {desired}, expected "
                         f"{scheme.L // 2} per endpoint")
 
     if led is not None:
         m = led.m_scale
-        for v in scheme.graph.servers:
-            stored = [f for f in scheme.graph.incident(v) if f != theta]
-            for k in range(1, n - 1):
-                quota = int(led.x[k] * m)
-                for combo in itertools.combinations(stored, k):
-                    got = type_counts[(v, frozenset(combo))]
-                    if got != quota:
-                        problems.append(
-                            f"type {sorted(combo)} at server {v} has {got} "
-                            f"rows, expected {quota}")
+        for k in range(1, n - 1):
+            quota = int(led.x[k] * m)
+            for v, files in _types(scheme.graph, theta, k):
+                got = shapes[v][files]
+                if got != quota:
+                    problems.append(
+                        f"type {sorted(files)} at server {v} has {got} "
+                        f"rows, expected {quota}")
         from .sequences import answer_count
         expected_rows = answer_count(n)
         for v in scheme.graph.servers:

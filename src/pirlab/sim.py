@@ -34,6 +34,7 @@ from .general import answer_distribution, sample_combo_counts
 from .graphs import Graph
 from .patterns import extract_patterns
 from .scheme import DeterministicScheme, ProbabilisticScheme
+from .transform import prob_rate
 
 # ============================================================
 # storage
@@ -162,11 +163,7 @@ def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
 
     if mode == "exact":
         ok = all(recovers(row) for row in pscheme.rows)
-        total = Fraction(0)
-        for srv in pscheme.graph.servers:
-            total += sum((row.p for row in pscheme.rows
-                          if row.q.get(srv) is not None), Fraction(0))
-        return ProbTrialReport(ok=ok, mode="exact", rate=1 / total)
+        return ProbTrialReport(ok=ok, mode="exact", rate=prob_rate(pscheme))
 
     if mode == "sample":
         _check_trials(trials, rng, mode)
@@ -182,6 +179,9 @@ def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
             ok = ok and recovers(row)
             answered += sum(1 for combo in row.q.values()
                             if combo is not None)
+        if not answered:
+            raise ParameterError(f"none of the {trials} drawn rows queries "
+                                 f"any server, so the rate is undefined")
         return ProbTrialReport(ok=ok, mode="sample",
                                rate=Fraction(trials, answered),
                                trials=trials)
@@ -215,6 +215,8 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
     single-symbol scheme (distributional), or a Graph to sample fresh
     randomized schemes from (statistical).
     """
+    if not schemes:
+        raise ParameterError("the audit family has no desired files")
     thetas = sorted(schemes)
     if mode == "structural":
         shapes = {}

@@ -10,7 +10,8 @@ which preserves every per-server marginal and hence privacy.
 
 from fractions import Fraction
 
-from .errors import InfeasibleError, InternalConsistencyError
+from .errors import (InfeasibleError, InternalConsistencyError,
+                     ParameterError)
 from .patterns import extract_patterns
 from .scheme import ProbabilisticScheme, ProbRow
 
@@ -70,6 +71,9 @@ def prob_rate(pscheme):
     for srv in pscheme.graph.servers:
         total += sum((row.p for row in pscheme.rows
                       if row.q.get(srv) is not None), Fraction(0))
+    if not total:
+        raise ParameterError("no row queries any server, so the rate "
+                             "is undefined")
     return 1 / total
 
 

@@ -3,6 +3,9 @@
 The digests below are the sha256 of `pirlab extract` and `pirlab transform`
 stdout as produced before `analyze` replaced the separate independence
 check and extraction walks.  They pin the CLI bytes across that refactor.
+BUILD_SHA256 pins `pirlab build` stdout for the same (n, theta) cases, as
+produced before one pattern-class table replaced the builder's per-class
+step loops.
 """
 
 import hashlib
@@ -114,14 +117,42 @@ CLI_SHA256 = {
         "f1516ae444457ac111ce4a744de43eb5e0d55fcc85ad096cdb995faac7b31a6d",
 }
 
+BUILD_SHA256 = {
+    (3, 0): "61f9167b6f6116251a0efce6d1cfa3c052405e89970ee8d8617cee56208b9fc9",
+    (3, 1): "48a0d70e2de386e326ec1915b05d8f43d478099165e659564e4b27f9e3e1c528",
+    (3, 2): "0ce68a8120f00125350ff2b32fb8925b9fad04ebae0625ceaa186c092d8221fe",
+    (4, 0): "6fe11715883ec8e8334d83a15582c0e0ddec5fdce17abaa5e6d27cb61396028c",
+    (4, 1): "c64e77a6d72ea55c4816d575094d6a6cbc8e48feb727ea6b3ea717609b94fb77",
+    (4, 2): "35f466779899021481a9b3b446cd2e91b909c39e7c6edef5761cdcc2abe4103d",
+    (4, 3): "c7251aca9f59735eb57f8b2799be883d2a4d284eae8993dcb7a5e969e85d3042",
+    (4, 4): "34a9ab8b8bdb1f8dbee2884ec58781d71de3140dfc46b73a01cfb6ec71124200",
+    (4, 5): "48d3f2fa7cbae9adcb3d148c6009d847285e18db4118a22eaa9356093f131976",
+    (5, 0): "ca217c43e316c13c8f893cac7116954848b73a7660f218b8ce8eb7fb1e82d136",
+    (5, 1): "e2cf428e9621b9de86267afa4c6d1239a605780e97b01502a4ef79b3bbfdc2a6",
+    (5, 2): "cc8b308959ca4c811b745bcc4468d318b9354b30d2029dc9393547146cc55088",
+    (5, 3): "f866a02ad3d4b87935125b3987c661d5a41819d5e4779969fde5793dbaf7c689",
+    (5, 4): "aff0dba75224625740e74ae53f785848cb6b04e5d26d02a354e9c6609935e68c",
+    (5, 5): "b91da70bef6e649245bc79b8c31aef81c20dc5553209214c946eb9846fabbc23",
+    (5, 6): "b63a468dcdc122a11748bbd838840e6100ce8b970b8bd6fb7f69e54abdf032ad",
+    (5, 7): "b22d3ce3552a0609d61be523cad745ea84a18c2e097b2859fba503f178789a10",
+    (5, 8): "9c7c1279d0180dc1f79d7be5db6fc5fdc40e21e9227ad411b042c2acbc406471",
+    (5, 9): "2bfcfef0184e909ba163e9d1c5efa98530c7032671afa8de1574a09782e8cc56",
+    (6, 0): "79cb90410a1331d893a8d3024b11c0b1fc1effac608d1d89e8b35acdb62b5ea7",
+    (6, 1): "9857c68cd25411bb667cf341fe69872a1ccafde230ed971b89494e6781256e19",
+}
+
 CASES = sorted({(n, theta) for _cmd, n, theta in CLI_SHA256})
 
 
 @pytest.mark.parametrize("n,theta", CASES)
 def test_cli_output_bytes_unchanged(n, theta, tmp_path, capsys):
+    capsys.readouterr()
+    assert cli.main(["build", "--n", str(n), "--theta", str(theta)]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == BUILD_SHA256[(n, theta)], ("build", n, theta)
     path = tmp_path / "scheme.json"
-    assert cli.main(["build", "--n", str(n), "--theta", str(theta),
-                     "--out", str(path)]) == 0
+    path.write_text(out)
     for cmd in ("extract", "transform"):
         capsys.readouterr()
         assert cli.main([cmd, "--scheme", str(path)]) == 0

@@ -5,13 +5,15 @@ table; the K4 anchors (subscript values of selected rows) were worked out by
 hand from the subscript rules before implementation.
 """
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
 from pirlab.builder import build_scheme, class_counts, verify_scheme
 from pirlab.scheme import Summation
-from pirlab.sequences import answer_count, subpacketization
+from pirlab.sequences import (answer_count, build_sequences, step_ledger,
+                              subpacketization)
 from pirlab.errors import ParameterError, UnsupportedSizeError
 
 
@@ -169,3 +171,86 @@ def test_verify_catches_tampering():
     qs[3] = tuple(row)
     tampered = s.replace(queries=qs)
     assert not verify_scheme(tampered).ok
+
+
+def _with_row(s, server, index, terms):
+    rows = list(s.queries[server])
+    rows[index:index + 1] = [Summation(terms)]
+    return s.replace(queries={**s.queries, server: tuple(rows)})
+
+
+def _verify_rejects(s, prefix):
+    report = verify_scheme(s)
+    assert not report.ok
+    assert any(v.startswith(prefix) for v in report.violations), \
+        report.violations
+    return report
+
+
+def test_verify_needs_patterns():
+    _verify_rejects(build_scheme(3).replace(patterns=()),
+                    "scheme carries no recovery patterns")
+
+
+def test_verify_needs_targets_one_to_l():
+    s = build_scheme(3)
+    patterns = list(s.patterns)
+    patterns[1] = dataclasses.replace(patterns[1], target=1)
+    _verify_rejects(s.replace(patterns=tuple(patterns)),
+                    "pattern targets do not cover 1..L exactly once")
+
+
+def test_verify_needs_even_endpoint_split():
+    # K3, theta = 0: S1 row 0 is the direct request a1; ask S1 for b1
+    # instead, so S1 keeps 2 desired rows against S2's 3
+    s = build_scheme(3)
+    assert s.queries[1][0].terms == ((0, 1, 1),)
+    _verify_rejects(_with_row(s, 1, 0, ((1, 1, 1),)),
+                    "desired rows split {1: 2, 2: 3}, expected 3 per endpoint")
+
+
+def test_verify_counts_every_type():
+    # S3 stores b and c, one lone row of each (x_1 M = 1); asking for c
+    # in place of b leaves type [1] short and type [2] over
+    s = build_scheme(3)
+    index = next(i for i, row in enumerate(s.queries[3])
+                 if row.files == (1,))
+    report = _verify_rejects(_with_row(s, 3, index, ((2, 9, 1),)),
+                             "type [1] at server 3 has 0 rows, expected 1")
+    assert "type [2] at server 3 has 2 rows, expected 1" in report.violations
+
+
+def test_verify_counts_rows_per_server():
+    # one extra row at S3, of a size (n - 1 = 3) no type quota covers
+    s = build_scheme(4)
+    grown = _with_row(s, 3, len(s.queries[3]), ((1, 99, 1), (3, 99, 1),
+                                                (5, 99, 1)))
+    report = _verify_rejects(grown, f"server 3 holds {answer_count(4) + 1} "
+                                    f"rows, expected {answer_count(4)}")
+    assert not any(v.startswith("type ") for v in report.violations)
+
+
+def test_verify_rejects_desired_term_off_the_endpoints():
+    # K3, theta = 0 lives on S1 and S2; S3 cannot answer it, and the
+    # independence analysis says so as a condition-2 violation
+    s = build_scheme(3)
+    f, sub, sign = s.queries[3][0].terms[0]
+    _verify_rejects(_with_row(s, 3, 0, ((0, 1, 1), (f, sub, sign))),
+                    "condition 2: server 3 asked for file 0")
+
+
+# ============================================================
+# the class ledger
+# ============================================================
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_class_counts_match_the_ledger(n):
+    """Every step emits exactly the realizations the ledger counts."""
+    m = build_sequences(n).m_scale
+    for theta in (0, n * (n - 1) // 2 - 1):
+        counts = class_counts(build_scheme(n, theta))
+        for st in step_ledger(n):
+            for cls in ("alpha", "beta", "gamma", "zeta"):
+                want = (getattr(st, f"{cls}_per")
+                        * getattr(st, f"{cls}_realizations") * m)
+                assert counts[st.k].get(cls, 0) == want, (n, theta, st.k, cls)

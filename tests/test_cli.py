@@ -1,12 +1,14 @@
 """Command line interface: subcommands, exit codes, determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import pirlab
 from pirlab.cli import main
 
 from conftest import FIXTURES
@@ -280,6 +282,23 @@ def test_simulate_zero_trials_means_exact(capsys, tmp_path):
     assert doc["rate"] == "1/2"
 
 
+@pytest.mark.parametrize("trials,message", [
+    ([], "error: no row queries any server, so the rate is undefined"),
+    (["--trials", "5"], "error: none of the 5 drawn rows queries any "
+                        "server, so the rate is undefined"),
+], ids=["exact", "sample"])
+def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
+    prob, doc = _k3_prob_doc(capsys, tmp_path)
+    doc["rows"] = [{"p": "1", "q": {"1": None, "2": None, "3": None},
+                    "pattern_servers": []}]
+    prob.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", str(prob),
+                           "--seed", "1", *trials)
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == message
+
+
 # ============================================================
 # audit
 # ============================================================
@@ -330,6 +349,23 @@ def test_audit_statistical_negative_trials(capsys):
         "error: trials must be a positive integer, got -5"
 
 
+@pytest.mark.parametrize("family,mode", [
+    ("general:{edgeless}", "statistical"),
+    ("general:{edgeless}", "distributional"),
+    ("k0", "structural"),
+])
+def test_audit_empty_family(capsys, tmp_path, family, mode):
+    edgeless = tmp_path / "edgeless.json"
+    edgeless.write_text(json.dumps({"n": 3, "edges": []}))
+    rc, out, err = run_cli(capsys, "audit",
+                           "--family", family.format(edgeless=edgeless),
+                           "--mode", mode, "--trials", "10", "--seed", "1")
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        "error: the audit family has no desired files"
+
+
 def test_audit_bad_family(capsys):
     rc, _, err = run_cli(capsys, "audit", "--family", "wheel:5",
                          "--mode", "structural")
@@ -342,8 +378,12 @@ def test_audit_bad_family(capsys):
 # ============================================================
 
 def test_module_entry_point():
+    # `python -m` imports from its working directory first, so the child
+    # runs the same pirlab package as this process
+    package_root = pathlib.Path(pirlab.__file__).parents[1]
     proc = subprocess.run([sys.executable, "-m", "pirlab", "sequences",
-                           "--n", "3"], capture_output=True, text=True)
+                           "--n", "3"], capture_output=True, text=True,
+                          cwd=package_root)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["L"] == 6
 
