@@ -10,10 +10,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, UnsupportedSizeError
 from .graphs import matching_number
 from .render import decimal_str
 from .sequences import rate
+
+BOUNDS_CAP = 500  # largest n of a bound table; see the README for its cost
 
 
 # ============================================================
@@ -23,8 +25,21 @@ from .sequences import rate
 def upper_bound_complete(n):
     if n < 3:
         raise ParameterError(f"complete-graph bound needs n >= 3, got {n}")
-    total = sum(Fraction(1, math.factorial(i)) for i in range(2, n + 1))
-    return Fraction(1, n) / total
+    (bound,) = _complete_upper_bounds(n, n)
+    return bound
+
+
+def _complete_upper_bounds(n_min, n_max):
+    """1/(n * sum_{i=2..n} 1/i!) for n = n_min..n_max, from one running sum.
+
+    T_n = n! * sum_{i=2..n} 1/i! obeys T_n = n T_{n-1} + 1 with T_2 = 1,
+    and the bound is (n-1)!/T_n.
+    """
+    t, fact = 1, 1
+    for n in range(3, n_max + 1):
+        t, fact = n * t + 1, fact * (n - 1)
+        if n >= n_min:
+            yield Fraction(fact, t)
 
 
 def upper_bound_balanced_bipartite(n):
@@ -96,9 +111,12 @@ class BoundReport:
 def bounds_table(n_min=3, n_max=10):
     if n_min < 3 or n_max < n_min:
         raise ParameterError(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
-    return [BoundReport(n, upper_bound_complete(n), rate(n),
-                        prior_bounds_complete(n))
-            for n in range(n_min, n_max + 1)]
+    if n_max > BOUNDS_CAP:
+        raise UnsupportedSizeError(f"bound tables stop at n = {BOUNDS_CAP}, "
+                                   f"got n_max = {n_max}")
+    uppers = _complete_upper_bounds(n_min, n_max)
+    return [BoundReport(n, upper, rate(n), prior_bounds_complete(n))
+            for n, upper in zip(range(n_min, n_max + 1), uppers)]
 
 
 def render_table(reports, fmt="csv"):

@@ -269,12 +269,18 @@ def verify_scheme(scheme):
 
     Checks the independence conditions, that extraction recovers a full
     pattern partition, the per-type multiplicity invariant, and the even
-    split of desired rows across the two endpoints.
+    split of desired rows across the two endpoints.  The last two are K_n
+    ledgers, so a graph that is not complete raises ParameterError.
     """
     from .patterns import analyze
 
-    problems = []
     n = scheme.graph.n
+    edges = scheme.graph.edges
+    if not len(set(edges)) == len(edges) == n * (n - 1) // 2:
+        raise ParameterError(f"verify_scheme checks schemes on complete "
+                             f"graphs; this graph has {len(edges)} files on "
+                             f"{n} servers, K{n} has {n * (n - 1) // 2}")
+    problems = []
     led = build_sequences(n) if n <= BUILDER_CAP else None
 
     if not scheme.patterns:

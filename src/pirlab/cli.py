@@ -4,9 +4,10 @@ Every subcommand prints a schema identifier to stderr, writes one JSON or
 table document to stdout (or --out), and exits with:
 
   0  success
-  2  bad parameters or an unsupported size
+  2  bad parameters, a malformed document or an unsupported size
   3  a well-formed input that fails a feasibility or independence check,
      or an audit that finds a privacy breach
+  4  an internal self-check failed, which is a bug in pirlab
 """
 
 import argparse
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .bounds import bounds_table, render_table
 from .builder import build_scheme
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, InternalConsistencyError, ParameterError
 from .general import general_rate, random_general_scheme
 from .graphs import Graph, make_graph
 from .patterns import IndependenceError, check_srp, extract_patterns
@@ -352,6 +353,9 @@ def main(argv=None):
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

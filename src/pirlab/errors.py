@@ -3,9 +3,13 @@
 ParameterError covers every rejected input (bad sizes, malformed specs);
 UnsupportedSizeError marks inputs that are well formed but beyond the
 implemented caps.  InfeasibleError marks tasks that are impossible for the
-given scheme rather than malformed.  The command line maps ParameterError
-(and subclasses) to exit code 2 and InfeasibleError to exit code 3.
+given scheme rather than malformed.  InternalConsistencyError marks a failed
+self-check, that is a bug.  The command line maps ParameterError (and
+subclasses) to exit code 2, InfeasibleError to exit code 3 and
+InternalConsistencyError to exit code 4.
 """
+
+from contextlib import contextmanager
 
 
 class ParameterError(ValueError):
@@ -26,3 +30,15 @@ class InfeasibleError(RuntimeError):
 
 class InternalConsistencyError(AssertionError):
     """A self-check inside a construction failed (indicates a bug)."""
+
+
+@contextmanager
+def malformed(kind):
+    """Turn the KeyError, TypeError or ValueError of reading a document of
+    the given kind into a ParameterError; ParameterErrors pass through."""
+    try:
+        yield
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed {kind} document: {exc}") from None

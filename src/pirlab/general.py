@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import ParameterError, UnsupportedSizeError
+from .errors import ParameterError, UnsupportedSizeError, malformed
 from .graphs import Graph
 
 DISTRIBUTION_DEGREE_CAP = 12
@@ -53,14 +53,12 @@ class GeneralScheme:
 
     @classmethod
     def from_json(cls, doc):
-        try:
+        with malformed("scheme"):
             return cls(graph=Graph.from_json(doc["graph"]),
                        theta=int(doc["theta"]), q=int(doc["q"]),
                        mu=tuple(doc["mu"]), lam=tuple(doc["lam"]),
                        queries={int(v): tuple(tuple(t) for t in combo)
                                 for v, combo in doc["queries"].items()})
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"malformed scheme document: {exc}")
 
 
 def _check_inputs(graph, theta, mu, lam, q):

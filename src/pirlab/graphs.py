@@ -9,7 +9,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, UnsupportedSizeError
+from .errors import ParameterError, UnsupportedSizeError, malformed
 
 MATCHING_FILE_CAP = 64
 
@@ -154,11 +154,9 @@ class Graph:
 
     @classmethod
     def from_json(cls, doc):
-        try:
+        with malformed("graph"):
             return cls(doc["n"], tuple(tuple(e) for e in doc["edges"]),
                        bool(doc.get("multigraph", False)))
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"malformed graph document: {exc}")
 
 
 # ============================================================

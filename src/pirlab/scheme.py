@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, malformed
 from .graphs import Graph
 from .render import frac_str, parse_frac
 
@@ -25,8 +25,27 @@ class Summation:
     terms: tuple
 
     def __post_init__(self):
+        # One pass over the sorted terms with exact type tests; a term that
+        # fails them (or terms that do not sort) take the checks below,
+        # which name the offending term.
+        try:
+            terms = sorted(self.terms)
+            for term in terms:
+                f, s, sign = term
+                if not (type(term) is tuple and type(f) is int and f >= 0
+                        and type(s) is int and s >= 1
+                        and type(sign) is int and (sign == 1 or sign == -1)):
+                    break
+            else:
+                object.__setattr__(self, "terms", tuple(terms))
+                return
+        except (TypeError, ValueError):
+            pass
         norm = []
         for term in self.terms:
+            if len(term) != 3:
+                raise ParameterError(f"term {list(term)} is not "
+                                     f"[file, subfile, sign]")
             f, s, sign = term
             if not (isinstance(f, int) and f >= 0):
                 raise ParameterError(f"bad file id in term {term}")
@@ -46,7 +65,7 @@ class Summation:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(tuple(tuple(t) for t in doc["terms"]))
+        return cls(tuple(map(tuple, doc["terms"])))
 
 
 @dataclass(frozen=True)
@@ -142,20 +161,18 @@ class DeterministicScheme:
 
     @classmethod
     def from_json(cls, doc):
-        try:
+        with malformed("scheme"):
             graph = Graph.from_json(doc["graph"])
-            queries = {int(srv): tuple(Summation.from_json(r) for r in rows)
+            queries = {int(srv): tuple(map(Summation.from_json, rows))
                        for srv, rows in doc["queries"].items()}
             patterns = None
             if "patterns" in doc:
-                patterns = tuple(RecoveryPattern.from_json(p)
-                                 for p in doc["patterns"])
+                patterns = tuple(map(RecoveryPattern.from_json,
+                                     doc["patterns"]))
             side = tuple((e["server"], e["index"])
                          for e in doc.get("side_info", ()))
             return cls(graph=graph, theta=int(doc["theta"]), L=int(doc["L"]),
                        queries=queries, patterns=patterns, side_info=side)
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"malformed scheme document: {exc}")
 
 
 # ============================================================
@@ -216,10 +233,32 @@ class ProbabilisticScheme:
                 raise ParameterError(f"row {i} has negative probability "
                                      f"{frac_str(p)}")
             mass[p.denominator] += p.numerator
+            if None in map(row.q.get, row.pattern_servers):
+                raise ParameterError(f"row {i} recovers through a server "
+                                     f"it leaves idle")
+        self._check_combos()
         total = sum(Fraction(num, den) for den, num in mass.items())
         if total != 1:
             raise ParameterError(f"row probabilities sum to "
                                  f"{frac_str(total)}, not 1")
+
+    def _check_combos(self):
+        """Every combo names only files stored at the server it goes to."""
+        extra = set().union(*(row.q for row in self.rows))
+        extra.difference_update(self.graph.servers)
+        if extra:
+            raise ParameterError(f"a row queries server {min(extra)}, "
+                                 f"which is not in the graph")
+        for v in self.graph.servers:
+            stored = {f for f, _ in self.graph.copies(v)}
+            # each distinct combo once: rows share few of them
+            for combo in {row.q.get(v) for row in self.rows}:
+                bad = [f for f, _ in combo or () if f not in stored]
+                if bad:
+                    i = next(i for i, row in enumerate(self.rows)
+                             if row.q.get(v) == combo)
+                    raise ParameterError(f"row {i} asks server {v} for file "
+                                         f"{bad[0]}, which it does not store")
 
     def to_json(self):
         return {
@@ -230,9 +269,7 @@ class ProbabilisticScheme:
 
     @classmethod
     def from_json(cls, doc):
-        try:
+        with malformed("probabilistic"):
             return cls(graph=Graph.from_json(doc["graph"]),
                        theta=int(doc["theta"]),
-                       rows=tuple(ProbRow.from_json(r) for r in doc["rows"]))
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"malformed probabilistic document: {exc}")
+                       rows=tuple(map(ProbRow.from_json, doc["rows"])))

@@ -40,24 +40,44 @@ def dfact(m):
 # the recursions
 # ============================================================
 
-@functools.lru_cache(maxsize=None)
-def _raw_sequences(n):
+def _scaled_xz(n):
+    """x_k and z_k for k = 1..n-1 as unreduced (numerator, denominator)
+    pairs of integers, and k0.
+
+    Below k0, X_k = 2^(k-1) x_k and Z_k = 2^(k-1) z_k are integers:
+    X_k = (n-k+1) X_{k-1} + 2 Z_{k-1} and Z_k = X_k - (k-1) X_{k-1}.  From
+    k0 on z is zero, so x_k is x_{k0-1} + z_{k0-1} times the running
+    product of (i-1)/(2i-n) over i = k0..k.
+    """
     _check_n(n)
     k0 = n // 2 + 2
-    x = {1: Fraction(1)}
+    x = {1: (1, 1)}
+    z = {1: (1, 1)}
+    big_x, big_z = 1, 1
+    for k in range(2, min(n, k0)):
+        big_x, prev = (n - k + 1) * big_x + 2 * big_z, big_x
+        big_z = big_x - (k - 1) * prev
+        x[k] = (big_x, 2 ** (k - 1))
+        if k <= n - 2:
+            z[k] = (big_z, 2 ** (k - 1))
+    num, den = big_x + big_z, 2 ** (k0 - 2)
+    for k in range(k0, n):
+        num *= k - 1
+        den *= 2 * k - n
+        x[k] = (num, den)
+        if k <= n - 2:
+            z[k] = (0, 1)
+    return x, z, k0
+
+
+@functools.lru_cache(maxsize=None)
+def _raw_sequences(n):
+    xs, zs, k0 = _scaled_xz(n)
+    x = {k: Fraction(*v) for k, v in xs.items()}
+    z = {k: Fraction(*v) for k, v in zs.items()}
     y = {2: Fraction(n - 3, 2)}
-    z = {1: Fraction(1)}
-    for k in range(2, n):
-        if k < k0:
-            x[k] = Fraction(n - k + 1, 2) * x[k - 1] + z[k - 1]
-            if k <= n - 2:
-                z[k] = x[k] - Fraction(k - 1, 2) * x[k - 1]
-        else:
-            x[k] = Fraction(k - 1, 2 * k - n) * (x[k - 1] + z[k - 1])
-            if k <= n - 2:
-                z[k] = Fraction(0)
-        if k >= 3:
-            y[k] = x[k] - 2 * x[k - 1] + Fraction(k - 2, n - k) * y[k - 1]
+    for k in range(3, n):
+        y[k] = x[k] - 2 * x[k - 1] + Fraction(k - 2, n - k) * y[k - 1]
     return x, y, z, k0
 
 
@@ -225,8 +245,22 @@ def answer_count(n):
 
 
 def rate(n):
-    """Exact rate of the construction; the scale M cancels."""
-    x, _, _, _ = _raw_sequences(n)
-    created = 2 * sum(math.comb(n - 2, k - 1) * x[k] for k in range(1, n))
-    downloaded = n * sum(math.comb(n - 1, k) * x[k] for k in range(1, n))
-    return created / downloaded
+    """Exact rate of the construction; the scale M cancels.
+
+    Each denominator of _scaled_xz divides the next, so both sums are kept
+    as integers over the current one (Horner style), with running
+    binomials.  The common denominator cancels in the quotient, the only
+    Fraction built.
+    """
+    x, _, _ = _scaled_xz(n)
+    created = downloaded = 0
+    below, at = 1, n - 1  # C(n-2, k-1) and C(n-1, k) at k = 1
+    prev = 1
+    for k in range(1, n):
+        num, den = x[k]
+        grow, prev = den // prev, den
+        created = created * grow + below * num
+        downloaded = downloaded * grow + at * num
+        below = below * (n - 1 - k) // k
+        at = at * (n - 1 - k) // (k + 1)
+    return Fraction(2 * created, n * downloaded)

@@ -11,6 +11,7 @@ import math
 import pytest
 
 from pirlab.bounds import (
+    BOUNDS_CAP,
     BoundReport,
     bounds_table,
     general_upper_bound,
@@ -23,7 +24,7 @@ from pirlab.bounds import (
 from pirlab.graphs import make_graph
 from pirlab.sequences import rate
 from pirlab.render import decimal_str
-from pirlab.errors import ParameterError
+from pirlab.errors import ParameterError, UnsupportedSizeError
 
 
 # ============================================================
@@ -43,6 +44,12 @@ def test_upper_complete_table_decimals():
                 "0.19890", "0.17403", "0.15469", "0.13922"]
     got = [decimal_str(upper_bound_complete(n), 5) for n in range(3, 11)]
     assert got == expected
+
+
+def test_upper_complete_running_sum_matches_direct_sum():
+    for n in range(3, 61):
+        direct = F(1, n) / sum(F(1, math.factorial(i)) for i in range(2, n + 1))
+        assert upper_bound_complete(n) == direct, n
 
 
 def test_upper_complete_rejects_small_n():
@@ -201,3 +208,17 @@ def test_markdown_render():
     text = render_table(bounds_table(3, 4), fmt="markdown")
     assert "|" in text and "upper" in text
     assert "0.35294" in text
+
+
+def test_table_columns_match_the_single_bounds():
+    for r in bounds_table(5, 30):
+        assert r.upper == upper_bound_complete(r.n)
+        assert r.lower == rate(r.n)
+
+
+def test_table_cap_edge():
+    (last,) = bounds_table(BOUNDS_CAP, BOUNDS_CAP)
+    assert last.n == BOUNDS_CAP
+    assert last.lower == rate(BOUNDS_CAP) < last.upper
+    with pytest.raises(UnsupportedSizeError, match=f"n = {BOUNDS_CAP}"):
+        bounds_table(3, BOUNDS_CAP + 1)

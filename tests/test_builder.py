@@ -187,6 +187,12 @@ def _verify_rejects(s, prefix):
     return report
 
 
+def test_verify_refuses_graphs_that_are_not_complete(star4_scheme):
+    # the K_n ledgers would report 17 false violations on this valid scheme
+    with pytest.raises(ParameterError, match="complete graphs"):
+        verify_scheme(star4_scheme)
+
+
 def test_verify_needs_patterns():
     _verify_rejects(build_scheme(3).replace(patterns=()),
                     "scheme carries no recovery patterns")

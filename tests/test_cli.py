@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 import pirlab
+from pirlab.bounds import BOUNDS_CAP
 from pirlab.cli import main
+from pirlab.errors import InternalConsistencyError
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_json
 
 
 def run_cli(capsys, *args):
@@ -57,6 +59,18 @@ def test_bounds_bad_range(capsys):
     rc, _, err = run_cli(capsys, "bounds", "--max", "2")
     assert rc == 2
     assert err
+
+
+def test_bounds_cap_edge(capsys):
+    cap = str(BOUNDS_CAP)
+    rc, out, _ = run_cli(capsys, "bounds", "--min", cap, "--max", cap)
+    assert rc == 0
+    assert out.splitlines()[-1].startswith(cap + ",")
+    rc, out, err = run_cli(capsys, "bounds", "--max", str(BOUNDS_CAP + 1))
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == (f"error: bound tables stop at n = "
+                                    f"{cap}, got n_max = {BOUNDS_CAP + 1}")
 
 
 # ============================================================
@@ -297,6 +311,71 @@ def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
     assert rc == 2
     assert out == ""
     assert _one_line_error(err) == message
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    ("extract", lambda doc: doc.update(theta="x"),
+     "error: malformed scheme document: invalid literal for int() with "
+     "base 10: 'x'"),
+    ("extract", lambda doc: doc["queries"]["1"][0].update(terms=[[0, 1]]),
+     "error: term [0, 1] is not [file, subfile, sign]"),
+    ("simulate", lambda doc: doc.update(theta="x"),
+     "error: malformed probabilistic document: invalid literal for int() "
+     "with base 10: 'x'"),
+    ("simulate", lambda doc: doc["rows"][0]["q"].update({"1": [[0]]}),
+     "error: malformed probabilistic document: not enough values to "
+     "unpack (expected 2, got 1)"),
+], ids=["scheme-theta", "scheme-term", "prob-theta", "prob-pair"])
+def test_malformed_values_exit_2(capsys, tmp_path, command, edit, message):
+    if command == "extract":
+        path, doc = tmp_path / "k3.json", load_json("k3_scheme.json")
+    else:
+        path, doc = _k3_prob_doc(capsys, tmp_path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, command, "--scheme", str(path))
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == message
+
+
+@pytest.mark.parametrize("trials", [[], ["--trials", "5"]],
+                         ids=["exact", "sample"])
+def test_simulate_rejects_file_not_stored(capsys, tmp_path, trials):
+    prob, doc = _k3_prob_doc(capsys, tmp_path)
+    # file 9 does not exist on K3; with 5 trials the row might never be drawn
+    doc["rows"][-1]["q"]["2"] = [[9, 1]]
+    prob.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", str(prob),
+                           "--seed", "1", *trials)
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        f"error: row {len(doc['rows']) - 1} asks server 2 for file 9, " \
+        f"which it does not store"
+
+
+def test_simulate_rejects_idle_pattern_server(capsys, tmp_path):
+    prob, doc = _k3_prob_doc(capsys, tmp_path)
+    row = doc["rows"][0]
+    row["q"][str(row["pattern_servers"][0])] = None
+    prob.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", str(prob))
+    assert rc == 2
+    assert _one_line_error(err) == \
+        "error: row 0 recovers through a server it leaves idle"
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def broken(n, theta):
+        raise InternalConsistencyError("negative gamma supply")
+
+    monkeypatch.setattr("pirlab.cli.build_scheme", broken)
+    rc, out, err = run_cli(capsys, "build", "--n", "4")
+    assert rc == 4
+    assert out == ""
+    assert _one_line_error(err) == \
+        "error: internal self-check failed: negative gamma supply"
 
 
 # ============================================================

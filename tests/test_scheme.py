@@ -1,0 +1,83 @@
+"""Scheme data model: term validation and probabilistic row checks."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pirlab.errors import ParameterError
+from pirlab.graphs import make_graph
+from pirlab.scheme import ProbabilisticScheme, ProbRow, Summation
+
+
+def _reference_terms(terms):
+    """The term checks one term at a time, in input order."""
+    norm = []
+    for term in terms:
+        if len(term) != 3:
+            raise ParameterError(f"term {list(term)} is not "
+                                 f"[file, subfile, sign]")
+        f, s, sign = term
+        if not (isinstance(f, int) and f >= 0):
+            raise ParameterError(f"bad file id in term {term}")
+        if not (isinstance(s, int) and s >= 1):
+            raise ParameterError(f"bad subfile index in term {term}")
+        if sign not in (1, -1):
+            raise ParameterError(f"bad sign in term {term}")
+        norm.append((f, s, sign))
+    return tuple(sorted(norm))
+
+
+# each position is mostly valid, so a list often holds one bad term
+_term = st.tuples(st.sampled_from([0, 2, 5, 5, -1, True, "0"]),
+                  st.sampled_from([1, 3, 3, 0, 2.0]),
+                  st.sampled_from([1, -1, -1, 0, 2, True])) \
+    | st.lists(st.integers(0, 6), max_size=4).map(tuple) \
+    | st.lists(st.integers(0, 6), min_size=3, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_term, max_size=4))
+@example([(1, 1, 0)])
+@example([(0, 1, 1), (2, 1)])
+@example([(0, 1, 1), [0, 2, 1]])
+@example([(True, 1, 1), (0, 1, True)])
+def test_summation_matches_term_by_term_checks(terms):
+    try:
+        want = _reference_terms(terms)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            Summation(tuple(terms))
+        assert str(got.value) == str(exc)
+    else:
+        got = Summation(tuple(terms)).terms
+        assert got == want
+        assert all(type(t) is tuple for t in got)
+
+
+def _k3_rows(**second):
+    graph = make_graph("complete", [3])  # files 0=(1,2), 1=(1,3), 2=(2,3)
+    half = "1/2"
+    rows = [ProbRow(p=half, q={1: ((0, 1),), 2: ((0, 1),), 3: None},
+                    pattern_servers=(1,)),
+            ProbRow(p=half, q={1: None, 2: ((2, 1),), 3: ((2, 1),),
+                               **second.get("q", {})},
+                    pattern_servers=second.get("servers", (2,)))]
+    return graph, rows
+
+
+def test_probabilistic_rows_accept_stored_files():
+    graph, rows = _k3_rows()
+    assert len(ProbabilisticScheme(graph, 0, rows).rows) == 2
+
+
+@pytest.mark.parametrize("second,message", [
+    ({"q": {3: ((0, 1),)}}, "row 1 asks server 3 for file 0, which it "
+                            "does not store"),
+    ({"q": {4: ((2, 1),)}}, "a row queries server 4, which is not in the "
+                            "graph"),
+    ({"servers": (1,)}, "row 1 recovers through a server it leaves idle"),
+], ids=["file", "server", "idle"])
+def test_probabilistic_rows_reject(second, message):
+    graph, rows = _k3_rows(**second)
+    with pytest.raises(ParameterError) as exc:
+        ProbabilisticScheme(graph, 0, rows)
+    assert str(exc.value) == message

@@ -200,6 +200,15 @@ def test_rate_is_l_over_downloads():
         assert rate(n) == F(subpacketization(n), n * answer_count(n))
 
 
+def test_rate_matches_closed_form_x():
+    # rate sums scaled integers; recompute it from the closed form of x_k
+    for n in range(3, 61):
+        xs = {k: closed_form_x(n, k) for k in range(1, n)}
+        created = 2 * sum(math.comb(n - 2, k - 1) * xs[k] for k in xs)
+        downloaded = n * sum(math.comb(n - 1, k) * xs[k] for k in xs)
+        assert rate(n) == created / downloaded, n
+
+
 def test_rate_coefficient_trend():
     # n * rate(n) stays >= 1.30 on the tested range
     for n in range(3, 41):
