@@ -6,7 +6,8 @@ implemented caps.  InfeasibleError marks tasks that are impossible for the
 given scheme rather than malformed.  InternalConsistencyError marks a failed
 self-check, that is a bug.  The command line maps ParameterError (and
 subclasses) to exit code 2, InfeasibleError to exit code 3 and
-InternalConsistencyError to exit code 4.
+InternalConsistencyError to exit code 4.  `json_int`, `json_pair` and
+`malformed` turn a bad value in an input document into a ParameterError.
 """
 
 from contextlib import contextmanager
@@ -30,6 +31,20 @@ class InfeasibleError(RuntimeError):
 
 class InternalConsistencyError(AssertionError):
     """A self-check inside a construction failed (indicates a bug)."""
+
+
+def json_int(value, field):
+    """`value` when it is an int; a bool, float or string is refused, so a
+    document never has a number silently truncated."""
+    if type(value) is not int:
+        raise ParameterError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def json_pair(pair):
+    """A combo entry [file, sign] of a document, as a tuple of two ints."""
+    f, sign = pair
+    return json_int(f, "combo file"), json_int(sign, "combo sign")
 
 
 @contextmanager

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import ParameterError, UnsupportedSizeError, malformed
+from .errors import (ParameterError, UnsupportedSizeError, json_int,
+                     json_pair, malformed)
 from .graphs import Graph
 
 DISTRIBUTION_DEGREE_CAP = 12
@@ -55,9 +56,11 @@ class GeneralScheme:
     def from_json(cls, doc):
         with malformed("scheme"):
             return cls(graph=Graph.from_json(doc["graph"]),
-                       theta=int(doc["theta"]), q=int(doc["q"]),
-                       mu=tuple(doc["mu"]), lam=tuple(doc["lam"]),
-                       queries={int(v): tuple(tuple(t) for t in combo)
+                       theta=json_int(doc["theta"], "theta"),
+                       q=json_int(doc["q"], "q"),
+                       mu=tuple(json_int(b, "mu bit") for b in doc["mu"]),
+                       lam=tuple(json_int(b, "lam bit") for b in doc["lam"]),
+                       queries={int(v): tuple(map(json_pair, combo))
                                 for v, combo in doc["queries"].items()})
 
 

@@ -9,7 +9,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, UnsupportedSizeError, malformed
+from .errors import ParameterError, UnsupportedSizeError, json_int, malformed
 
 MATCHING_FILE_CAP = 64
 
@@ -108,41 +108,6 @@ class Graph:
         edges = tuple(e for e in self.edges for _ in range(r))
         return Graph(self.n, edges, multigraph=True)
 
-    def relabel_interleaved(self):
-        """Relabel a bipartite graph so one part gets odd labels, the other even."""
-        color = self._two_coloring()
-        odd = [v for v in self.servers if color[v] == 0]
-        even = [v for v in self.servers if color[v] == 1]
-        mapping = {}
-        for i, v in enumerate(odd):
-            mapping[v] = 2 * i + 1
-        for i, v in enumerate(even):
-            mapping[v] = 2 * i + 2
-        edges = tuple(tuple(sorted((mapping[u], mapping[v])))
-                      for u, v in self.edges)
-        return Graph(self.n, tuple(sorted(edges)), self.multigraph)
-
-    def _two_coloring(self):
-        adj = {v: set() for v in self.servers}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        color = {}
-        for start in self.servers:
-            if start in color:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                u = queue.pop()
-                for w in adj[u]:
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        raise ParameterError("graph is not bipartite")
-        return color
-
     # ---- serialization ------------------------------------------------
 
     def to_json(self):
@@ -155,7 +120,9 @@ class Graph:
     @classmethod
     def from_json(cls, doc):
         with malformed("graph"):
-            return cls(doc["n"], tuple(tuple(e) for e in doc["edges"]),
+            return cls(json_int(doc["n"], "n"),
+                       tuple((json_int(u, "edge end"), json_int(v, "edge end"))
+                             for u, v in doc["edges"]),
                        bool(doc.get("multigraph", False)))
 
 

@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
 
-from .errors import ParameterError, malformed
+from .errors import ParameterError, json_int, json_pair, malformed
 from .graphs import Graph
 from .render import frac_str, parse_frac
 
@@ -47,11 +47,11 @@ class Summation:
                 raise ParameterError(f"term {list(term)} is not "
                                      f"[file, subfile, sign]")
             f, s, sign = term
-            if not (isinstance(f, int) and f >= 0):
+            if not (type(f) is int and f >= 0):
                 raise ParameterError(f"bad file id in term {term}")
-            if not (isinstance(s, int) and s >= 1):
+            if not (type(s) is int and s >= 1):
                 raise ParameterError(f"bad subfile index in term {term}")
-            if sign not in (1, -1):
+            if not (type(sign) is int and sign in (1, -1)):
                 raise ParameterError(f"bad sign in term {term}")
             norm.append((f, s, sign))
         object.__setattr__(self, "terms", tuple(sorted(norm)))
@@ -91,10 +91,12 @@ class RecoveryPattern:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(target=int(doc["target"]),
-                   selections={int(s): int(i)
+        step = doc.get("step")
+        return cls(target=json_int(doc["target"], "pattern target"),
+                   selections={int(s): json_int(i, "pattern selection")
                                for s, i in doc["selections"].items()},
-                   step=doc.get("step"),
+                   step=None if step is None
+                   else json_int(step, "pattern step"),
                    pattern_class=doc.get("class"))
 
 
@@ -169,9 +171,11 @@ class DeterministicScheme:
             if "patterns" in doc:
                 patterns = tuple(map(RecoveryPattern.from_json,
                                      doc["patterns"]))
-            side = tuple((e["server"], e["index"])
+            side = tuple((json_int(e["server"], "side info server"),
+                          json_int(e["index"], "side info index"))
                          for e in doc.get("side_info", ()))
-            return cls(graph=graph, theta=int(doc["theta"]), L=int(doc["L"]),
+            return cls(graph=graph, theta=json_int(doc["theta"], "theta"),
+                       L=json_int(doc["L"], "L"),
                        queries=queries, patterns=patterns, side_info=side)
 
 
@@ -209,9 +213,11 @@ class ProbRow:
     def from_json(cls, doc):
         return cls(p=parse_frac(doc["p"]),
                    q={int(s): None if combo is None
-                      else tuple(tuple(t) for t in combo)
+                      else tuple(map(json_pair, combo))
                       for s, combo in doc["q"].items()},
-                   pattern_servers=tuple(doc.get("pattern_servers", ())))
+                   pattern_servers=tuple(
+                       json_int(s, "pattern server")
+                       for s in doc.get("pattern_servers", ())))
 
 
 @dataclass(frozen=True)
@@ -271,5 +277,5 @@ class ProbabilisticScheme:
     def from_json(cls, doc):
         with malformed("probabilistic"):
             return cls(graph=Graph.from_json(doc["graph"]),
-                       theta=int(doc["theta"]),
+                       theta=json_int(doc["theta"], "theta"),
                        rows=tuple(map(ProbRow.from_json, doc["rows"])))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -11,6 +12,14 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def load_json(name):
     return json.loads((FIXTURES / name).read_text())
+
+
+def indented_sha256(text):
+    """sha256 of a JSON document re-rendered as json.dumps(indent=2) plus a
+    newline: the form pirlab wrote when the pinned digests were recorded,
+    so a pin holds exactly when the document's content is unchanged."""
+    doc = json.dumps(json.loads(text), indent=2) + "\n"
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
 def load_scheme(name):

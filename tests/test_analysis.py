@@ -2,13 +2,15 @@
 
 The digests below are the sha256 of `pirlab extract` and `pirlab transform`
 stdout as produced before `analyze` replaced the separate independence
-check and extraction walks.  They pin the CLI bytes across that refactor.
-BUILD_SHA256 pins `pirlab build` stdout for the same (n, theta) cases, as
-produced before one pattern-class table replaced the builder's per-class
-step loops.
+check and extraction walks.  They pin the CLI documents across that
+refactor.  BUILD_SHA256 pins `pirlab build` stdout for the same (n, theta)
+cases, as produced before one pattern-class table replaced the builder's
+per-class step loops.  Those documents were written with
+json.dumps(indent=2); pirlab now writes compact JSON, so each document is
+re-rendered in the indented form (`conftest.indented_sha256`) before it is
+hashed, and a pin holds exactly when the content, key order included, is
+unchanged.
 """
-
-import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from pirlab.patterns import (
 from pirlab.scheme import DeterministicScheme
 from pirlab.transform import transform
 
-from conftest import load_json
+from conftest import indented_sha256, load_json
 from reference_patterns import reference_check, reference_extract
 from test_patterns import _mutate
 
@@ -149,16 +151,16 @@ def test_cli_output_bytes_unchanged(n, theta, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["build", "--n", str(n), "--theta", str(theta)]) == 0
     out = capsys.readouterr().out
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == BUILD_SHA256[(n, theta)], ("build", n, theta)
+    assert indented_sha256(out) == BUILD_SHA256[(n, theta)], \
+        ("build", n, theta)
     path = tmp_path / "scheme.json"
     path.write_text(out)
     for cmd in ("extract", "transform"):
         capsys.readouterr()
         assert cli.main([cmd, "--scheme", str(path)]) == 0
         out = capsys.readouterr().out
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == CLI_SHA256[(cmd, n, theta)], (cmd, n, theta)
+        assert indented_sha256(out) == CLI_SHA256[(cmd, n, theta)], \
+            (cmd, n, theta)
 
 
 def _all_conditions_broken():

@@ -315,17 +315,37 @@ def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
 
 @pytest.mark.parametrize("command,edit,message", [
     ("extract", lambda doc: doc.update(theta="x"),
-     "error: malformed scheme document: invalid literal for int() with "
-     "base 10: 'x'"),
+     "error: theta must be an integer, got 'x'"),
     ("extract", lambda doc: doc["queries"]["1"][0].update(terms=[[0, 1]]),
      "error: term [0, 1] is not [file, subfile, sign]"),
     ("simulate", lambda doc: doc.update(theta="x"),
-     "error: malformed probabilistic document: invalid literal for int() "
-     "with base 10: 'x'"),
+     "error: theta must be an integer, got 'x'"),
     ("simulate", lambda doc: doc["rows"][0]["q"].update({"1": [[0]]}),
      "error: malformed probabilistic document: not enough values to "
      "unpack (expected 2, got 1)"),
-], ids=["scheme-theta", "scheme-term", "prob-theta", "prob-pair"])
+    # a number that must be an integer is never truncated or coerced
+    ("extract", lambda doc: doc.update(theta=0.5),
+     "error: theta must be an integer, got 0.5"),
+    ("extract", lambda doc: doc["graph"]["edges"].__setitem__(0, [1.7, 2]),
+     "error: edge end must be an integer, got 1.7"),
+    ("extract", lambda doc: doc.update(theta="0"),
+     "error: theta must be an integer, got '0'"),
+    ("extract", lambda doc: doc.update(theta=True),
+     "error: theta must be an integer, got True"),
+    ("extract", lambda doc: doc.update(L=2.9),
+     "error: L must be an integer, got 2.9"),
+    ("extract", lambda doc: doc.update(
+        patterns=[{"target": 0, "selections": {"1": 0.2}}]),
+     "error: pattern selection must be an integer, got 0.2"),
+    ("extract", lambda doc: doc["queries"]["1"][0]["terms"][0].__setitem__(
+        0, True), "error: bad file id in term (True, 1, 1)"),
+    ("simulate", lambda doc: doc["rows"][0]["q"].update({"1": [[0.4, 1]]}),
+     "error: combo file must be an integer, got 0.4"),
+    ("simulate", lambda doc: doc.update(theta=0.9),
+     "error: theta must be an integer, got 0.9"),
+], ids=["scheme-theta", "scheme-term", "prob-theta", "prob-pair",
+        "theta-float", "edge-float", "theta-str", "theta-bool", "L-float",
+        "selection-float", "term-bool", "combo-float", "prob-theta-float"])
 def test_malformed_values_exit_2(capsys, tmp_path, command, edit, message):
     if command == "extract":
         path, doc = tmp_path / "k3.json", load_json("k3_scheme.json")
@@ -450,6 +470,31 @@ def test_audit_bad_family(capsys):
                          "--mode", "structural")
     assert rc == 2
     assert err
+
+
+# ============================================================
+# document format
+# ============================================================
+
+@pytest.mark.parametrize("argv", [
+    ["sequences", "--n", "4"],
+    ["build", "--n", "3"],
+    ["extract", "--scheme", "{det}"],
+    ["transform", "--scheme", "{det}"],
+    ["general", "--graph", "complete:3", "--theta", "0", "--seed", "5"],
+    ["simulate", "--scheme", "{prob}", "--trials", "20", "--seed", "1"],
+    ["audit", "--family", "general:complete:3", "--mode", "statistical",
+     "--trials", "200", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_documents_are_compact_json(capsys, tmp_path, argv):
+    det, prob = tmp_path / "k3.json", tmp_path / "k3_prob.json"
+    assert run_cli(capsys, "build", "--n", "3", "--out", str(det))[0] == 0
+    assert run_cli(capsys, "transform", "--scheme", str(det),
+                   "--out", str(prob))[0] == 0
+    rc, out, _ = run_cli(capsys, *(a.format(det=det, prob=prob)
+                                   for a in argv))
+    assert rc == 0
+    assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
 
 
 # ============================================================

@@ -65,14 +65,6 @@ def test_complete_bipartite_parts():
     assert g.edges == ((1, 3), (1, 4), (2, 3), (2, 4))
 
 
-def test_bipartite_interleaved_relabel():
-    g = make_graph("complete_bipartite", [2, 2])
-    h = g.relabel_interleaved()
-    # part one -> odd labels, part two -> even labels; edges normalized u<v
-    assert h.n == 4
-    assert sorted(h.edges) == [(1, 2), (1, 4), (2, 3), (3, 4)]
-
-
 def test_edge_validation():
     with pytest.raises(ParameterError):
         Graph(3, ((1, 1),))

@@ -1,4 +1,11 @@
-"""canonical_json: the direct writer returns exactly json.dumps(indent=2)."""
+"""canonical_json: compact JSON in insertion order, as the stdlib writes it.
+
+Every document pirlab emits goes through canonical_json, so these checks
+pin its contract: the text of json.dumps with the "," and ":" separators
+(no whitespace, keys in insertion order, non-ASCII escaped) for any value,
+the same exceptions for values JSON cannot hold, and documents that parse
+back to the objects they came from.
+"""
 
 import enum
 import json
@@ -9,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from pirlab.builder import build_scheme
 from pirlab.render import canonical_json
+from pirlab.scheme import DeterministicScheme, ProbabilisticScheme
 from pirlab.transform import transform
 
 
 def _same(value):
-    assert canonical_json(value) == json.dumps(value, indent=2)
+    assert canonical_json(value) == json.dumps(value, separators=(",", ":"))
 
 
 # ============================================================
@@ -72,7 +80,7 @@ def test_unserializable_raises_like_json_dumps(value, bad, depth):
     with pytest.raises(Exception) as ours:
         canonical_json(value)
     with pytest.raises(Exception) as theirs:
-        json.dumps(value, indent=2)
+        json.dumps(value, separators=(",", ":"))
     assert type(ours.value) is type(theirs.value)
     assert str(ours.value) == str(theirs.value)
 
@@ -123,5 +131,10 @@ def test_circular_reference_raises_like_json_dumps():
 @pytest.mark.parametrize("n,theta", [(3, 0), (4, 5), (5, 7)])
 def test_scheme_documents_match(n, theta):
     scheme = build_scheme(n, theta)
+    prob = transform(scheme)
     _same(scheme.to_json())
-    _same(transform(scheme).to_json())
+    _same(prob.to_json())
+    assert DeterministicScheme.from_json(
+        json.loads(canonical_json(scheme.to_json()))) == scheme
+    assert ProbabilisticScheme.from_json(
+        json.loads(canonical_json(prob.to_json()))) == prob

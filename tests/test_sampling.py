@@ -4,10 +4,10 @@
 the cumulative row probabilities, and the statistical audit counts combos
 from the drawn bits.  Each is checked against the direct form it replaced
 (`reference_general`): same values, same dict order, same RNG state.  The
-digests pin CLI stdout as produced by the direct forms.
+digests pin CLI stdout as produced by the direct forms (re-rendered with
+json.dumps(indent=2), the form it was recorded in).
 """
 
-import hashlib
 import random
 
 import pytest
@@ -21,6 +21,7 @@ from pirlab.scheme import ProbabilisticScheme, ProbRow
 from pirlab.sim import privacy_audit, run_probabilistic_trials
 from pirlab.transform import transform
 
+from conftest import indented_sha256
 from reference_general import (
     reference_distribution,
     reference_sample_trials,
@@ -142,7 +143,9 @@ def test_sampled_trials_skip_zero_probability_rows(k3_scheme):
 # ============================================================
 
 # sha256 of stdout, recorded before the factored distribution, the
-# bisected draw and the counting audit replaced the direct forms
+# bisected draw and the counting audit replaced the direct forms, when
+# documents were written with json.dumps(indent=2); stdout is re-rendered
+# in that form before it is hashed
 AUDIT_SHA256 = {
     ("general:edges:1-2,1-3,2-3,1-4", "statistical", "2000", "7", "2"):
         "c4646bbc9ca9ee61f880d7ea9bb2284787f425bfb9e2df643d954ada44fbd17d",
@@ -162,7 +165,7 @@ SIMULATE_K4_SHA256 = {
 def _stdout_sha256(capsys, argv):
     capsys.readouterr()
     assert cli.main(argv) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    return indented_sha256(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("family,mode,trials,seed,q", sorted(AUDIT_SHA256))

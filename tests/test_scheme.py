@@ -16,11 +16,12 @@ def _reference_terms(terms):
             raise ParameterError(f"term {list(term)} is not "
                                  f"[file, subfile, sign]")
         f, s, sign = term
-        if not (isinstance(f, int) and f >= 0):
+        # a bool is not an integer entry: True would pass for 1
+        if not (type(f) is int and f >= 0):
             raise ParameterError(f"bad file id in term {term}")
-        if not (isinstance(s, int) and s >= 1):
+        if not (type(s) is int and s >= 1):
             raise ParameterError(f"bad subfile index in term {term}")
-        if sign not in (1, -1):
+        if not (type(sign) is int and sign in (1, -1)):
             raise ParameterError(f"bad sign in term {term}")
         norm.append((f, s, sign))
     return tuple(sorted(norm))
