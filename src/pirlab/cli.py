@@ -31,6 +31,10 @@ from .sim import (privacy_audit, random_permutations, random_storage,
                   run_deterministic_trial, run_probabilistic_trials)
 from .transform import prob_rate, transform
 
+# stderr schema versions; transform is v2 because a row is one distinct
+# joint query, not one recovery pattern
+SCHEMA_VERSION = {"transform": 2}
+
 
 def _emit(text, out_path):
     if out_path:
@@ -344,7 +348,8 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    print(f"schema: pirlab/{args.command}/v1", file=sys.stderr)
+    version = SCHEMA_VERSION.get(args.command, 1)
+    print(f"schema: pirlab/{args.command}/v{version}", file=sys.stderr)
     try:
         return args.func(args)
     except (InfeasibleError, IndependenceError) as exc:

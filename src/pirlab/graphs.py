@@ -120,10 +120,14 @@ class Graph:
     @classmethod
     def from_json(cls, doc):
         with malformed("graph"):
+            multigraph = doc.get("multigraph", False)
+            if type(multigraph) is not bool:
+                raise ParameterError(f"multigraph must be true or false, "
+                                     f"got {multigraph!r}")
             return cls(json_int(doc["n"], "n"),
                        tuple((json_int(u, "edge end"), json_int(v, "edge end"))
                              for u, v in doc["edges"]),
-                       bool(doc.get("multigraph", False)))
+                       multigraph)
 
 
 # ============================================================

@@ -195,6 +195,10 @@ class ProbRow:
         for srv, combo in dict(self.q).items():
             if combo is not None:
                 combo = tuple((int(f), int(sign)) for f, sign in combo)
+                for pair in combo:
+                    if not (pair[1] == 1 or pair[1] == -1):
+                        raise ParameterError(f"bad sign in combo entry "
+                                             f"{list(pair)} for server {srv}")
             q[int(srv)] = combo
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pattern_servers",

@@ -1,13 +1,16 @@
 """Turning a deterministic scheme into a single-round probabilistic one.
 
-Each recovery pattern becomes one joint query drawn with probability 1/L;
-a server not involved in the drawn pattern receives no request.  Rows keep
-the file/sign structure of the source summations but drop subscripts: all
-subpacketization lives in the random row choice.  Side-information
-summations are folded into rows where their server would otherwise idle,
-which preserves every per-server marginal and hence privacy.
+Each recovery pattern fills one of L slots; a server not involved in the
+slot's pattern receives no request.  Slots keep the file/sign structure of
+the source summations but drop subscripts: all subpacketization lives in
+the random row choice.  Side-information summations are folded into slots
+where their server would otherwise idle, which preserves every per-server
+marginal and hence privacy.  Without subscripts most slots repeat one
+another, so each row of the result is one distinct joint query
+(q, pattern_servers), drawn with probability (slots holding it) / L.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import (InfeasibleError, InternalConsistencyError,
@@ -23,15 +26,16 @@ def _combo(summation):
 def transform(scheme, extraction=None):
     """Build the probabilistic scheme induced by a deterministic one.
 
-    Requires every server to answer at most L summations; otherwise the
-    rows cannot host them all and InfeasibleError names the first
-    offender.
+    One row per distinct joint query, with the mass of the slots that
+    share it.  Requires every server to answer at most L summations;
+    otherwise the slots cannot host them all and InfeasibleError names
+    the first offender.
     """
     for srv in scheme.graph.servers:
         if len(scheme.queries[srv]) > scheme.L:
             raise InfeasibleError(
                 f"server {srv} answers {len(scheme.queries[srv])} "
-                f"summations but only {scheme.L} rows exist", server=srv)
+                f"summations but only {scheme.L} slots exist", server=srv)
 
     ex = extraction if extraction is not None else extract_patterns(scheme)
 
@@ -58,9 +62,11 @@ def transform(scheme, extraction=None):
         slots[at][srv] = combo
         cursor[srv] = at + 1
 
-    p = Fraction(1, scheme.L)
-    rows = tuple(ProbRow(p=p, q=row, pattern_servers=servers)
-                 for row, servers in zip(slots, servers_of))
+    # equal slots merge into one row, in first-seen slot order
+    counts = Counter(zip((tuple(row.items()) for row in slots), servers_of))
+    rows = tuple(ProbRow(p=Fraction(count, scheme.L), q=dict(q),
+                         pattern_servers=servers)
+                 for (q, servers), count in counts.items())
     return ProbabilisticScheme(graph=scheme.graph, theta=scheme.theta,
                                rows=rows)
 

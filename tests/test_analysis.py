@@ -9,8 +9,13 @@ per-class step loops.  Those documents were written with
 json.dumps(indent=2); pirlab now writes compact JSON, so each document is
 re-rendered in the indented form (`conftest.indented_sha256`) before it is
 hashed, and a pin holds exactly when the content, key order included, is
-unchanged.
+unchanged.  The transform pins were recorded when transform wrote one row
+per pattern, so they are checked on documents written by that reference
+(`reference_transform`); MERGED_TRANSFORM_SHA256 pins the stdout of
+today's transform, one row per distinct joint query.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +35,7 @@ from pirlab.transform import transform
 
 from conftest import indented_sha256, load_json
 from reference_patterns import reference_check, reference_extract
+from reference_transform import reference_transform
 from test_patterns import _mutate
 
 CLI_SHA256 = {
@@ -143,11 +149,55 @@ BUILD_SHA256 = {
     (6, 1): "9857c68cd25411bb667cf341fe69872a1ccafde230ed971b89494e6781256e19",
 }
 
+# sha256 of `pirlab transform` stdout as written, one row per distinct
+# joint query (schema pirlab/transform/v2)
+MERGED_TRANSFORM_SHA256 = {
+    (4, 0):
+        "ffd94a54b811f2a462c17c36e24199bbfd83beef61f77f3bd02de056292066ba",
+    (4, 1):
+        "0c09c3914ae901ac395a6f8834654d4cae6ff7cc79b15d18fba5a72837fb8d37",
+    (4, 2):
+        "fbef59c63306170385094185442ee290806d8b99d81a35cdd1f006d1bc7dc6c5",
+    (4, 3):
+        "1cb61e0ff843443c3142e92f72cb12c7be0431d14d5e3680c1f097760f787956",
+    (4, 4):
+        "b11d7c75e1aa95353609fa43ceecadf4657cea2592cb058a35a861ced382e1e5",
+    (4, 5):
+        "a1eb7a17991a3754c297f01c8080eb15dd38122b786ba80c3493e7ea637b84cc",
+    (5, 0):
+        "dfa1bf3a29487bfb3b0dfb1142d34f5400d03736bab0910f78809df3273a3d61",
+    (5, 1):
+        "5403bdfc5b3820e0aceb14a53488889741775d4ceb25e292d5d3d527ce5151f9",
+    (5, 2):
+        "559f29e05596e41e8f3a044b12f07d06ff34827434552f40558504dfbb5c6058",
+    (5, 3):
+        "aa586cbbcf34b57d40ed03e1a49b674bf9088d40a6ec8a9d2e0060ffeb50bc61",
+    (5, 4):
+        "aa0899e62c79981eff0d01eea6c6c39f2b796ebb79d39ba3a7d2ffadd78beb56",
+    (5, 5):
+        "c8373491979ed87aecf189aabbcd91f343c5dd645f326af07a828c592396f356",
+    (5, 6):
+        "8a611d3f46f6853a2dcafc71451ada041fcb8828177eff65c5a558203e282363",
+    (5, 7):
+        "fc598bb965193aca05c7dfb2dcca62b25c0ca48a5a4f3973b1968412fdea5be4",
+    (5, 8):
+        "298c0b93edb8e46b20c1b8bfb610142d9588c8d128a33dc7a6046a1f0f7b078a",
+    (5, 9):
+        "86cdc761a78ef89addfbb26d37d37c37b4efa036a85938f7ace1fd89ed7cc633",
+    (6, 0):
+        "f47520f980ad794d48297c7bc7fe9685836dfeded1ebecbc9a62b291edf368fe",
+    (6, 1):
+        "3297a5620fbae9c6c12a729afc17a525a95039125bd7893c308d91938b92f4a5",
+}
+
 CASES = sorted({(n, theta) for _cmd, n, theta in CLI_SHA256})
 
 
 @pytest.mark.parametrize("n,theta", CASES)
-def test_cli_output_bytes_unchanged(n, theta, tmp_path, capsys):
+def test_cli_output_bytes_unchanged(n, theta, tmp_path, capsys, monkeypatch):
+    # the transform pins were recorded when transform wrote one row per
+    # pattern, so they hold on documents written by that reference
+    monkeypatch.setattr(cli, "transform", reference_transform)
     capsys.readouterr()
     assert cli.main(["build", "--n", str(n), "--theta", str(theta)]) == 0
     out = capsys.readouterr().out
@@ -161,6 +211,23 @@ def test_cli_output_bytes_unchanged(n, theta, tmp_path, capsys):
         out = capsys.readouterr().out
         assert indented_sha256(out) == CLI_SHA256[(cmd, n, theta)], \
             (cmd, n, theta)
+
+
+@pytest.mark.parametrize("n,theta", CASES)
+def test_merged_transform_bytes(n, theta, tmp_path, capsys):
+    path = tmp_path / "scheme.json"
+    assert cli.main(["build", "--n", str(n), "--theta", str(theta),
+                     "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["transform", "--scheme", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "schema: pirlab/transform/v2\n"
+    if n == 3:
+        # no two K3 slots share a joint query, so nothing merges
+        assert indented_sha256(out) == CLI_SHA256[("transform", n, theta)]
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            MERGED_TRANSFORM_SHA256[(n, theta)]
 
 
 def _all_conditions_broken():

@@ -198,6 +198,20 @@ def test_general_multigraph_extension(capsys):
     assert json.loads(out)["rate"] == "16/45"
 
 
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_graph_multigraph_flag_must_be_bool(capsys, tmp_path, flag):
+    # a truthy non-bool used to read as true and admit the duplicate edge
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 3, "multigraph": flag,
+                                "edges": [[1, 2], [1, 2]]}))
+    rc, out, err = run_cli(capsys, "general", "--graph", str(path),
+                           "--enumerate")
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        f"error: multigraph must be true or false, got {flag!r}"
+
+
 def test_general_bad_theta(capsys):
     rc, _, err = run_cli(capsys, "general", "--graph", "edges:1-2",
                          "--theta", "5")
@@ -343,9 +357,13 @@ def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
      "error: combo file must be an integer, got 0.4"),
     ("simulate", lambda doc: doc.update(theta=0.9),
      "error: theta must be an integer, got 0.9"),
+    # a combo sign is +1 or -1, as a summation term's is
+    ("simulate", lambda doc: doc["rows"][0]["q"].update({"1": [[0, 7]]}),
+     "error: bad sign in combo entry [0, 7] for server 1"),
 ], ids=["scheme-theta", "scheme-term", "prob-theta", "prob-pair",
         "theta-float", "edge-float", "theta-str", "theta-bool", "L-float",
-        "selection-float", "term-bool", "combo-float", "prob-theta-float"])
+        "selection-float", "term-bool", "combo-float", "prob-theta-float",
+        "combo-sign"])
 def test_malformed_values_exit_2(capsys, tmp_path, command, edit, message):
     if command == "extract":
         path, doc = tmp_path / "k3.json", load_json("k3_scheme.json")

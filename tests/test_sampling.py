@@ -5,9 +5,12 @@ the cumulative row probabilities, and the statistical audit counts combos
 from the drawn bits.  Each is checked against the direct form it replaced
 (`reference_general`): same values, same dict order, same RNG state.  The
 digests pin CLI stdout as produced by the direct forms (re-rendered with
-json.dumps(indent=2), the form it was recorded in).
+json.dumps(indent=2), the form it was recorded in); the K4 `simulate` pins
+of that time read a per-pattern transform document (`reference_transform`),
+and SIMULATE_K4_MERGED_SHA256 pins the same runs on today's merged one.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -27,6 +30,7 @@ from reference_general import (
     reference_sample_trials,
     reference_statistical_audit,
 )
+from reference_transform import reference_transform
 
 # the graph mix of the benchmark's statistical audits
 AUDIT_GRAPHS = ("edges:1-2,1-3,2-3,1-4", "complete:5", "star:8", "cycle:6")
@@ -161,6 +165,14 @@ SIMULATE_K4_SHA256 = {
         "c173118070627b2138a9a822c2705c72590fe7faee61026352b04f23911c73d9",
 }
 
+# the same runs on the merged transform document, as written
+SIMULATE_K4_MERGED_SHA256 = {
+    (0, "0"):
+        "39041c1c556482d3650b7b2b6c225b5d2dcde90854244e0d96110d4bfa486e8e",
+    (4, "9"):
+        "a5645b99c5789c7549dd2d8d79cfa1794373eac15bbe3782cee96ac18012945e",
+}
+
 
 def _stdout_sha256(capsys, argv):
     capsys.readouterr()
@@ -183,13 +195,30 @@ def test_distributional_audit_bytes_unchanged(capsys):
     assert _stdout_sha256(capsys, argv) == DISTRIBUTIONAL_STAR6_Q257_SHA256
 
 
-@pytest.mark.parametrize("theta,seed", sorted(SIMULATE_K4_SHA256))
-def test_sampled_simulate_bytes_unchanged(capsys, tmp_path, theta, seed):
+def _simulate_k4(capsys, tmp_path, theta, seed):
     det, prob = tmp_path / "k4.json", tmp_path / "k4_prob.json"
     assert cli.main(["build", "--n", "4", "--theta", str(theta),
                      "--out", str(det)]) == 0
     assert cli.main(["transform", "--scheme", str(det),
                      "--out", str(prob)]) == 0
-    argv = ["simulate", "--scheme", str(prob), "--trials", "200",
-            "--seed", seed]
-    assert _stdout_sha256(capsys, argv) == SIMULATE_K4_SHA256[(theta, seed)]
+    capsys.readouterr()
+    assert cli.main(["simulate", "--scheme", str(prob), "--trials", "200",
+                     "--seed", seed]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("theta,seed", sorted(SIMULATE_K4_SHA256))
+def test_sampled_simulate_bytes_unchanged(capsys, tmp_path, monkeypatch,
+                                          theta, seed):
+    # recorded when transform wrote one row per pattern: the document comes
+    # from that reference, which simulate still reads
+    monkeypatch.setattr(cli, "transform", reference_transform)
+    out = _simulate_k4(capsys, tmp_path, theta, seed)
+    assert indented_sha256(out) == SIMULATE_K4_SHA256[(theta, seed)]
+
+
+@pytest.mark.parametrize("theta,seed", sorted(SIMULATE_K4_MERGED_SHA256))
+def test_sampled_simulate_merged_bytes(capsys, tmp_path, theta, seed):
+    out = _simulate_k4(capsys, tmp_path, theta, seed)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SIMULATE_K4_MERGED_SHA256[(theta, seed)]

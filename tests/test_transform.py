@@ -9,7 +9,10 @@ from pirlab.builder import build_scheme
 from pirlab.patterns import extract_patterns
 from pirlab.scheme import Summation
 from pirlab.sequences import rate
+from pirlab.sim import privacy_audit, run_probabilistic_trials
 from pirlab.transform import InfeasibleError, entropy_proxy_ok, prob_rate, transform
+
+from reference_transform import reference_transform
 
 
 def _rows_as_dicts(p):
@@ -82,7 +85,9 @@ def test_rate_preserved_on_built_schemes(n):
     s = build_scheme(n)
     p = transform(s)
     assert prob_rate(p) == rate(n)
-    assert len(p.rows) == s.L
+    # one row per distinct joint query of the L slots
+    assert len(p.rows) == len(_grouped(reference_transform(s)))
+    assert len(p.rows) == {3: 6, 4: 20, 5: 60}[n]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -92,9 +97,55 @@ def test_row_frequency_matches_source_multiplicity(n):
     for srv, rows in s.queries.items():
         source = Counter(tuple(sorted((t[0], t[2]) for t in q.terms))
                          for q in rows)
-        emitted = Counter(row.q[srv] for row in p.rows
-                          if row.q[srv] is not None)
+        emitted = Counter()
+        for row in p.rows:
+            if row.q[srv] is not None:
+                emitted[row.q[srv]] += row.p * s.L
         assert emitted == source
+
+
+# ============================================================
+# merged rows against the per-pattern reference
+# ============================================================
+
+def _grouped(pscheme):
+    """Rows grouped by (q, pattern_servers), mass summed, first-seen order."""
+    mass = {}
+    for row in pscheme.rows:
+        key = (tuple(sorted(row.q.items())), row.pattern_servers)
+        mass[key] = mass.get(key, 0) + row.p
+    return [(dict(q), servers, p) for (q, servers), p in mass.items()]
+
+
+def _assert_merges_reference(scheme, ex=None):
+    got = transform(scheme, ex)
+    want = reference_transform(scheme, ex)
+    assert (got.graph, got.theta) == (want.graph, want.theta)
+    assert [(row.q, row.pattern_servers, row.p) for row in got.rows] == \
+        _grouped(want)
+    return got
+
+
+def test_merge_matches_reference_on_fixtures(k3_scheme, star4_scheme):
+    for scheme in (k3_scheme, star4_scheme):
+        _assert_merges_reference(scheme)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_merge_matches_reference_for_every_theta(n):
+    # every theta: grouped reference rows, the rate, the exact trial and a
+    # distributional audit of the merged family with no deviation at all
+    family = {}
+    for theta in range(n * (n - 1) // 2):
+        scheme = build_scheme(n, theta)
+        p = _assert_merges_reference(scheme, extract_patterns(scheme))
+        assert prob_rate(p) == rate(n)
+        contents = [(f * 7 + theta) % 2 for f in p.graph.files]
+        assert run_probabilistic_trials(p, contents, mode="exact").ok
+        family[theta] = p
+    report = privacy_audit(family, mode="distributional")
+    assert report.ok
+    assert report.max_deviation == 0
 
 
 def test_every_summation_lands_in_exactly_one_row(star4_scheme):
