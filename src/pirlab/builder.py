@@ -11,8 +11,9 @@ emits four pattern classes per desired endpoint i and helper set T:
 One table drives steps 2..n-1: each class lists its variants for a helper
 set T (beta: the helper left out of the matching and the matching; zeta:
 the overlap server) and gives the rows one variant creates and consumes.
-The loop builds those rows once per variant and emits them the ledger's
-number of times, in class order alpha, beta, gamma, zeta.
+The loop builds those rows once per variant and hands them to `emit` with
+the ledger's copy count, in class order alpha, beta, gamma, zeta; `emit`
+books the variant's inventory once for all its copies, then writes them.
 
 Bookkeeping invariant: after step k, every k-subset of the non-desired
 files stored at a server accounts for exactly x_k * M summations of that
@@ -22,7 +23,9 @@ side information).  `_types` enumerates those (server, k-subset) types
 once, for both the build's inventory and `verify_scheme`'s quota check.
 Subfile subscripts come from global per-file pattern counters, in
 emission order: a pattern bumps the counter of every file it touches, and
-all terms of that file inside the pattern share the new value.
+all terms of that file inside the pattern share the new value.  The top
+subscript of each (server, file) is tracked as rows are written, and the
+leftover side information continues from it.
 """
 
 import itertools
@@ -95,39 +98,39 @@ def build_scheme(n, theta=0):
     queries = {v: [] for v in graph.servers}
     patterns = []
     sub = defaultdict(int)          # per-file pattern counter
+    top = defaultdict(int)          # (server, file) -> last subscript written
     pool = defaultdict(int)         # (server, frozenset(files)) -> copies
     created = defaultdict(int)      # fresh non-desired rows, current step
 
-    def materialize(server, files, psub):
-        terms = tuple((f, psub[f], 1) for f in sorted(files))
-        queries[server].append(Summation(terms))
-        return len(queries[server]) - 1
-
-    def emit(step, cls, new_rows, old_rows):
-        files = set()
-        for rows in (new_rows, old_rows):
-            for fileset in rows.values():
-                files |= set(fileset)
-        psub = {}
-        for f in sorted(files):
-            sub[f] += 1
-            psub[f] = sub[f]
-        selections = {}
+    def emit(step, cls, copies, new_rows, old_rows):
+        """Emit `copies` (>= 1) patterns of one class variant.  Rows map a
+        server to its frozenset of files, which is also its inventory key."""
         for server, fileset in new_rows.items():
-            selections[server] = materialize(server, fileset, psub)
             if theta not in fileset:
-                created[(server, frozenset(fileset))] += 1
+                created[(server, fileset)] += copies
         for server, fileset in old_rows.items():
-            key = (server, frozenset(fileset))
-            if pool[key] <= 0:
+            if pool[(server, fileset)] < copies:
                 raise InternalConsistencyError(
                     f"consumed missing type {sorted(fileset)} at server "
                     f"{server} in step {step} ({cls})")
-            pool[key] -= 1
-            selections[server] = materialize(server, fileset, psub)
-        patterns.append(RecoveryPattern(target=psub[theta],
-                                        selections=selections,
-                                        step=step, pattern_class=cls))
+            pool[(server, fileset)] -= copies
+        files = set().union(*new_rows.values(), *old_rows.values())
+        rows = [*new_rows.items(), *old_rows.items()]
+        for copy in range(copies):
+            for f in files:
+                sub[f] += 1
+            selections = {}
+            for server, fileset in rows:  # Summation sorts the terms
+                queries[server].append(
+                    Summation(tuple((f, sub[f], 1) for f in fileset)))
+                selections[server] = len(queries[server]) - 1
+            patterns.append(RecoveryPattern(target=sub[theta],
+                                            selections=selections,
+                                            step=step, pattern_class=cls))
+        # counters only grow, so the last copy wrote the top subscripts
+        for server, fileset in rows:
+            for f in fileset:
+                top[server, f] = sub[f]
 
     def settle_inventory(k):
         """After step k: pool the uncreated share of every size-k type."""
@@ -144,8 +147,8 @@ def build_scheme(n, theta=0):
 
     # ---- step 1: direct requests -------------------------------------
     for i in (t1, t2):
-        for copy in range(_as_int(led.x[1] * m, "x_1 M")):
-            emit(1, "direct", {i: {theta}}, {})
+        emit(1, "direct", _as_int(led.x[1] * m, "x_1 M"),
+             {i: frozenset({theta})}, {})
     settle_inventory(1)
 
     # ---- steps 2..n-1: one table of pattern classes --------------------
@@ -154,7 +157,7 @@ def build_scheme(n, theta=0):
     # maps (i, other, T, variant) to the rows it creates fresh and the
     # pooled rows it consumes.
     def star(v, ends):
-        return {eid(v, s) for s in ends if s != v}
+        return frozenset(eid(v, s) for s in ends if s != v)
 
     def alpha(i, other, tset, _):
         return ({i: star(i, (other, *tset))},
@@ -205,9 +208,7 @@ def build_scheme(n, theta=0):
             for i, other in ((t1, t2), (t2, t1)):
                 for tset in itertools.combinations(helpers, k - 1):
                     for variant in variants(tset):
-                        new_rows, old_rows = rows(i, other, tset, variant)
-                        for copy in range(copies):
-                            emit(k, cls, new_rows, old_rows)
+                        emit(k, cls, copies, *rows(i, other, tset, variant))
 
         if k <= n - 2:
             settle_inventory(k)
@@ -216,22 +217,14 @@ def build_scheme(n, theta=0):
 
     # ---- leftovers become side information -----------------------------
     side_info = []
-    next_sub = {}
-    for v in graph.servers:
-        per_file = defaultdict(int)
-        for row in queries[v]:
-            for f, s, _ in row.terms:
-                per_file[f] = max(per_file[f], s)
-        for f, top in per_file.items():
-            next_sub[(v, f)] = top
     for (v, fileset), count in sorted(pool.items(),
                                       key=lambda kv: (kv[0][0],
                                                       sorted(kv[0][1]))):
         for copy in range(count):
             terms = []
             for f in sorted(fileset):
-                next_sub[(v, f)] = next_sub.get((v, f), 0) + 1
-                terms.append((f, next_sub[(v, f)], 1))
+                top[v, f] += 1
+                terms.append((f, top[v, f], 1))
             queries[v].append(Summation(tuple(terms)))
             side_info.append((v, len(queries[v]) - 1))
 

@@ -48,13 +48,18 @@ def _emit_doc(doc, out_path):
 
 
 def _load_doc(path):
+    """The JSON object in a file; every pirlab document is one."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}")
+    if type(doc) is not dict:
+        raise ParameterError(f"{path} holds a JSON {type(doc).__name__}, "
+                             f"not an object")
+    return doc
 
 
 def _parse_graph(spec):

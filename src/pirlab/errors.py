@@ -49,11 +49,12 @@ def json_pair(pair):
 
 @contextmanager
 def malformed(kind):
-    """Turn the KeyError, TypeError or ValueError of reading a document of
-    the given kind into a ParameterError; ParameterErrors pass through."""
+    """Turn the AttributeError, KeyError, TypeError or ValueError of reading
+    a document of the given kind (a list where an object belongs, say) into
+    a ParameterError; ParameterErrors pass through."""
     try:
         yield
     except ParameterError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed {kind} document: {exc}") from None

@@ -182,6 +182,8 @@ def reconstruct(scheme, answer_map):
 
 def general_rate(graph):
     """1 over the expected number of non-idle servers per retrieval."""
+    if not graph.edges:
+        raise ParameterError("a graph with no files has no retrieval rate")
     total = sum(1 - Fraction(1, 2) ** graph.degree(v)
                 for v in graph.servers)
     return 1 / total

@@ -25,22 +25,6 @@ class Summation:
     terms: tuple
 
     def __post_init__(self):
-        # One pass over the sorted terms with exact type tests; a term that
-        # fails them (or terms that do not sort) take the checks below,
-        # which name the offending term.
-        try:
-            terms = sorted(self.terms)
-            for term in terms:
-                f, s, sign = term
-                if not (type(term) is tuple and type(f) is int and f >= 0
-                        and type(s) is int and s >= 1
-                        and type(sign) is int and (sign == 1 or sign == -1)):
-                    break
-            else:
-                object.__setattr__(self, "terms", tuple(terms))
-                return
-        except (TypeError, ValueError):
-            pass
         norm = []
         for term in self.terms:
             if len(term) != 3:
@@ -132,6 +116,9 @@ class DeterministicScheme:
         if self.patterns is not None:
             object.__setattr__(self, "patterns", tuple(self.patterns))
             for p in self.patterns:
+                if not 1 <= p.target <= self.L:
+                    raise ParameterError(f"pattern target {p.target} is "
+                                         f"outside 1..{self.L}")
                 for srv, idx in p.selections.items():
                     if not 0 <= idx < len(queries.get(srv, ())):
                         raise ParameterError(
@@ -201,8 +188,11 @@ class ProbRow:
                                              f"{list(pair)} for server {srv}")
             q[int(srv)] = combo
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "pattern_servers",
-                           tuple(int(s) for s in self.pattern_servers))
+        servers = tuple(int(s) for s in self.pattern_servers)
+        if len(set(servers)) != len(servers):
+            raise ParameterError(f"pattern servers {list(servers)} name a "
+                                 f"server twice")
+        object.__setattr__(self, "pattern_servers", servers)
 
     def to_json(self):
         return {

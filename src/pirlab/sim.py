@@ -100,6 +100,9 @@ def run_deterministic_trial(scheme, storage, perms=None):
         perms = {fid: identity for fid in scheme.graph.files}
 
     def symbol(f, s):
+        if f not in perms or s > len(perms[f]):
+            raise ParameterError(f"a row asks for subfile {s} of file {f}, "
+                                 f"which storage does not hold")
         return storage.contents[f][perms[f][s - 1] - 1]
 
     answered = {

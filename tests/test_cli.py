@@ -212,6 +212,17 @@ def test_graph_multigraph_flag_must_be_bool(capsys, tmp_path, flag):
         f"error: multigraph must be true or false, got {flag!r}"
 
 
+def test_general_enumerate_edgeless_graph(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 3, "edges": []}))
+    rc, out, err = run_cli(capsys, "general", "--graph", str(path),
+                           "--enumerate")
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        "error: a graph with no files has no retrieval rate"
+
+
 def test_general_bad_theta(capsys):
     rc, _, err = run_cli(capsys, "general", "--graph", "edges:1-2",
                          "--theta", "5")
@@ -360,10 +371,27 @@ def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
     # a combo sign is +1 or -1, as a summation term's is
     ("simulate", lambda doc: doc["rows"][0]["q"].update({"1": [[0, 7]]}),
      "error: bad sign in combo entry [0, 7] for server 1"),
+    # a server XORed in twice cancels its own answer
+    ("simulate", lambda doc: doc["rows"][0].update(pattern_servers=[1, 1]),
+     "error: pattern servers [1, 1] name a server twice"),
+    # a list where the document needs an object
+    ("extract", lambda doc: doc.update(graph=[]),
+     "error: malformed graph document: 'list' object has no attribute "
+     "'get'"),
+    ("extract", lambda doc: doc.update(queries=[]),
+     "error: malformed scheme document: 'list' object has no attribute "
+     "'items'"),
+    ("simulate", lambda doc: doc["rows"][0].update(q=[]),
+     "error: malformed probabilistic document: 'list' object has no "
+     "attribute 'items'"),
+    ("extract", lambda doc: doc.update(
+        patterns=[{"target": 7, "selections": {}}]),
+     "error: pattern target 7 is outside 1..6"),
 ], ids=["scheme-theta", "scheme-term", "prob-theta", "prob-pair",
         "theta-float", "edge-float", "theta-str", "theta-bool", "L-float",
         "selection-float", "term-bool", "combo-float", "prob-theta-float",
-        "combo-sign"])
+        "combo-sign", "pattern-servers-repeat", "graph-list", "queries-list",
+        "q-list", "target-beyond-l"])
 def test_malformed_values_exit_2(capsys, tmp_path, command, edit, message):
     if command == "extract":
         path, doc = tmp_path / "k3.json", load_json("k3_scheme.json")
@@ -375,6 +403,34 @@ def test_malformed_values_exit_2(capsys, tmp_path, command, edit, message):
     assert rc == 2
     assert out == ""
     assert _one_line_error(err) == message
+
+
+@pytest.mark.parametrize("argv,text,kind", [
+    (["simulate", "--scheme", "{path}"], "5", "int"),
+    (["extract", "--scheme", "{path}"], '"rows"', "str"),
+    (["general", "--graph", "{path}", "--enumerate"], "[]", "list"),
+    (["audit", "--family", "general:{path}", "--mode", "structural"], "[]",
+     "list"),
+], ids=["simulate-int", "extract-str", "general-list", "audit-list"])
+def test_document_must_be_an_object(capsys, tmp_path, argv, text, kind):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        f"error: {path} holds a JSON {kind}, not an object"
+
+
+def test_simulate_rejects_subfile_beyond_l(capsys, tmp_path):
+    path, doc = tmp_path / "k3.json", load_json("k3_scheme.json")
+    doc["queries"]["1"][0]["terms"][0][1] = 7
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", str(path))
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == ("error: a row asks for subfile 7 of "
+                                    "file 0, which storage does not hold")
 
 
 @pytest.mark.parametrize("trials", [[], ["--trials", "5"]],

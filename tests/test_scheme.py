@@ -4,8 +4,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pirlab.errors import ParameterError
-from pirlab.graphs import make_graph
-from pirlab.scheme import ProbabilisticScheme, ProbRow, Summation
+from pirlab.general import GeneralScheme
+from pirlab.graphs import Graph, make_graph
+from pirlab.scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
+                           Summation)
+
+from conftest import load_json
 
 
 def _reference_terms(terms):
@@ -76,9 +80,36 @@ def test_probabilistic_rows_accept_stored_files():
     ({"q": {4: ((2, 1),)}}, "a row queries server 4, which is not in the "
                             "graph"),
     ({"servers": (1,)}, "row 1 recovers through a server it leaves idle"),
-], ids=["file", "server", "idle"])
+    ({"servers": (2, 2)}, "pattern servers [2, 2] name a server twice"),
+], ids=["file", "server", "idle", "repeat"])
 def test_probabilistic_rows_reject(second, message):
-    graph, rows = _k3_rows(**second)
     with pytest.raises(ParameterError) as exc:
+        graph, rows = _k3_rows(**second)
         ProbabilisticScheme(graph, 0, rows)
+    assert str(exc.value) == message
+
+
+def _k3_prob_doc():
+    graph, rows = _k3_rows()
+    return ProbabilisticScheme(graph, 0, rows).to_json()
+
+
+@pytest.mark.parametrize("cls,doc,message", [
+    (Graph, [], "malformed graph document: 'list' object has no attribute "
+                "'get'"),
+    (DeterministicScheme, {**load_json("k3_scheme.json"), "graph": []},
+     "malformed graph document: 'list' object has no attribute 'get'"),
+    (DeterministicScheme, {**load_json("k3_scheme.json"), "queries": []},
+     "malformed scheme document: 'list' object has no attribute 'items'"),
+    (ProbabilisticScheme, {**_k3_prob_doc(),
+                           "rows": [{"p": "1", "q": []}]},
+     "malformed probabilistic document: 'list' object has no attribute "
+     "'items'"),
+    (GeneralScheme, {"graph": []}, "malformed graph document: 'list' "
+                                   "object has no attribute 'get'"),
+], ids=["graph-list", "scheme-graph-list", "scheme-queries-list",
+        "prob-q-list", "general-graph-list"])
+def test_from_json_refuses_wrong_json_kind(cls, doc, message):
+    with pytest.raises(ParameterError) as exc:
+        cls.from_json(doc)
     assert str(exc.value) == message
