@@ -13,9 +13,7 @@ from fractions import Fraction
 from .errors import ParameterError, UnsupportedSizeError
 from .graphs import matching_number
 from .render import decimal_str
-from .sequences import rate
-
-BOUNDS_CAP = 500  # largest n of a bound table; see the README for its cost
+from .sequences import BOUNDS_CAP, rate
 
 
 # ============================================================

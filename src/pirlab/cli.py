@@ -167,9 +167,7 @@ def _cmd_transform(args):
 
 def _cmd_general(args):
     graph = _parse_graph(args.graph)
-    if args.r < 1:
-        raise ParameterError(f"replication factor must be >= 1, got {args.r}")
-    if args.r > 1:
+    if args.r != 1:  # extend refuses r < 1
         graph = graph.extend(args.r)
     inputs = {"graph": graph.to_json(), "r": args.r, "q": args.q}
 

@@ -6,11 +6,14 @@ implemented caps.  InfeasibleError marks tasks that are impossible for the
 given scheme rather than malformed.  InternalConsistencyError marks a failed
 self-check, that is a bug.  The command line maps ParameterError (and
 subclasses) to exit code 2, InfeasibleError to exit code 3 and
-InternalConsistencyError to exit code 4.  `json_int`, `json_pair` and
-`malformed` turn a bad value in an input document into a ParameterError.
+InternalConsistencyError to exit code 4.  Constructors check their fields
+with `check_int`, `check_frac` and `check_combo`; a `from_json` only maps
+JSON to fields, with `server_key` for server keys, inside `malformed`.
 """
 
+import re
 from contextlib import contextmanager
+from fractions import Fraction
 
 
 class ParameterError(ValueError):
@@ -33,18 +36,44 @@ class InternalConsistencyError(AssertionError):
     """A self-check inside a construction failed (indicates a bug)."""
 
 
-def json_int(value, field):
+def check_int(value, field):
     """`value` when it is an int; a bool, float or string is refused, so a
-    document never has a number silently truncated."""
+    number is never silently truncated."""
     if type(value) is not int:
         raise ParameterError(f"{field} must be an integer, got {value!r}")
     return value
 
 
-def json_pair(pair):
-    """A combo entry [file, sign] of a document, as a tuple of two ints."""
-    f, sign = pair
-    return json_int(f, "combo file"), json_int(sign, "combo sign")
+def check_frac(value, field):
+    """`value` as a Fraction when it is a Fraction, an int or a string like
+    "7/20" with a nonzero denominator.  A float, bool or decimal string is
+    refused: it is not an exact value."""
+    if isinstance(value, Fraction) or type(value) is int or (
+            type(value) is str
+            and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", value)):
+        return Fraction(value)
+    raise ParameterError(f"{field} must be a fraction string or an integer, "
+                         f"got {value!r}")
+
+
+def check_combo(combo, server):
+    """A query combo [(file, sign), ...] for `server` as a tuple of int
+    pairs with signs +1 or -1."""
+    combo = tuple((check_int(f, "combo file"), check_int(sign, "combo sign"))
+                  for f, sign in combo)
+    for pair in combo:
+        if pair[1] not in (1, -1):
+            raise ParameterError(f"bad sign in combo entry {list(pair)} for "
+                                 f"server {server}")
+    return combo
+
+
+def server_key(key):
+    """A document's server key as an int.  Only the plain decimal form is
+    read ("1", never "01"), so no second spelling replaces the first."""
+    if key.isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ParameterError(f"server key {key!r} is not a plain decimal")
 
 
 @contextmanager

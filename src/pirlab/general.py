@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import (ParameterError, UnsupportedSizeError, json_int,
-                     json_pair, malformed)
+from .errors import (ParameterError, UnsupportedSizeError, check_combo,
+                     check_int, malformed, server_key)
 from .graphs import Graph
 
 DISTRIBUTION_DEGREE_CAP = 12
@@ -34,12 +34,15 @@ class GeneralScheme:
     queries: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(int(b) for b in self.mu))
-        object.__setattr__(self, "lam", tuple(int(b) for b in self.lam))
-        object.__setattr__(
-            self, "queries",
-            {int(v): tuple((int(f), int(sign)) for f, sign in combo)
-             for v, combo in dict(self.queries).items()})
+        check_int(self.theta, "theta")
+        check_int(self.q, "q")
+        object.__setattr__(self, "mu",
+                           tuple(check_int(b, "mu bit") for b in self.mu))
+        object.__setattr__(self, "lam",
+                           tuple(check_int(b, "lam bit") for b in self.lam))
+        object.__setattr__(self, "queries", {
+            check_int(v, "server"): check_combo(combo, v)
+            for v, combo in dict(self.queries).items()})
 
     def to_json(self):
         return {
@@ -56,11 +59,9 @@ class GeneralScheme:
     def from_json(cls, doc):
         with malformed("scheme"):
             return cls(graph=Graph.from_json(doc["graph"]),
-                       theta=json_int(doc["theta"], "theta"),
-                       q=json_int(doc["q"], "q"),
-                       mu=tuple(json_int(b, "mu bit") for b in doc["mu"]),
-                       lam=tuple(json_int(b, "lam bit") for b in doc["lam"]),
-                       queries={int(v): tuple(map(json_pair, combo))
+                       theta=doc["theta"], q=doc["q"], mu=doc["mu"],
+                       lam=doc["lam"],
+                       queries={server_key(v): combo
                                 for v, combo in doc["queries"].items()})
 
 

@@ -9,7 +9,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, UnsupportedSizeError, json_int, malformed
+from .errors import ParameterError, UnsupportedSizeError, check_int, malformed
 
 MATCHING_FILE_CAP = 64
 
@@ -25,9 +25,13 @@ class Graph:
     multigraph: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if check_int(self.n, "n") < 1:
             raise ParameterError(f"vertex count must be a positive int, got {self.n}")
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
+        if type(self.multigraph) is not bool:
+            raise ParameterError(f"multigraph must be true or false, "
+                                 f"got {self.multigraph!r}")
+        edges = tuple((check_int(u, "edge end"), check_int(v, "edge end"))
+                      for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
         seen = set()
         for u, v in edges:
@@ -120,14 +124,8 @@ class Graph:
     @classmethod
     def from_json(cls, doc):
         with malformed("graph"):
-            multigraph = doc.get("multigraph", False)
-            if type(multigraph) is not bool:
-                raise ParameterError(f"multigraph must be true or false, "
-                                     f"got {multigraph!r}")
-            return cls(json_int(doc["n"], "n"),
-                       tuple((json_int(u, "edge end"), json_int(v, "edge end"))
-                             for u, v in doc["edges"]),
-                       multigraph)
+            return cls(multigraph=doc.get("multigraph", False), n=doc["n"],
+                       edges=doc["edges"])
 
 
 # ============================================================

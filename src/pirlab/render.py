@@ -52,13 +52,6 @@ def frac_str(value):
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def parse_frac(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"not a rational number: {text!r}")
-
-
 def canonical_json(obj):
     """Compact JSON text of `obj`, for byte-reproducible output.
 

@@ -11,9 +11,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
 
-from .errors import ParameterError, json_int, json_pair, malformed
+from .errors import (ParameterError, check_combo, check_frac, check_int,
+                     malformed, server_key)
 from .graphs import Graph
-from .render import frac_str, parse_frac
+from .render import frac_str
 
 
 # ============================================================
@@ -60,8 +61,15 @@ class RecoveryPattern:
     pattern_class: str = None
 
     def __post_init__(self):
-        sel = {int(srv): int(idx) for srv, idx in dict(self.selections).items()}
+        check_int(self.target, "pattern target")
+        sel = {check_int(srv, "server"): check_int(idx, "pattern selection")
+               for srv, idx in dict(self.selections).items()}
         object.__setattr__(self, "selections", sel)
+        if self.step is not None:
+            check_int(self.step, "pattern step")
+        if not (self.pattern_class is None or type(self.pattern_class) is str):
+            raise ParameterError(f"pattern class must be a string, "
+                                 f"got {self.pattern_class!r}")
 
     def to_json(self):
         doc = {"target": self.target,
@@ -75,13 +83,10 @@ class RecoveryPattern:
 
     @classmethod
     def from_json(cls, doc):
-        step = doc.get("step")
-        return cls(target=json_int(doc["target"], "pattern target"),
-                   selections={int(s): json_int(i, "pattern selection")
+        return cls(target=doc["target"],
+                   selections={server_key(s): i
                                for s, i in doc["selections"].items()},
-                   step=None if step is None
-                   else json_int(step, "pattern step"),
-                   pattern_class=doc.get("class"))
+                   step=doc.get("step"), pattern_class=doc.get("class"))
 
 
 # ============================================================
@@ -98,11 +103,11 @@ class DeterministicScheme:
     side_info: tuple = ()
 
     def __post_init__(self):
-        if not 0 <= self.theta < len(self.graph.edges):
+        if not 0 <= check_int(self.theta, "theta") < len(self.graph.edges):
             raise ParameterError(f"theta {self.theta} is not a file id")
-        if self.L < 1:
+        if check_int(self.L, "L") < 1:
             raise ParameterError(f"subpacketization must be >= 1, got {self.L}")
-        queries = {int(srv): tuple(rows)
+        queries = {check_int(srv, "server"): tuple(rows)
                    for srv, rows in dict(self.queries).items()}
         for srv in self.graph.servers:
             queries.setdefault(srv, ())
@@ -124,8 +129,9 @@ class DeterministicScheme:
                         raise ParameterError(
                             f"pattern {p.target} references missing row "
                             f"{idx} at server {srv}")
-        side = self.side_info
-        side = () if side is None else tuple((int(s), int(i)) for s, i in side)
+        side = () if self.side_info is None else tuple(
+            (check_int(s, "side info server"), check_int(i, "side info index"))
+            for s, i in self.side_info)
         for srv, idx in side:
             if not 0 <= idx < len(queries.get(srv, ())):
                 raise ParameterError(
@@ -151,19 +157,15 @@ class DeterministicScheme:
     @classmethod
     def from_json(cls, doc):
         with malformed("scheme"):
-            graph = Graph.from_json(doc["graph"])
-            queries = {int(srv): tuple(map(Summation.from_json, rows))
-                       for srv, rows in doc["queries"].items()}
-            patterns = None
-            if "patterns" in doc:
-                patterns = tuple(map(RecoveryPattern.from_json,
-                                     doc["patterns"]))
-            side = tuple((json_int(e["server"], "side info server"),
-                          json_int(e["index"], "side info index"))
-                         for e in doc.get("side_info", ()))
-            return cls(graph=graph, theta=json_int(doc["theta"], "theta"),
-                       L=json_int(doc["L"], "L"),
-                       queries=queries, patterns=patterns, side_info=side)
+            return cls(graph=Graph.from_json(doc["graph"]),
+                       theta=doc["theta"], L=doc["L"],
+                       queries={server_key(s): map(Summation.from_json, rows)
+                                for s, rows in doc["queries"].items()},
+                       patterns=tuple(map(RecoveryPattern.from_json,
+                                          doc["patterns"]))
+                       if "patterns" in doc else None,
+                       side_info=tuple((e["server"], e["index"])
+                                       for e in doc.get("side_info", ())))
 
 
 # ============================================================
@@ -177,18 +179,13 @@ class ProbRow:
     pattern_servers: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        q = {}
-        for srv, combo in dict(self.q).items():
-            if combo is not None:
-                combo = tuple((int(f), int(sign)) for f, sign in combo)
-                for pair in combo:
-                    if not (pair[1] == 1 or pair[1] == -1):
-                        raise ParameterError(f"bad sign in combo entry "
-                                             f"{list(pair)} for server {srv}")
-            q[int(srv)] = combo
-        object.__setattr__(self, "q", q)
-        servers = tuple(int(s) for s in self.pattern_servers)
+        object.__setattr__(self, "p", check_frac(self.p, "p"))
+        object.__setattr__(self, "q", {
+            check_int(srv, "server"):
+                None if combo is None else check_combo(combo, srv)
+            for srv, combo in dict(self.q).items()})
+        servers = tuple(check_int(s, "pattern server")
+                        for s in self.pattern_servers)
         if len(set(servers)) != len(servers):
             raise ParameterError(f"pattern servers {list(servers)} name a "
                                  f"server twice")
@@ -205,13 +202,9 @@ class ProbRow:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(p=parse_frac(doc["p"]),
-                   q={int(s): None if combo is None
-                      else tuple(map(json_pair, combo))
-                      for s, combo in doc["q"].items()},
-                   pattern_servers=tuple(
-                       json_int(s, "pattern server")
-                       for s in doc.get("pattern_servers", ())))
+        return cls(p=doc["p"],
+                   q={server_key(s): combo for s, combo in doc["q"].items()},
+                   pattern_servers=doc.get("pattern_servers", ()))
 
 
 @dataclass(frozen=True)
@@ -222,7 +215,7 @@ class ProbabilisticScheme:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        if not 0 <= self.theta < len(self.graph.edges):
+        if not 0 <= check_int(self.theta, "theta") < len(self.graph.edges):
             raise ParameterError(f"theta {self.theta} is not a file id")
         # numerators summed per denominator: one pass, and few Fraction
         # additions, since rows tend to share a denominator
@@ -271,5 +264,5 @@ class ProbabilisticScheme:
     def from_json(cls, doc):
         with malformed("probabilistic"):
             return cls(graph=Graph.from_json(doc["graph"]),
-                       theta=json_int(doc["theta"], "theta"),
+                       theta=doc["theta"],
                        rows=tuple(map(ProbRow.from_json, doc["rows"])))

@@ -17,14 +17,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalConsistencyError, ParameterError
+from .errors import (InternalConsistencyError, ParameterError,
+                     UnsupportedSizeError)
 
 BUILDER_CAP = 8  # explicit scheme emission is supported up to n = 8
+BOUNDS_CAP = 500  # largest n of the sequences and of a bound table
 
 
 def _check_n(n):
     if not isinstance(n, int) or n < 3:
         raise ParameterError(f"construction needs an integer n >= 3, got {n}")
+    if n > BOUNDS_CAP:
+        raise UnsupportedSizeError(f"sequences stop at n = {BOUNDS_CAP}, "
+                                   f"got n = {n}")
 
 
 def dfact(m):

@@ -38,32 +38,27 @@ def transform(scheme, extraction=None):
                 f"summations but only {scheme.L} slots exist", server=srv)
 
     ex = extraction if extraction is not None else extract_patterns(scheme)
-
-    slots = [{srv: None for srv in scheme.graph.servers}
-             for _ in range(scheme.L)]
-    servers_of = [()] * scheme.L
-    for pattern in ex.patterns:
-        row = slots[pattern.target - 1]
-        for srv, idx in pattern.selections.items():
-            row[srv] = _combo(scheme.queries[srv][idx])
-        servers_of[pattern.target - 1] = tuple(sorted(pattern.selections))
-
-    # Slots only ever fill, so each server's search for an idle row can
-    # resume where its previous one stopped.
-    cursor = dict.fromkeys(scheme.graph.servers, 0)
+    queries = scheme.queries
+    spare = {srv: [] for srv in scheme.graph.servers}
     for srv, idx in ex.side_info:
-        combo = _combo(scheme.queries[srv][idx])
-        at = cursor[srv]
-        while at < scheme.L and slots[at][srv] is not None:
-            at += 1
-        if at == scheme.L:
+        spare[srv].append(_combo(queries[srv][idx]))
+    spare = {srv: iter(combos) for srv, combos in spare.items()}
+
+    # pattern t fills slot t; a server idle in it takes its next
+    # side-information combo, if any is left.  Equal slots merge into one
+    # row, in first-seen slot order.
+    counts = Counter()
+    for pattern in ex.patterns:
+        sel = pattern.selections
+        q = tuple((srv, _combo(queries[srv][sel[srv]]) if srv in sel
+                   else next(combos, None))
+                  for srv, combos in spare.items())
+        counts[q, tuple(sorted(sel))] += 1
+    for srv, combos in spare.items():
+        if next(combos, None) is not None:
             raise InternalConsistencyError(
                 f"no idle row left at server {srv} for side information")
-        slots[at][srv] = combo
-        cursor[srv] = at + 1
 
-    # equal slots merge into one row, in first-seen slot order
-    counts = Counter(zip((tuple(row.items()) for row in slots), servers_of))
     rows = tuple(ProbRow(p=Fraction(count, scheme.L), q=dict(q),
                          pattern_servers=servers)
                  for (q, servers), count in counts.items())

@@ -92,6 +92,18 @@ def test_sequences_json(capsys):
     assert "pirlab/sequences/v1" in err
 
 
+def test_sequences_cap_edge(capsys):
+    # from n = 1,451 on, L has more digits than json.dumps may write
+    rc, out, _ = run_cli(capsys, "sequences", "--n", str(BOUNDS_CAP))
+    assert rc == 0
+    assert json.loads(out)["n"] == BOUNDS_CAP
+    rc, out, err = run_cli(capsys, "sequences", "--n", str(BOUNDS_CAP + 1))
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == (f"error: sequences stop at n = "
+                                    f"{BOUNDS_CAP}, got n = {BOUNDS_CAP + 1}")
+
+
 # ============================================================
 # build / extract / transform
 # ============================================================
@@ -267,6 +279,25 @@ def _k3_prob_doc(capsys, tmp_path):
     return prob, json.loads(prob.read_text())
 
 
+def _two_rows(doc, p0, p1):
+    doc["rows"] = doc["rows"][:2]
+    doc["rows"][0]["p"], doc["rows"][1]["p"] = p0, p1
+
+
+def _shadow(mapping, junk):
+    """Move the entry of server 1 to the key "01" and leave `junk` under
+    "1": a reader taking int() of each key lets "01" replace "1"."""
+    mapping["01"] = mapping["1"]
+    mapping["1"] = junk
+
+
+def _shadow_k3_scheme(doc):
+    """Replace the transform `doc` by the K3 scheme with shadowed rows."""
+    doc.clear()
+    doc.update(load_json("k3_scheme.json"))
+    _shadow(doc["queries"], [{"terms": []}])
+
+
 def _one_line_error(err):
     lines = err.splitlines()
     assert "Traceback" not in err
@@ -387,11 +418,27 @@ def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
     ("extract", lambda doc: doc.update(
         patterns=[{"target": 7, "selections": {}}]),
      "error: pattern target 7 is outside 1..6"),
+    # exact probabilities: a float or bool p is refused, though these sum to 1
+    ("simulate", lambda doc: _two_rows(doc, 0.5, 0.5),
+     "error: p must be a fraction string or an integer, got 0.5"),
+    ("simulate", lambda doc: _two_rows(doc, True, 0),
+     "error: p must be a fraction string or an integer, got True"),
+    ("extract", lambda doc: doc.update(
+        patterns=[{"target": 1, "selections": {}, "class": [1]}]),
+     "error: pattern class must be a string, got [1]"),
+    # a second spelling of a server key never replaces the first
+    ("extract", lambda doc: _shadow(doc["queries"], [{"terms": []}]),
+     "error: server key '01' is not a plain decimal"),
+    ("simulate", _shadow_k3_scheme,
+     "error: server key '01' is not a plain decimal"),
+    ("simulate", lambda doc: _shadow(doc["rows"][0]["q"], None),
+     "error: server key '01' is not a plain decimal"),
 ], ids=["scheme-theta", "scheme-term", "prob-theta", "prob-pair",
         "theta-float", "edge-float", "theta-str", "theta-bool", "L-float",
         "selection-float", "term-bool", "combo-float", "prob-theta-float",
         "combo-sign", "pattern-servers-repeat", "graph-list", "queries-list",
-        "q-list", "target-beyond-l"])
+        "q-list", "target-beyond-l", "p-float", "p-bool", "class-list",
+        "queries-shadow-extract", "queries-shadow-simulate", "q-shadow"])
 def test_malformed_values_exit_2(capsys, tmp_path, command, edit, message):
     if command == "extract":
         path, doc = tmp_path / "k3.json", load_json("k3_scheme.json")

@@ -7,7 +7,7 @@ from pirlab.errors import ParameterError
 from pirlab.general import GeneralScheme
 from pirlab.graphs import Graph, make_graph
 from pirlab.scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
-                           Summation)
+                           RecoveryPattern, Summation)
 
 from conftest import load_json
 
@@ -112,4 +112,27 @@ def _k3_prob_doc():
 def test_from_json_refuses_wrong_json_kind(cls, doc, message):
     with pytest.raises(ParameterError) as exc:
         cls.from_json(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Graph(3, ((1, 2.9),)), "edge end must be an integer, got 2.9"),
+    (lambda: RecoveryPattern(target=1, selections={1: 0.5}),
+     "pattern selection must be an integer, got 0.5"),
+    (lambda: ProbRow(p=0.1, q={}),
+     "p must be a fraction string or an integer, got 0.1"),
+    (lambda: ProbRow(p=True, q={}),
+     "p must be a fraction string or an integer, got True"),
+    (lambda: GeneralScheme(make_graph("complete", [3]), theta=0, q=2,
+                           mu=(True, 0, 0), lam=(0, 0, 0), queries={}),
+     "mu bit must be an integer, got True"),
+    (lambda: RecoveryPattern(target=1, selections={}, pattern_class=[1]),
+     "pattern class must be a string, got [1]"),
+], ids=["edge-float", "selection-float", "p-float", "p-bool", "mu-bool",
+        "class-list"])
+def test_constructors_refuse_what_documents_refuse(build, message):
+    # from_json hands document values to these constructors, so a
+    # document gets the same text (test_cli.py)
+    with pytest.raises(ParameterError) as exc:
+        build()
     assert str(exc.value) == message
