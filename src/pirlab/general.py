@@ -40,9 +40,15 @@ class GeneralScheme:
                            tuple(check_int(b, "mu bit") for b in self.mu))
         object.__setattr__(self, "lam",
                            tuple(check_int(b, "lam bit") for b in self.lam))
-        object.__setattr__(self, "queries", {
-            check_int(v, "server"): check_combo(combo, v)
-            for v, combo in dict(self.queries).items()})
+        _check_theta_q(self.graph, self.theta, self.q)
+        _check_bits(self.graph, self.mu, self.lam)
+        queries = {check_int(v, "server"): check_combo(combo, v)
+                   for v, combo in dict(self.queries).items()}
+        servers = self.graph.servers
+        for v in queries:
+            if v not in servers:
+                raise ParameterError(f"no server {v} in the graph")
+        object.__setattr__(self, "queries", queries)
 
     def to_json(self):
         return {
@@ -65,19 +71,23 @@ class GeneralScheme:
                                 for v, combo in doc["queries"].items()})
 
 
-def _check_inputs(graph, theta, mu, lam, q):
+def _check_theta_q(graph, theta, q):
     m = len(graph.edges)
     if not 0 <= theta < m:
         raise ParameterError(f"theta {theta} is not a file id (0..{m - 1})")
+    if not isinstance(q, int) or q < 2:
+        raise ParameterError(f"alphabet size q must be an integer >= 2, "
+                             f"got {q}")
+
+
+def _check_bits(graph, mu, lam):
+    m = len(graph.edges)
     for name, bits in (("mu", mu), ("lam", lam)):
         if len(bits) != m:
             raise ParameterError(f"{name} must carry one bit per file "
                                  f"({m}), got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
+        if bits.count(0) + bits.count(1) != m:
             raise ParameterError(f"{name} entries must be 0 or 1")
-    if not isinstance(q, int) or q < 2:
-        raise ParameterError(f"alphabet size q must be an integer >= 2, "
-                             f"got {q}")
 
 
 def _sign(at_lower, lam_bit, q):
@@ -101,7 +111,7 @@ def _query_term(fid, theta, at_lower, mu_bit, lam_bit, q):
 def build_general_query(graph, theta, mu, lam, q=2):
     """Assemble per-server query combos from explicit randomness bits."""
     mu, lam = tuple(mu), tuple(lam)
-    _check_inputs(graph, theta, mu, lam, q)
+    _check_bits(graph, mu, lam)  # before they are indexed by file id
     queries = {v: [] for v in graph.servers}
     for fid in graph.files:
         lo, hi = graph.endpoints(fid)
@@ -130,8 +140,8 @@ def sample_combo_counts(graph, theta, trials, rng, q=2):
     counts the bit patterns of its own files, and each distinct pattern is
     turned into a combo once.  Returns {server: Counter(combo -> count)}.
     """
+    _check_theta_q(graph, theta, q)
     m = len(graph.edges)
-    _check_inputs(graph, theta, (0,) * m, (0,) * m, q)
     draw = rng.randrange
     servers = []
     for v in graph.servers:
@@ -202,12 +212,9 @@ def answer_distribution(graph, theta, server, q=2):
     identical for every theta, which is the privacy statement in exact
     form.
     """
-    if not 0 <= theta < len(graph.edges):
-        raise ParameterError(f"theta {theta} is not a file id")
+    _check_theta_q(graph, theta, q)
     if server not in graph.servers:
         raise ParameterError(f"server {server} is not a vertex")
-    if not isinstance(q, int) or q < 2:
-        raise ParameterError(f"alphabet size q must be an integer >= 2")
     copies = graph.copies(server)
     if len(copies) > DISTRIBUTION_DEGREE_CAP:
         raise UnsupportedSizeError(

@@ -23,8 +23,14 @@ is classified once, without reading its terms again: all occurrences of a
 non-desired symbol lie in one component, so the symbol's total count gives
 its parity there, and desired terms are bucketed by component.
 `check_independence` and `extract_patterns` are views of that one result.
+
+A scheme object is walked once: `analyze` keeps its result on the
+instance, outside the dataclass fields, and serves it again only while
+`scheme.queries` still maps every server to the very row tuple it walked.
+`replace()` gives a new object with no result kept.
 """
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -67,8 +73,25 @@ def analyze(scheme):
     """Check independence and extract patterns in one walk over the rows.
 
     Returns (IndependenceReport, Extraction); the extraction is None when
-    the report lists any violation.
+    the report lists any violation.  Repeated calls on one scheme object
+    return the same result without walking again, unless a server's row
+    tuple in `scheme.queries` was swapped since.
     """
+    queries = scheme.queries
+    # kept in the instance __dict__ like Graph._file_ids, so equality,
+    # hashing, repr and to_json do not see it
+    memo = vars(scheme).get("_analysis")
+    if memo is not None:
+        walked, result = memo
+        if len(walked) == len(queries) and all(
+                queries.get(srv) is rows for srv, rows in walked.items()):
+            return result
+    result = _walk(scheme)
+    vars(scheme)["_analysis"] = (dict(queries), result)
+    return result
+
+
+def _walk(scheme):
     graph, theta = scheme.graph, scheme.theta
     nfiles = len(graph.edges)
     violations = []
@@ -221,12 +244,21 @@ def check_srp(scheme, extraction):
     """Count patterns by which endpoint serves the desired term.
 
     The source-symmetry property asks for an even split between the two
-    servers storing the desired file.
+    servers storing the desired file.  Only those two servers can hold a
+    desired term, so only their selections are read.
     """
-    t1, t2 = scheme.graph.endpoints(scheme.theta)
-    counts = {t1: 0, t2: 0}
-    for p in extraction.patterns:
-        for srv, idx in p.selections.items():
-            if scheme.theta in scheme.queries[srv][idx].files:
-                counts[srv] += 1
+    theta = scheme.theta
+    t1, t2 = scheme.graph.endpoints(theta)
+    counts = {}
+    for srv in (t1, t2):
+        rows = scheme.queries[srv]
+        count = 0
+        for p in extraction.patterns:
+            idx = p.selections.get(srv)
+            if idx is not None:
+                # terms are sorted, so a bisection finds file theta
+                terms = rows[idx].terms
+                i = bisect_left(terms, (theta,))
+                count += i < len(terms) and terms[i][0] == theta
+        counts[srv] = count
     return SrpReport(counts=counts, ok=counts[t1] == counts[t2])

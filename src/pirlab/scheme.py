@@ -21,7 +21,7 @@ from .render import frac_str
 # summations and recovery patterns
 # ============================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Summation:
     terms: tuple
 
@@ -53,7 +53,7 @@ class Summation:
         return cls(tuple(map(tuple, doc["terms"])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoveryPattern:
     target: int
     selections: dict

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import (InfeasibleError, InternalConsistencyError,
                      ParameterError)
-from .patterns import extract_patterns
+from .patterns import analyze, extract_patterns
 from .scheme import ProbabilisticScheme, ProbRow
 
 
@@ -86,9 +86,19 @@ def entropy_proxy_ok(scheme):
 
     Rows in which no (file, subfile) symbol repeats at the server have
     disjoint supports, so they are independent exactly when none is empty.
-    Only a server where some symbol repeats needs Gaussian elimination,
-    with bit positions local to that server.
+    A scheme whose analysis is ok has no repeated symbol at any server
+    (condition 2), so the answer follows from the analysis, which is kept
+    on the scheme.  Otherwise each server is read again, and only a server
+    where some symbol repeats needs Gaussian elimination, with bit
+    positions local to that server.
     """
+    try:
+        ok = analyze(scheme)[0].ok
+    except ParameterError:  # a file id outside the graph
+        ok = False
+    if ok:
+        return all(row.terms for rows in scheme.queries.values()
+                   for row in rows)
     for srv in scheme.graph.servers:
         rows = scheme.queries[srv]
         symbols = [(f, s) for row in rows for f, s, _sign in row.terms]

@@ -16,6 +16,7 @@ today's transform, one row per distinct joint query.
 """
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,18 +26,22 @@ from pirlab import cli
 from pirlab.builder import build_scheme, verify_scheme
 from pirlab.errors import ParameterError
 from pirlab.patterns import (
+    IndependenceError,
     Violation,
     analyze,
     check_independence,
+    check_srp,
     extract_patterns,
 )
 from pirlab.scheme import DeterministicScheme
-from pirlab.transform import transform
+from pirlab.sim import random_storage, run_deterministic_trial
+from pirlab.transform import entropy_proxy_ok, transform
 
 from conftest import indented_sha256, load_json
 from reference_patterns import reference_check, reference_extract
 from reference_transform import reference_transform
 from test_patterns import _mutate
+from test_transform import _gf2_reference
 
 CLI_SHA256 = {
     ("extract", 3, 0):
@@ -357,3 +362,113 @@ def test_each_caller_walks_the_rows_once(analyze_calls, tmp_path, capsys):
     assert cli.main(["extract", "--scheme", str(path)]) == 0
     assert len(analyze_calls) == 1
     capsys.readouterr()
+
+
+# ============================================================
+# one analysis per scheme object
+# ============================================================
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The schemes whose rows `analyze` actually walked."""
+    calls = []
+    real = pirlab.patterns._walk
+
+    def counting(scheme):
+        calls.append(scheme)
+        return real(scheme)
+
+    monkeypatch.setattr(pirlab.patterns, "_walk", counting)
+    return calls
+
+
+def test_analyze_walks_each_scheme_object_once(walks):
+    s = build_scheme(5)
+    first = analyze(s)
+    assert analyze(s) is first
+    assert len(walks) == 1
+
+    # every reader of the analysis shares that walk
+    assert verify_scheme(s).ok
+    assert check_independence(s) is first[0]
+    ex = extract_patterns(s)
+    assert ex is first[1]
+    assert transform(s) == transform(s, ex)
+    assert entropy_proxy_ok(s)
+    bare = s.replace(patterns=None)
+    storage = random_storage(s.graph, 2, s.L, random.Random(1))
+    assert run_deterministic_trial(bare, storage).ok
+    assert len(walks) == 2 and walks[1] is bare
+    assert extract_patterns(bare) is analyze(bare)[1]
+    assert len(walks) == 2
+
+    # replace() gives a new object, which is walked again
+    fresh = s.replace()
+    assert analyze(fresh) == first and analyze(fresh) is not first
+    assert len(walks) == 3
+    # the kept result is not a field
+    assert fresh == s and repr(fresh) == repr(s)
+    assert "_analysis" not in fresh.to_json()
+
+
+def _duplicate_first_row(scheme, server):
+    rows = list(scheme.queries[server])
+    rows[1] = rows[0]  # every symbol of row 0 now repeats at the server
+    return tuple(rows)
+
+
+def test_swapped_row_tuple_changes_the_verdict(walks):
+    s = build_scheme(4)
+    assert verify_scheme(s).ok
+    extract_patterns(s)
+    assert len(walks) == 1
+
+    good = s.queries[2]
+    s.queries[2] = _duplicate_first_row(s, 2)
+    assert not verify_scheme(s).ok
+    assert 2 in {v.condition for v in check_independence(s).violations}
+    with pytest.raises(IndependenceError):
+        extract_patterns(s)
+    assert not entropy_proxy_ok(s)
+    assert len(walks) == 2
+
+    # an equal tuple that is not the one walked is walked again
+    s.queries[2] = good[:1] + good[1:]
+    assert s.queries[2] == good and s.queries[2] is not good
+    assert verify_scheme(s).ok
+    assert len(walks) == 3
+
+    # so is a queries map that gained a server
+    s.queries[9] = good
+    assert not check_independence(s).ok
+    assert len(walks) == 4
+
+
+# ============================================================
+# readers of the analysis against plain readings
+# ============================================================
+
+def _srp_counts_by_files(scheme, extraction):
+    """check_srp's counts as read through every selection's .files."""
+    t1, t2 = scheme.graph.endpoints(scheme.theta)
+    counts = {t1: 0, t2: 0}
+    for p in extraction.patterns:
+        for srv, idx in p.selections.items():
+            if scheme.theta in scheme.queries[srv][idx].files:
+                counts[srv] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_entropy_proxy_and_srp_match_plain_readings(n):
+    for theta in range(n * (n - 1) // 2):
+        s = build_scheme(n, theta)
+        assert entropy_proxy_ok(s) is _gf2_reference(s) is True
+        ex = extract_patterns(s)
+        assert check_srp(s, ex).counts == _srp_counts_by_files(s, ex)
+
+
+def test_srp_counts_match_plain_reading_on_fixtures(k3_scheme, star4_scheme):
+    for s in (k3_scheme, star4_scheme):
+        ex = extract_patterns(s)
+        assert check_srp(s, ex).counts == _srp_counts_by_files(s, ex)

@@ -17,6 +17,7 @@ from pirlab.general import (
     general_rate,
     random_general_scheme,
     reconstruct,
+    sample_combo_counts,
 )
 from pirlab.graphs import Graph, make_graph
 
@@ -186,3 +187,49 @@ def test_json_round_trip(pendant_triangle):
     s = build_general_query(pendant_triangle, 2, (1, 1, 0, 1), (0, 0, 0, 1),
                             q=257)
     assert GeneralScheme.from_json(s.to_json()) == s
+
+
+_K3_GENERAL = {"theta": 0, "q": 2, "mu": [0, 1, 0], "lam": [1, 0, 0],
+               "queries": {"1": [[0, 1]], "2": [], "3": [[2, 1]]}}
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"theta": 99, "q": 1, "mu": [7], "queries": {"9": [[5, 1]]}},
+     "theta 99 is not a file id (0..2)"),
+    ({"theta": 3}, "theta 3 is not a file id (0..2)"),
+    ({"q": 1}, "alphabet size q must be an integer >= 2, got 1"),
+    ({"mu": [0, 1]}, "mu must carry one bit per file (3), got 2"),
+    ({"lam": [1, 0, 2]}, "lam entries must be 0 or 1"),
+    ({"queries": {"9": [[0, 1]]}}, "no server 9 in the graph"),
+], ids=["all", "theta", "q", "mu-length", "lam-bit", "server"])
+def test_general_scheme_checks_its_fields(fields, message):
+    doc = {"graph": _k3().to_json(), **_K3_GENERAL, **fields}
+    with pytest.raises(ParameterError) as exc:
+        GeneralScheme.from_json(doc)
+    assert str(exc.value) == message
+    with pytest.raises(ParameterError) as exc:
+        GeneralScheme(_k3(), theta=doc["theta"], q=doc["q"],
+                      mu=tuple(doc["mu"]), lam=tuple(doc["lam"]),
+                      queries={int(v): tuple(map(tuple, combo))
+                               for v, combo in doc["queries"].items()})
+    assert str(exc.value) == message
+    assert GeneralScheme.from_json({"graph": _k3().to_json(), **_K3_GENERAL})
+
+
+def test_checks_share_one_text_per_rule():
+    k3 = _k3()
+    for call in (lambda: answer_distribution(k3, 3, 1),
+                 lambda: sample_combo_counts(k3, 3, 10, random.Random(1)),
+                 lambda: build_general_query(k3, 3, (0,) * 3, (0,) * 3)):
+        with pytest.raises(ParameterError,
+                           match=r"^theta 3 is not a file id \(0\.\.2\)$"):
+            call()
+    for call in (lambda: answer_distribution(k3, 0, 1, q=1),
+                 lambda: sample_combo_counts(k3, 0, 10, random.Random(1),
+                                             q=1),
+                 lambda: build_general_query(k3, 0, (0,) * 3, (0,) * 3,
+                                             q=1)):
+        with pytest.raises(ParameterError, match=r"^alphabet size q must "
+                                                 r"be an integer >= 2, "
+                                                 r"got 1$"):
+            call()

@@ -1,14 +1,17 @@
 """canonical_json: compact JSON in insertion order, as the stdlib writes it.
 
 Every document pirlab emits goes through canonical_json, so these checks
-pin its contract: the text of json.dumps with the "," and ":" separators
-(no whitespace, keys in insertion order, non-ASCII escaped) for any value,
-the same exceptions for values JSON cannot hold, and documents that parse
-back to the objects they came from.
+pin its contract on random values: ASCII-only text with non-ASCII escaped,
+no whitespace outside strings, keys in insertion order, and the same bytes
+on every call, also after the text is read back and written again.  The
+hand-picked cases compare the text with json.dumps and its "," and ":"
+separators, and documents parse back to the objects they came from.
 """
 
+import copy
 import enum
 import json
+import re
 from collections import OrderedDict
 
 import pytest
@@ -25,64 +28,56 @@ def _same(value):
 
 
 # ============================================================
-# random JSON values
+# the contract on random values
 # ============================================================
 
 _ints = st.integers() | st.integers(-10**40, 10**40)
-_floats = st.floats(allow_nan=True, allow_infinity=True) \
-    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
 _text = st.text() | st.text(st.characters(max_codepoint=0x1f)) \
     | st.text(st.characters(min_codepoint=0x80))
-_leaves = st.none() | st.booleans() | _ints | _floats | _text
-_keys = _text | _ints | _floats | st.booleans() | st.none()
+_leaves = st.none() | st.booleans() | _ints | _text \
+    | st.floats(allow_nan=False, allow_infinity=False)
+# string keys only, so the key order can be read back from the text
+_values = st.recursive(
+    _leaves,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(_text, children, max_size=5)),
+    max_leaves=30)
+
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
-def _int_rows(equal):
-    if equal:
-        return st.integers(0, 4).flatmap(
-            lambda width: st.lists(st.lists(_ints, min_size=width,
-                                            max_size=width)
-                                   | st.tuples(*[_ints] * width),
-                                   max_size=6))
-    return st.lists(st.lists(_ints, max_size=4), max_size=6)
+def _pairs(value):
+    """`value` as json.loads(..., object_pairs_hook=list) gives it back."""
+    if isinstance(value, dict):
+        return [(k, _pairs(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_pairs(v) for v in value]
+    return value
 
 
-def _containers(children):
-    return (st.lists(children, max_size=5)
-            | st.lists(children, max_size=5).map(tuple)
-            | st.dictionaries(_text, children, max_size=5)
-            | st.dictionaries(_keys, children, max_size=5))
-
-
-_values = st.recursive(_leaves | _int_rows(True) | _int_rows(False)
-                       | st.lists(_ints, max_size=8),
-                       _containers, max_leaves=30)
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_values)
-def test_matches_json_dumps(value):
-    _same(value)
+def test_compact_ascii_in_insertion_order(value):
+    text = canonical_json(value)
+    assert text.isascii()
+    assert not re.search(r"\s", _STRING.sub('""', text))
+    assert json.loads(text, object_pairs_hook=list) == _pairs(value)
 
 
-class _Opaque:
-    pass
+@settings(max_examples=100, deadline=None)
+@given(_values)
+def test_same_bytes_on_every_call(value):
+    text = canonical_json(value)
+    assert canonical_json(value) == text
+    assert canonical_json(copy.deepcopy(value)) == text
+    assert canonical_json(json.loads(text)) == text
 
 
-@settings(max_examples=50, deadline=None)
-@given(_values, st.sampled_from([_Opaque(), {1, 2}, b"bytes", 1j,
-                                 {(1, 2): 3}]),
-       st.integers(0, 3))
-def test_unserializable_raises_like_json_dumps(value, bad, depth):
-    for _ in range(depth):
-        value = [value, {"k": bad}] if depth % 2 else {"a": value, "b": [bad]}
-    value = [value, bad]
-    with pytest.raises(Exception) as ours:
-        canonical_json(value)
-    with pytest.raises(Exception) as theirs:
-        json.dumps(value, separators=(",", ":"))
-    assert type(ours.value) is type(theirs.value)
-    assert str(ours.value) == str(theirs.value)
+def test_escapes_and_separators_by_hand():
+    value = {"z\u00e9": ["\U0001f600\n", 1.5, None], "a": {"b": True}}
+    assert canonical_json(value) == \
+        '{"z\\u00e9":["\\ud83d\\ude00\\n",1.5,null],"a":{"b":true}}'
 
 
 # ============================================================

@@ -204,6 +204,46 @@ def test_entropy_proxy_empty_row(k3_scheme):
     assert not entropy_proxy_ok(bad)
 
 
+def _gf2_reference(scheme):
+    """Gaussian elimination over all of each server's rows, no shortcut."""
+    for rows in scheme.queries.values():
+        bit_of, basis = {}, {}
+        for row in rows:
+            vec = 0
+            for f, s, _sign in row.terms:
+                vec ^= 1 << bit_of.setdefault((f, s), len(bit_of))
+            while vec and vec.bit_length() - 1 in basis:
+                vec ^= basis[vec.bit_length() - 1]
+            if not vec:
+                return False
+            basis[vec.bit_length() - 1] = vec
+    return True
+
+
+@pytest.mark.parametrize("rows", [
+    [((0, 1, 1), (1, 1, 1)), ((0, 1, 1),), ((1, 1, 1),)],
+    [((0, 1, 1), (1, 1, 1)), ((0, 1, 1),), ((1, 2, 1),)],
+    [((0, 1, 1),), ()],
+    [((0, 1, 1),), ((9, 1, 1),)],  # file 9 is not in K3: analyze raises
+    [((0, 1, 1),), ((2, 1, 1),)],  # S1 does not store file 2
+], ids=["dependent", "repeat-independent", "empty-row", "unknown-file",
+        "not-stored"])
+def test_entropy_proxy_matches_plain_elimination(k3_scheme, rows):
+    # schemes whose analysis is not ok, or raises, take the per-server path
+    s = _with_server_rows(k3_scheme, 1, rows)
+    assert entropy_proxy_ok(s) == _gf2_reference(s)
+
+
+def test_entropy_proxy_empty_side_info_row(k3_scheme):
+    # an empty row is side information, so the analysis is ok
+    queries = dict(k3_scheme.queries)
+    queries[1] += (Summation(()),)
+    s = k3_scheme.replace(queries=queries, patterns=None, side_info=())
+    assert extract_patterns(s).side_info == ((1, 4),)
+    assert not entropy_proxy_ok(s)
+    assert not _gf2_reference(s)
+
+
 def test_transform_accepts_precomputed_extraction(k3_scheme):
     ex = extract_patterns(k3_scheme)
     p1 = transform(k3_scheme, ex)
