@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParameterError, UnsupportedSizeError
+from .errors import ParameterError, UnsupportedSizeError, check_replication
 from .graphs import matching_number
 from .render import decimal_str
-from .sequences import BOUNDS_CAP, rate
+from .sequences import BOUNDS_CAP, check_n, rate
 
 
 # ============================================================
@@ -21,8 +21,6 @@ from .sequences import BOUNDS_CAP, rate
 # ============================================================
 
 def upper_bound_complete(n):
-    if n < 3:
-        raise ParameterError(f"complete-graph bound needs n >= 3, got {n}")
     (bound,) = _complete_upper_bounds(n, n)
     return bound
 
@@ -33,6 +31,7 @@ def _complete_upper_bounds(n_min, n_max):
     T_n = n! * sum_{i=2..n} 1/i! obeys T_n = n T_{n-1} + 1 with T_2 = 1,
     and the bound is (n-1)!/T_n.
     """
+    check_n(n_min)
     t, fact = 1, 1
     for n in range(3, n_max + 1):
         t, fact = n * t + 1, fact * (n - 1)
@@ -61,8 +60,7 @@ def general_upper_bound(g):
 
 def prior_bounds_complete(n):
     """Previously published bounds on complete graphs, for comparison columns."""
-    if n < 3:
-        raise ParameterError(f"prior bounds need n >= 3, got {n}")
+    check_n(n)
     half = Fraction(1, 2)
     return {
         "sadeh_upper": Fraction(2, n + 1),
@@ -73,8 +71,7 @@ def prior_bounds_complete(n):
 
 def multigraph_lower_bound(base_rate, r):
     """Rate achieved after replicating every file r times."""
-    if not isinstance(r, int) or r < 1:
-        raise ParameterError(f"replication factor must be >= 1, got {r}")
+    check_replication(r)
     return Fraction(base_rate) / (2 - Fraction(1, 2) ** (r - 1))
 
 
@@ -117,34 +114,24 @@ def bounds_table(n_min=3, n_max=10):
             for n, upper in zip(range(n_min, n_max + 1), uppers)]
 
 
+# per format: header lines, then how one row's cells are joined
+_TABLE_FORMATS = {
+    "csv": (["# capacity bounds for complete storage graphs",
+             "# upper: converse bound, lower: achieved scheme rate",
+             "n,upper,lower,upper_coeff,lower_coeff"],
+            ",".join),
+    "markdown": (["| n | upper | lower | n*upper | n*lower |",
+                  "| --- | --- | --- | --- | --- |"],
+                 lambda cells: "| " + " | ".join(cells) + " |"),
+}
+
+
 def render_table(reports, fmt="csv"):
-    if fmt == "csv":
-        lines = [
-            "# capacity bounds for complete storage graphs",
-            "# upper: converse bound, lower: achieved scheme rate",
-            "n,upper,lower,upper_coeff,lower_coeff",
-        ]
-        for r in reports:
-            lines.append(",".join([
-                str(r.n),
-                decimal_str(r.upper),
-                decimal_str(r.lower),
-                decimal_str(r.coefficient_upper),
-                decimal_str(r.coefficient_lower),
-            ]))
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        lines = [
-            "| n | upper | lower | n*upper | n*lower |",
-            "| --- | --- | --- | --- | --- |",
-        ]
-        for r in reports:
-            lines.append("| {} | {} | {} | {} | {} |".format(
-                r.n,
-                decimal_str(r.upper),
-                decimal_str(r.lower),
-                decimal_str(r.coefficient_upper),
-                decimal_str(r.coefficient_lower),
-            ))
-        return "\n".join(lines) + "\n"
-    raise ParameterError(f"unknown table format {fmt!r}")
+    if fmt not in _TABLE_FORMATS:
+        raise ParameterError(f"unknown table format {fmt!r}")
+    header, join = _TABLE_FORMATS[fmt]
+    lines = list(header)
+    for r in reports:
+        lines.append(join([str(r.n), *map(decimal_str, (
+            r.upper, r.lower, r.coefficient_upper, r.coefficient_lower))]))
+    return "\n".join(lines) + "\n"

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InternalConsistencyError, ParameterError,
-                     UnsupportedSizeError)
+                     UnsupportedSizeError, check_theta)
 from .graphs import make_graph
 from .scheme import DeterministicScheme, RecoveryPattern, Summation
-from .sequences import BUILDER_CAP, build_sequences, step_ledger
+from .sequences import BUILDER_CAP, build_sequences, check_n, step_ledger
 
 
 def _as_int(value, what):
@@ -79,14 +79,11 @@ def _types(graph, theta, k):
 # ============================================================
 
 def build_scheme(n, theta=0):
-    if not isinstance(n, int) or n < 3:
-        raise ParameterError(f"construction needs an integer n >= 3, got {n}")
-    if n > BUILDER_CAP:
+    if check_n(n) > BUILDER_CAP:
         raise UnsupportedSizeError(
             f"explicit construction is capped at n = {BUILDER_CAP}, got {n}")
     graph = make_graph("complete", [n])
-    if not 0 <= theta < len(graph.edges):
-        raise ParameterError(f"theta {theta} is not a file id of K_{n}")
+    check_theta(theta, graph)
 
     led = build_sequences(n)
     m = led.m_scale
@@ -261,9 +258,10 @@ def verify_scheme(scheme):
     """Structural verification of a built scheme.
 
     Checks the independence conditions, that extraction recovers a full
-    pattern partition, the per-type multiplicity invariant, and the even
-    split of desired rows across the two endpoints.  The last two are K_n
-    ledgers, so a graph that is not complete raises ParameterError.
+    pattern partition equal to the carried patterns and side information,
+    the per-type multiplicity invariant, and the even split of desired
+    rows across the two endpoints.  The last two are K_n ledgers, so a
+    graph that is not complete raises ParameterError.
     """
     from .patterns import analyze
 
@@ -283,9 +281,17 @@ def verify_scheme(scheme):
         if targets != list(range(1, scheme.L + 1)):
             problems.append("pattern targets do not cover 1..L exactly once")
 
-    rep = analyze(scheme)[0]
+    rep, extraction = analyze(scheme)
     problems += [f"condition {v.condition}: {v.detail}"
                  for v in rep.violations]
+    if extraction is not None and scheme.patterns:
+        if ({p.target: p.selections for p in scheme.patterns}
+                != {p.target: p.selections for p in extraction.patterns}):
+            problems.append("carried patterns differ from the ones the "
+                            "rows give")
+        if sorted(scheme.side_info) != list(extraction.side_info):
+            problems.append("carried side information differs from the "
+                            "one the rows give")
 
     theta = scheme.theta
     shapes = {v: Counter(frozenset(row.files) for row in rows)

@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .bounds import bounds_table, render_table
 from .builder import build_scheme
-from .errors import InfeasibleError, InternalConsistencyError, ParameterError
+from .errors import (InfeasibleError, InternalConsistencyError,
+                     ParameterError, check_q)
 from .general import general_rate, random_general_scheme
 from .graphs import Graph, make_graph
 from .patterns import IndependenceError, check_srp, extract_patterns
@@ -196,6 +197,7 @@ def _cmd_general(args):
 
 
 def _cmd_simulate(args):
+    check_q(args.q)
     source = _load_doc(args.scheme)
     rng = random.Random(args.seed)
     if "rows" in source:
@@ -233,25 +235,17 @@ def _cmd_simulate(args):
 
 
 def _family_schemes(token):
-    m = re.fullmatch(r"k(\d+)", token)
-    if m:
-        n = int(m.group(1))
-        count = n * (n - 1) // 2
-        return {theta: build_scheme(n, theta) for theta in range(count)}
-    if token.startswith("transform:"):
-        m = re.fullmatch(r"k(\d+)", token[len("transform:"):])
-        if not m:
-            raise ParameterError(f"transform families look like "
-                                 f"transform:k4, got {token!r}")
-        n = int(m.group(1))
-        count = n * (n - 1) // 2
-        return {theta: transform(build_scheme(n, theta))
-                for theta in range(count)}
     if token.startswith("general:"):
         graph = _parse_graph(token[len("general:"):])
         return {theta: graph for theta in range(len(graph.edges))}
-    raise ParameterError(f"unknown audit family {token!r}; use kN, "
-                         f"transform:kN, or general:<graph>")
+    m = re.fullmatch(r"(transform:)?k(\d+)", token)
+    if not m:
+        raise ParameterError(f"unknown audit family {token!r}; use kN, "
+                             f"transform:kN, or general:<graph>")
+    n = int(m.group(2))
+    member = transform if m.group(1) else (lambda scheme: scheme)
+    return {theta: member(build_scheme(n, theta))
+            for theta in range(n * (n - 1) // 2)}
 
 
 def _cmd_audit(args):

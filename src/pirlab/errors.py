@@ -9,6 +9,8 @@ subclasses) to exit code 2, InfeasibleError to exit code 3 and
 InternalConsistencyError to exit code 4.  Constructors check their fields
 with `check_int`, `check_frac` and `check_combo`; a `from_json` only maps
 JSON to fields, with `server_key` for server keys, inside `malformed`.
+Every entry point that takes a parameter checks it with its rule's one
+check: `check_theta`, `check_q`, `check_replication`, `sequences.check_n`.
 """
 
 import re
@@ -42,6 +44,26 @@ def check_int(value, field):
     if type(value) is not int:
         raise ParameterError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def check_theta(theta, graph):
+    """Refuse a desired file that is not one of `graph`'s file ids."""
+    m = len(graph.edges)
+    if not 0 <= check_int(theta, "theta") < m:
+        raise ParameterError(f"theta {theta} is not a file id (0..{m - 1})")
+
+
+def check_q(q):
+    """Refuse an alphabet size below 2, where no retrieval can fail."""
+    if check_int(q, "q") < 2:
+        raise ParameterError(f"alphabet size q must be an integer >= 2, "
+                             f"got {q}")
+
+
+def check_replication(r):
+    """Refuse a replication factor below 1."""
+    if check_int(r, "replication factor") < 1:
+        raise ParameterError(f"replication factor must be >= 1, got {r}")
 
 
 def check_frac(value, field):

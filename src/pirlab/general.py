@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import (ParameterError, UnsupportedSizeError, check_combo,
-                     check_int, malformed, server_key)
+                     check_int, check_q, check_theta, malformed, server_key)
 from .graphs import Graph
 
 DISTRIBUTION_DEGREE_CAP = 12
@@ -34,13 +34,12 @@ class GeneralScheme:
     queries: dict
 
     def __post_init__(self):
-        check_int(self.theta, "theta")
-        check_int(self.q, "q")
+        check_theta(self.theta, self.graph)
+        check_q(self.q)
         object.__setattr__(self, "mu",
                            tuple(check_int(b, "mu bit") for b in self.mu))
         object.__setattr__(self, "lam",
                            tuple(check_int(b, "lam bit") for b in self.lam))
-        _check_theta_q(self.graph, self.theta, self.q)
         _check_bits(self.graph, self.mu, self.lam)
         queries = {check_int(v, "server"): check_combo(combo, v)
                    for v, combo in dict(self.queries).items()}
@@ -69,15 +68,6 @@ class GeneralScheme:
                        lam=doc["lam"],
                        queries={server_key(v): combo
                                 for v, combo in doc["queries"].items()})
-
-
-def _check_theta_q(graph, theta, q):
-    m = len(graph.edges)
-    if not 0 <= theta < m:
-        raise ParameterError(f"theta {theta} is not a file id (0..{m - 1})")
-    if not isinstance(q, int) or q < 2:
-        raise ParameterError(f"alphabet size q must be an integer >= 2, "
-                             f"got {q}")
 
 
 def _check_bits(graph, mu, lam):
@@ -112,16 +102,13 @@ def build_general_query(graph, theta, mu, lam, q=2):
     """Assemble per-server query combos from explicit randomness bits."""
     mu, lam = tuple(mu), tuple(lam)
     _check_bits(graph, mu, lam)  # before they are indexed by file id
-    queries = {v: [] for v in graph.servers}
-    for fid in graph.files:
-        lo, hi = graph.endpoints(fid)
-        for v, at_lower in ((lo, True), (hi, False)):
-            term = _query_term(fid, theta, at_lower, mu[fid], lam[fid], q)
-            if term is not None:
-                queries[v].append(term)
+    queries = {}
+    for v in graph.servers:  # copies come in file-id order, so sorted
+        terms = (_query_term(fid, theta, at_lower, mu[fid], lam[fid], q)
+                 for fid, at_lower in graph.copies(v))
+        queries[v] = tuple(term for term in terms if term is not None)
     return GeneralScheme(graph=graph, theta=theta, q=q, mu=mu, lam=lam,
-                         queries={v: tuple(sorted(combo))
-                                  for v, combo in queries.items()})
+                         queries=queries)
 
 
 def random_general_scheme(graph, theta, rng, q=2):
@@ -140,7 +127,8 @@ def sample_combo_counts(graph, theta, trials, rng, q=2):
     counts the bit patterns of its own files, and each distinct pattern is
     turned into a combo once.  Returns {server: Counter(combo -> count)}.
     """
-    _check_theta_q(graph, theta, q)
+    check_theta(theta, graph)
+    check_q(q)
     m = len(graph.edges)
     draw = rng.randrange
     servers = []
@@ -212,7 +200,8 @@ def answer_distribution(graph, theta, server, q=2):
     identical for every theta, which is the privacy statement in exact
     form.
     """
-    _check_theta_q(graph, theta, q)
+    check_theta(theta, graph)
+    check_q(q)
     if server not in graph.servers:
         raise ParameterError(f"server {server} is not a vertex")
     copies = graph.copies(server)

@@ -9,7 +9,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, UnsupportedSizeError, check_int, malformed
+from .errors import (ParameterError, UnsupportedSizeError, check_int,
+                     check_replication, malformed)
 
 MATCHING_FILE_CAP = 64
 
@@ -54,14 +55,14 @@ class Graph:
         return range(len(self.edges))
 
     def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
+        return len(self._copies.get(v, ()))
 
     def max_degree(self):
-        return max((self.degree(v) for v in self.servers), default=0)
+        return max(map(len, self._copies.values()), default=0)
 
     def incident(self, v):
         """File ids stored at server v, in file-id order."""
-        return tuple(i for i, e in enumerate(self.edges) if v in e)
+        return tuple(fid for fid, _ in self._copies.get(v, ()))
 
     def endpoints(self, file_id):
         try:
@@ -107,8 +108,7 @@ class Graph:
 
     def extend(self, r):
         """Replicate every file r times (replication-r multigraph)."""
-        if not isinstance(r, int) or r < 1:
-            raise ParameterError(f"replication factor must be >= 1, got {r}")
+        check_replication(r)
         edges = tuple(e for e in self.edges for _ in range(r))
         return Graph(self.n, edges, multigraph=True)
 

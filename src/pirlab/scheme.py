@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
 
 from .errors import (ParameterError, check_combo, check_frac, check_int,
-                     malformed, server_key)
+                     check_theta, malformed, server_key)
 from .graphs import Graph
 from .render import frac_str
 
@@ -103,8 +103,7 @@ class DeterministicScheme:
     side_info: tuple = ()
 
     def __post_init__(self):
-        if not 0 <= check_int(self.theta, "theta") < len(self.graph.edges):
-            raise ParameterError(f"theta {self.theta} is not a file id")
+        check_theta(self.theta, self.graph)
         if check_int(self.L, "L") < 1:
             raise ParameterError(f"subpacketization must be >= 1, got {self.L}")
         queries = {check_int(srv, "server"): tuple(rows)
@@ -215,8 +214,7 @@ class ProbabilisticScheme:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        if not 0 <= check_int(self.theta, "theta") < len(self.graph.edges):
-            raise ParameterError(f"theta {self.theta} is not a file id")
+        check_theta(self.theta, self.graph)
         # numerators summed per denominator: one pass, and few Fraction
         # additions, since rows tend to share a denominator
         mass = defaultdict(int)

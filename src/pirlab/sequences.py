@@ -18,16 +18,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InternalConsistencyError, ParameterError,
-                     UnsupportedSizeError)
+                     UnsupportedSizeError, check_int)
 
 BUILDER_CAP = 8  # explicit scheme emission is supported up to n = 8
 BOUNDS_CAP = 500  # largest n of the sequences and of a bound table
 
 
-def _check_n(n):
-    if not isinstance(n, int) or n < 3:
-        raise ParameterError(f"construction needs an integer n >= 3, got {n}")
-    if n > BOUNDS_CAP:
+def check_n(n):
+    """`n` when it is an integer >= 3, the K_n sizes the paper covers."""
+    if check_int(n, "n") < 3:
+        raise ParameterError(f"K_n needs n >= 3, got {n}")
+    return n
+
+
+def _check_size(n):
+    if check_n(n) > BOUNDS_CAP:
         raise UnsupportedSizeError(f"sequences stop at n = {BOUNDS_CAP}, "
                                    f"got n = {n}")
 
@@ -54,7 +59,7 @@ def _scaled_xz(n):
     k0 on z is zero, so x_k is x_{k0-1} + z_{k0-1} times the running
     product of (i-1)/(2i-n) over i = k0..k.
     """
-    _check_n(n)
+    _check_size(n)
     k0 = n // 2 + 2
     x = {1: (1, 1)}
     z = {1: (1, 1)}
@@ -88,7 +93,7 @@ def _raw_sequences(n):
 
 def closed_form_x(n, k):
     """Direct evaluation of x_k (independent of the recursion)."""
-    _check_n(n)
+    _check_size(n)
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k must be in 1..{n - 1}, got {k}")
     k0 = n // 2 + 2
@@ -119,18 +124,15 @@ def closed_form_x(n, k):
 @dataclass(frozen=True)
 class StepCounts:
     k: int
-    case: int
     alpha_per: Fraction
     alpha_realizations: int
     beta_per: Fraction
     beta_realizations: int
-    beta_per_iT: Fraction
     gamma_per: Fraction
     gamma_realizations: int
     zeta_per: Fraction
     zeta_realizations: int
     leftover_per_type: Fraction
-    leftover_types: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,7 +142,6 @@ def step_ledger(n):
     zero = Fraction(0)
     out = []
     for k in range(2, n):
-        case = 1 if k < k0 else 2
         pairs = 2 * math.comb(n - 2, k - 1)  # (desired server, helper set)
 
         alpha_per = z[k - 1]
@@ -156,12 +157,11 @@ def step_ledger(n):
                 beta_total = (Fraction(n - 2) * math.comb(n - 3, k - 3)
                               * y[k - 1] / (k - 2))
             beta_per = beta_total / beta_realizations
-            beta_per_iT = beta_total / pairs
         else:
-            beta_per = beta_per_iT = zero
+            beta_total = beta_per = zero
             beta_realizations = 0
 
-        gamma_per = x[k - 1] - beta_per_iT
+        gamma_per = x[k - 1] - beta_total / pairs
         if gamma_per < 0:
             raise InternalConsistencyError(
                 f"negative gamma supply at n={n} k={k}")
@@ -169,28 +169,25 @@ def step_ledger(n):
 
         if k <= n - 2:
             zeta_realizations = pairs * (n - 1 - k)
-            if case == 1:
+            if k < k0:
                 zeta_per = x[k - 1] / 2
             else:
                 zeta_per = (x[k - 1] + z[k - 1]) / (2 * k - n)
             leftover_per_type = x[k - 1] - 2 * zeta_per
-            leftover_types = (n - 2) * math.comb(n - 3, k - 1)
             if leftover_per_type < 0:
                 raise InternalConsistencyError(
                     f"over-consumed side types at n={n} k={k}")
         else:
             zeta_per = leftover_per_type = zero
-            zeta_realizations = leftover_types = 0
+            zeta_realizations = 0
 
         out.append(StepCounts(
-            k=k, case=case,
+            k=k,
             alpha_per=alpha_per, alpha_realizations=alpha_realizations,
             beta_per=beta_per, beta_realizations=beta_realizations,
-            beta_per_iT=beta_per_iT,
             gamma_per=gamma_per, gamma_realizations=gamma_realizations,
             zeta_per=zeta_per, zeta_realizations=zeta_realizations,
             leftover_per_type=leftover_per_type,
-            leftover_types=leftover_types,
         ))
     return tuple(out)
 

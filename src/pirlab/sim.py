@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import ParameterError
-from .general import answer_distribution, sample_combo_counts
+from .errors import ParameterError, check_q
+from .general import GeneralScheme, answer_distribution, sample_combo_counts
 from .graphs import Graph
 from .patterns import extract_patterns
 from .scheme import DeterministicScheme, ProbabilisticScheme
@@ -60,6 +60,7 @@ class Storage:
 
 
 def random_storage(graph, q, L, rng):
+    check_q(q)
     contents = tuple(tuple(rng.randrange(q) for _ in range(L))
                      for _ in graph.files)
     return Storage(graph=graph, q=q, L=L, contents=contents)
@@ -210,16 +211,34 @@ def _tv(d1, d2):
     return sum(abs(d1.get(k, 0) - d2.get(k, 0)) for k in keys) / 2
 
 
+# the member kinds each audit mode reads
+AUDIT_MEMBERS = {
+    "structural": (DeterministicScheme,),
+    "distributional": (ProbabilisticScheme, GeneralScheme, Graph),
+    "statistical": (Graph,),
+}
+
+
 def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
     """Compare what each server observes across all desired files.
 
-    `schemes` maps each desired file to the object queried under it: a
-    DeterministicScheme (structural), a ProbabilisticScheme or randomized
-    single-symbol scheme (distributional), or a Graph to sample fresh
-    randomized schemes from (statistical).
+    `schemes` maps each desired file to the object queried under it, of a
+    kind AUDIT_MEMBERS lists for the mode.  A Graph is randomized over with
+    alphabet size `q`; a GeneralScheme brings its own graph, desired file
+    and q.
     """
     if not schemes:
         raise ParameterError("the audit family has no desired files")
+    if mode not in AUDIT_MEMBERS:
+        raise ParameterError(f"unknown audit mode {mode!r}")
+    for member in schemes.values():
+        if not isinstance(member, AUDIT_MEMBERS[mode]):
+            kinds = " or ".join(k.__name__ for k in AUDIT_MEMBERS[mode])
+            raise ParameterError(f"a {mode} audit reads {kinds} members, "
+                                 f"got a {type(member).__name__}")
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+        raise ParameterError(f"epsilon must be a finite number > 0, "
+                             f"got {epsilon}")
     thetas = sorted(schemes)
     if mode == "structural":
         shapes = {}
@@ -235,10 +254,7 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
         dists = {}
         for theta in thetas:
             s = schemes[theta]
-            if isinstance(s, Graph):
-                per = {srv: answer_distribution(s, theta, srv, q=q)
-                       for srv in s.servers}
-            elif isinstance(s, ProbabilisticScheme):
+            if isinstance(s, ProbabilisticScheme):
                 per = {}
                 for srv in s.graph.servers:
                     d = defaultdict(Fraction)
@@ -247,8 +263,10 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
                         d[() if combo is None else combo] += row.p
                     per[srv] = dict(d)
             else:
-                per = {srv: answer_distribution(s.graph, s.theta, srv, q=s.q)
-                       for srv in s.graph.servers}
+                graph, desired, size = (s, theta, q) if isinstance(s, Graph) \
+                    else (s.graph, s.theta, s.q)
+                per = {srv: answer_distribution(graph, desired, srv, q=size)
+                       for srv in graph.servers}
             dists[theta] = per
         worst = Fraction(0)
         for t in thetas[1:]:
@@ -286,8 +304,6 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
         worst = float(Fraction(widest_gap, 2 * trials))
         return AuditReport(ok=worst < epsilon, mode=mode,
                            max_deviation=worst, epsilon=epsilon)
-
-    raise ParameterError(f"unknown audit mode {mode!r}")
 
 
 def _check_trials(trials, rng, mode):

@@ -22,7 +22,8 @@ from pirlab.bounds import (
     upper_bound_complete,
 )
 from pirlab.graphs import make_graph
-from pirlab.sequences import rate
+from pirlab.builder import build_scheme
+from pirlab.sequences import build_sequences, closed_form_x, rate
 from pirlab.render import decimal_str
 from pirlab.errors import ParameterError, UnsupportedSizeError
 
@@ -55,6 +56,32 @@ def test_upper_complete_running_sum_matches_direct_sum():
 def test_upper_complete_rejects_small_n():
     with pytest.raises(ParameterError):
         upper_bound_complete(2)
+
+
+@pytest.mark.parametrize("n,message", [
+    (2, "K_n needs n >= 3, got 2"),
+    (-3, "K_n needs n >= 3, got -3"),
+    (3.5, "n must be an integer, got 3.5"),
+    (True, "n must be an integer, got True"),
+])
+def test_n_rule_has_one_text(n, message):
+    for call in (upper_bound_complete, prior_bounds_complete, build_scheme,
+                 build_sequences, rate, lambda n: closed_form_x(n, 1)):
+        with pytest.raises(ParameterError) as exc:
+            call(n)
+        assert str(exc.value) == message, call
+
+
+@pytest.mark.parametrize("r,message", [
+    (0, "replication factor must be >= 1, got 0"),
+    (1.5, "replication factor must be an integer, got 1.5"),
+])
+def test_replication_rule_has_one_text(r, message):
+    for call in (make_graph("complete", [3]).extend,
+                 lambda r: multigraph_lower_bound(F(1, 2), r)):
+        with pytest.raises(ParameterError) as exc:
+            call(r)
+        assert str(exc.value) == message
 
 
 def test_upper_complete_coefficient_asymptote():

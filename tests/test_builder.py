@@ -6,12 +6,14 @@ hand from the subscript rules before implementation.
 """
 
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from pirlab.builder import build_scheme, class_counts, verify_scheme
 from pirlab.scheme import Summation
+from pirlab.sim import random_storage, run_deterministic_trial
 from pirlab.sequences import (answer_count, build_sequences, step_ledger,
                               subpacketization)
 from pirlab.errors import ParameterError, UnsupportedSizeError
@@ -191,6 +193,26 @@ def test_verify_refuses_graphs_that_are_not_complete(star4_scheme):
     # the K_n ledgers would report 17 false violations on this valid scheme
     with pytest.raises(ParameterError, match="complete graphs"):
         verify_scheme(star4_scheme)
+
+
+def test_verify_compares_carried_patterns_with_the_rows():
+    s = build_scheme(4, 0)
+    patterns = list(s.patterns)
+    first, sixth = patterns[0], patterns[5]
+    patterns[0] = dataclasses.replace(first, selections=sixth.selections)
+    patterns[5] = dataclasses.replace(sixth, selections=first.selections)
+    swapped = s.replace(patterns=tuple(patterns))
+    assert not run_deterministic_trial(
+        swapped, random_storage(s.graph, 2, s.L, random.Random(1))).ok
+    report = _verify_rejects(swapped, "carried patterns differ")
+    assert report.violations == ("carried patterns differ from the ones "
+                                 "the rows give",)
+
+
+def test_verify_compares_carried_side_info_with_the_rows():
+    s = build_scheme(4, 0)
+    _verify_rejects(s.replace(side_info=((1, 0),)),
+                    "carried side information differs")
 
 
 def test_verify_needs_patterns():

@@ -593,6 +593,58 @@ def test_audit_bad_family(capsys):
     assert err
 
 
+_STATISTICAL = ["--mode", "statistical", "--trials", "5", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    # an audit mode reads one kind of family member
+    (["audit", "--family", "k3", *_STATISTICAL],
+     "error: a statistical audit reads Graph members, got a "
+     "DeterministicScheme"),
+    (["audit", "--family", "k3", "--mode", "distributional"],
+     "error: a distributional audit reads ProbabilisticScheme or "
+     "GeneralScheme or Graph members, got a DeterministicScheme"),
+    (["audit", "--family", "transform:k3", "--mode", "structural"],
+     "error: a structural audit reads DeterministicScheme members, got a "
+     "ProbabilisticScheme"),
+    (["audit", "--family", "general:star:3", "--mode", "structural"],
+     "error: a structural audit reads DeterministicScheme members, got a "
+     "Graph"),
+    # a threshold that no deviation can meet, or one that is not JSON
+    (["audit", "--family", "general:star:3", *_STATISTICAL,
+      "--epsilon", "nan"],
+     "error: epsilon must be a finite number > 0, got nan"),
+    (["audit", "--family", "general:star:3", *_STATISTICAL,
+      "--epsilon", "-1"],
+     "error: epsilon must be a finite number > 0, got -1.0"),
+    (["audit", "--family", "general:star:3", *_STATISTICAL,
+      "--epsilon", "1e999"],
+     "error: epsilon must be a finite number > 0, got inf"),
+    # one symbol per file gives a trial that cannot fail
+    (["simulate", "--scheme", "{det}", "--q", "0"],
+     "error: alphabet size q must be an integer >= 2, got 0"),
+    (["simulate", "--scheme", "{prob}", "--q", "-3"],
+     "error: alphabet size q must be an integer >= 2, got -3"),
+    (["simulate", "--scheme", "{det}", "--q", "1"],
+     "error: alphabet size q must be an integer >= 2, got 1"),
+    (["simulate", "--scheme", "{prob}", "--q", "1"],
+     "error: alphabet size q must be an integer >= 2, got 1"),
+    (["build", "--n", "3", "--theta", "7"],
+     "error: theta 7 is not a file id (0..2)"),
+], ids=["k3-statistical", "k3-distributional", "transform-structural",
+        "general-structural", "epsilon-nan", "epsilon-negative",
+        "epsilon-inf", "det-q0", "prob-q-3", "det-q1", "prob-q1",
+        "build-theta"])
+def test_bad_flags_exit_2(capsys, tmp_path, argv, message):
+    prob, _doc = _k3_prob_doc(capsys, tmp_path)
+    det = FIXTURES / "k3_scheme.json"
+    rc, out, err = run_cli(capsys, *(a.format(det=det, prob=prob)
+                                     for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == message
+
+
 # ============================================================
 # document format
 # ============================================================

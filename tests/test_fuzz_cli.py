@@ -8,6 +8,12 @@ prints exactly one `error:` line after the schema line.  A mutation that
 puts a non-integer where the document held an integer (other than a null
 optional `step`), or anything but a string or null in place of a pattern's
 `class`, makes the document malformed: it exits 2, never with an "ok".
+
+A second test fuzzes the flags instead: it draws a subcommand, one of its
+numeric flags set to 0, -3, 1, nan or a value too large for it, and for
+`audit` a family and a mode.  The exit code is 0, 2 or 3, an exit without
+a document prints exactly one `error:` line, and no `NaN` or `Infinity`
+reaches stdout.
 """
 
 import contextlib
@@ -20,6 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pirlab.builder import build_scheme
 from pirlab.cli import main
 from pirlab.graphs import make_graph
+from pirlab.sequences import BOUNDS_CAP, BUILDER_CAP
 from pirlab.transform import transform
 
 _SCHEME = build_scheme(3, 0)
@@ -94,3 +101,56 @@ def test_mutated_documents_exit_cleanly(tmp_path, data):
     if _malformed(key, old, new):
         assert rc == 2, (key, old, new)
         assert '"ok":true' not in out.getvalue()
+
+
+# per subcommand: its argv, and each numeric flag with a value too large
+# for it (trials has no cap, so its large value is only large)
+_FLAG_COMMANDS = {
+    "bounds": (["bounds"], {"--min": BOUNDS_CAP + 1,
+                            "--max": BOUNDS_CAP + 1}),
+    "sequences": (["sequences", "--n", "4"], {"--n": BOUNDS_CAP + 1}),
+    "build": (["build", "--n", "3"], {"--n": BUILDER_CAP + 1,
+                                      "--theta": 99}),
+    "general": (["general", "--graph", "complete:3", "--theta", "0",
+                 "--seed", "1"], {"--theta": 99, "--q": 2 ** 70,
+                                  "--r": 40}),
+    "simulate": (["simulate", "--scheme", "{doc}", "--seed", "1"],
+                 {"--q": 2 ** 70, "--trials": 2000}),
+    "audit": (["audit", "--family", "{family}", "--mode", "{mode}",
+               "--trials", "20", "--seed", "1"],
+              {"--q": 2 ** 70, "--trials": 2000, "--epsilon": "1e999"}),
+}
+_FAMILIES = ["k3", "transform:k3", "general:star:3", "general:complete:3"]
+_MODES = ["structural", "distributional", "statistical", "exact"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flag_values_exit_cleanly(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(_FLAG_COMMANDS)),
+                        label="command")
+    argv, large = _FLAG_COMMANDS[command]
+    flag = data.draw(st.sampled_from(sorted(large)), label="flag")
+    value = data.draw(st.sampled_from(["0", "-3", "1", "nan",
+                                       str(large[flag])]), label="value")
+    kind = data.draw(st.sampled_from(["scheme", "transform"]), label="doc")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_DOCS[kind]))
+    fields = {"doc": path,
+              "family": data.draw(st.sampled_from(_FAMILIES), label="family"),
+              "mode": data.draw(st.sampled_from(_MODES), label="mode")}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main([a.format(**fields) for a in argv] + [flag, value])
+        except SystemExit as exc:  # argparse refuses "nan" for an int flag
+            rc = exc.code
+    assert rc in (0, 2, 3)
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    if rc and not out.getvalue():
+        assert len(errors) == 1, err.getvalue()
+    else:  # a document; exit code 3 marks an audit that reports a breach
+        assert not errors, err.getvalue()
+        assert rc == 0 or '"ok":false' in out.getvalue()

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from pirlab.bounds import multigraph_lower_bound
+from pirlab.builder import build_scheme
 from pirlab.errors import ParameterError, UnsupportedSizeError
 from pirlab.general import (
     DISTRIBUTION_DEGREE_CAP,
@@ -20,6 +21,8 @@ from pirlab.general import (
     sample_combo_counts,
 )
 from pirlab.graphs import Graph, make_graph
+from pirlab.scheme import DeterministicScheme, ProbabilisticScheme
+from pirlab.sim import random_storage
 
 
 def _k3():
@@ -220,7 +223,10 @@ def test_checks_share_one_text_per_rule():
     k3 = _k3()
     for call in (lambda: answer_distribution(k3, 3, 1),
                  lambda: sample_combo_counts(k3, 3, 10, random.Random(1)),
-                 lambda: build_general_query(k3, 3, (0,) * 3, (0,) * 3)):
+                 lambda: build_general_query(k3, 3, (0,) * 3, (0,) * 3),
+                 lambda: build_scheme(3, 3),
+                 lambda: DeterministicScheme(k3, theta=3, L=1, queries={}),
+                 lambda: ProbabilisticScheme(k3, theta=3, rows=())):
         with pytest.raises(ParameterError,
                            match=r"^theta 3 is not a file id \(0\.\.2\)$"):
             call()
@@ -228,8 +234,21 @@ def test_checks_share_one_text_per_rule():
                  lambda: sample_combo_counts(k3, 0, 10, random.Random(1),
                                              q=1),
                  lambda: build_general_query(k3, 0, (0,) * 3, (0,) * 3,
-                                             q=1)):
+                                             q=1),
+                 lambda: random_storage(k3, 1, 6, random.Random(1))):
         with pytest.raises(ParameterError, match=r"^alphabet size q must "
                                                  r"be an integer >= 2, "
                                                  r"got 1$"):
             call()
+
+
+@pytest.mark.parametrize("theta", [1.0, 1.5, "1", True])
+def test_theta_must_be_an_int(theta):
+    star = make_graph("star", [4])
+    for call in (lambda: answer_distribution(star, theta, 1),
+                 lambda: build_scheme(4, theta),
+                 lambda: DeterministicScheme(star, theta=theta, L=1,
+                                             queries={})):
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert str(exc.value) == f"theta must be an integer, got {theta!r}"

@@ -120,6 +120,14 @@ def test_incident_files():
     assert g.endpoints(2) == (2, 3)
 
 
+def test_incidence_of_a_vertex_outside_the_graph():
+    g = make_graph("star", [3]).extend(2)
+    assert g.degree(1) == g.max_degree() == 6
+    for v in (0, 5, -1):
+        assert g.incident(v) == () and g.degree(v) == 0
+    assert Graph(2).max_degree() == 0
+
+
 def test_copies_follow_incident_files():
     g = make_graph("complete", [3]).extend(2)
     assert g.copies(1) == ((0, True), (1, True), (2, True), (3, True))

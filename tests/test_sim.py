@@ -168,6 +168,25 @@ def test_distributional_audit_on_general(pendant_triangle):
     assert report.ok
 
 
+def test_distributional_audit_reads_each_member_s_own_q(pendant_triangle):
+    zeros = (0,) * 4
+    schemes = {theta: build_general_query(pendant_triangle, theta, zeros,
+                                          zeros, q=3 if theta else 2)
+               for theta in range(4)}
+    report = privacy_audit(schemes, mode="distributional", q=3)
+    assert not report.ok and report.max_deviation > 0
+
+
+@pytest.mark.parametrize("epsilon", [0, -1, float("nan"), float("inf")])
+def test_statistical_audit_needs_a_finite_positive_epsilon(pendant_triangle,
+                                                           epsilon):
+    schemes = {theta: pendant_triangle for theta in range(4)}
+    with pytest.raises(ParameterError, match="^epsilon must be a finite "
+                                             "number > 0, got "):
+        privacy_audit(schemes, mode="statistical", trials=10,
+                      rng=random.Random(1), epsilon=epsilon)
+
+
 def test_statistical_audit(pendant_triangle):
     schemes = {theta: pendant_triangle for theta in range(4)}
     report = privacy_audit(schemes, mode="statistical", trials=20000,
