@@ -78,10 +78,17 @@ def _types(graph, theta, k):
 # the builder
 # ============================================================
 
-def build_scheme(n, theta=0):
+def check_build_n(n):
+    """`n` when the explicit construction reaches K_n, 3 <= n <= BUILDER_CAP;
+    callers check it before they make anything of size n."""
     if check_n(n) > BUILDER_CAP:
         raise UnsupportedSizeError(
             f"explicit construction is capped at n = {BUILDER_CAP}, got {n}")
+    return n
+
+
+def build_scheme(n, theta=0):
+    check_build_n(n)
     graph = make_graph("complete", [n])
     check_theta(theta, graph)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import bounds_table, render_table
-from .builder import build_scheme
+from .builder import build_scheme, check_build_n
 from .errors import (InfeasibleError, InternalConsistencyError,
                      ParameterError, check_q)
 from .general import general_rate, random_general_scheme
@@ -28,8 +28,9 @@ from .patterns import IndependenceError, check_srp, extract_patterns
 from .render import canonical_json, frac_str, meta_header
 from .scheme import DeterministicScheme, ProbabilisticScheme
 from .sequences import build_sequences, rate
-from .sim import (privacy_audit, random_permutations, random_storage,
-                  run_deterministic_trial, run_probabilistic_trials)
+from .sim import (check_audit_member, privacy_audit, random_permutations,
+                  random_storage, run_deterministic_trial,
+                  run_probabilistic_trials)
 from .transform import prob_rate, transform
 
 # stderr schema versions; transform is v2 because a row is one distinct
@@ -129,7 +130,7 @@ def _cmd_sequences(args):
 
 
 def _cmd_build(args):
-    graph = make_graph("complete", [args.n])
+    graph = make_graph("complete", [check_build_n(args.n)])
     theta = _parse_theta(args.theta, graph)
     scheme = build_scheme(args.n, theta)
     doc = scheme.to_json()
@@ -234,7 +235,9 @@ def _cmd_simulate(args):
     return 0
 
 
-def _family_schemes(token):
+def _family_schemes(token, mode):
+    """The audit family's members by desired file; a kN family is refused
+    before it is built when `mode` does not read its member kind."""
     if token.startswith("general:"):
         graph = _parse_graph(token[len("general:"):])
         return {theta: graph for theta in range(len(graph.edges))}
@@ -243,13 +246,17 @@ def _family_schemes(token):
         raise ParameterError(f"unknown audit family {token!r}; use kN, "
                              f"transform:kN, or general:<graph>")
     n = int(m.group(2))
+    files = range(n * (n - 1) // 2)
+    if files:  # an empty family is privacy_audit's to refuse
+        check_build_n(n)
+        check_audit_member(mode, ProbabilisticScheme if m.group(1)
+                           else DeterministicScheme)
     member = transform if m.group(1) else (lambda scheme: scheme)
-    return {theta: member(build_scheme(n, theta))
-            for theta in range(n * (n - 1) // 2)}
+    return {theta: member(build_scheme(n, theta)) for theta in files}
 
 
 def _cmd_audit(args):
-    schemes = _family_schemes(args.family)
+    schemes = _family_schemes(args.family, args.mode)
     rng = random.Random(args.seed) if args.seed is not None else None
     report = privacy_audit(schemes, mode=args.mode, trials=args.trials,
                            rng=rng, q=args.q, epsilon=args.epsilon)

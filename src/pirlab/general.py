@@ -7,12 +7,17 @@ desired one, which is deliberately included an odd number of times (its
 lower endpoint participates when mu is 1, the higher one when mu is 0).
 Each server only ever sees independent uniform bits, so the per-server
 answer distribution is identical for every desired file.
+
+The bits come from `random_bits`, which returns the bits of as many
+`rng.randrange(2)` calls, drawn in bulk, and leaves `rng` where those calls
+would.  That holds for a `random.Random` whose `getrandbits` is not
+overridden: `randrange(2)` then reads the top two bits of one 32-bit
+Mersenne Twister word per try.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import (ParameterError, UnsupportedSizeError, check_combo,
                      check_int, check_q, check_theta, malformed, server_key)
@@ -22,6 +27,11 @@ DISTRIBUTION_DEGREE_CAP = 12
 
 # sampled queries held in memory at once by sample_combo_counts
 _SAMPLE_BLOCK = 4096
+
+# random_bits: bit 6 of a word's top byte, for bytes.translate; a top byte
+# with bit 7 set is a word that randrange(2) rejects
+_BIT6 = bytes(b >> 6 & 1 for b in range(256))
+_REJECTED = bytes(range(128, 256))
 
 
 @dataclass(frozen=True)
@@ -111,52 +121,84 @@ def build_general_query(graph, theta, mu, lam, q=2):
                          queries=queries)
 
 
+def random_bits(rng, count):
+    """The bits of `count` calls of `rng.randrange(2)`, as bytes.
+
+    `rng` is left in the state those calls leave it in, for a
+    `random.Random` whose `getrandbits` is not overridden.  randrange(2)
+    reads getrandbits(2), the top two bits of one 32-bit word, and reads
+    again while they make 2 or 3; so each accepted word gives bit 30.
+    getrandbits(32 * w) returns the next w words, the first one least
+    significant.  A round draws one word per missing bit, and every call
+    reads at least one word, so no round reads past the last word the
+    calls would read.
+    """
+    bits = b""
+    while len(bits) < count:
+        words = count - len(bits)
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        bits += top.translate(_BIT6, _REJECTED)
+    return bits
+
+
 def random_general_scheme(graph, theta, rng, q=2):
     m = len(graph.edges)
-    mu = tuple(rng.randrange(2) for _ in range(m))
-    lam = tuple(rng.randrange(2) for _ in range(m))
-    return build_general_query(graph, theta, mu, lam, q=q)
+    bits = random_bits(rng, 2 * m)
+    return build_general_query(graph, theta, bits[:m], bits[m:], q=q)
 
 
 def sample_combo_counts(graph, theta, trials, rng, q=2):
     """Count each server's query combo over `trials` sampled queries.
 
-    Draws exactly the bits that `trials` calls of random_general_scheme
-    draw (per query, m randrange(2) for mu and then m for lam), so the RNG
-    stream is the same, but assembles no GeneralScheme.  Each server
-    counts the bit patterns of its own files, and each distinct pattern is
-    turned into a combo once.  Returns {server: Counter(combo -> count)}.
+    Draws the bits that `trials` calls of random_general_scheme draw (per
+    query, m for mu and then m for lam, through `random_bits`), so the RNG
+    stream is the same, but assembles no GeneralScheme.  For a
+    `random.Random` whose `getrandbits` is not overridden, those are the
+    bits and the final state of one `randrange(2)` call per bit.  Each
+    server counts the patterns of the bits its combo depends on: the mu
+    bit of each of its files, and the lam bit where lam changes the file's
+    term (never at q = 2).  Each distinct pattern is turned into a combo once.
+    Returns {server: Counter(combo -> count)}, combos in first-seen order.
     """
     check_theta(theta, graph)
     check_q(q)
     m = len(graph.edges)
-    draw = rng.randrange
+    width = 2 * m  # bits per query
     servers = []
     for v in graph.servers:
         copies = graph.copies(v)
-        fids = [fid for fid, _ in copies]
-        # a server's pattern: the mu bits of its files, then their lam bits
-        pick = itemgetter(*fids, *(m + fid for fid in fids)) if fids \
-            else (lambda bits: ())
-        terms = [[[_query_term(fid, theta, at_lower, mu_bit, lam_bit, q)
-                   for lam_bit in (0, 1)] for mu_bit in (0, 1)]
-                 for fid, at_lower in copies]
-        servers.append((v, pick, terms, Counter()))
+        # a pattern holds the mu bits of the server's files, then the lam
+        # bits that change a term; a file whose lam changes nothing reads
+        # the 0 appended to every pattern instead
+        offsets = [fid for fid, _ in copies]
+        readers = []
+        for mu_at, (fid, at_lower) in enumerate(copies):
+            table = [[_query_term(fid, theta, at_lower, mu_bit, lam_bit, q)
+                      for lam_bit in (0, 1)] for mu_bit in (0, 1)]
+            lam_at = -1
+            if any(row[0] != row[1] for row in table):
+                lam_at = len(offsets)
+                offsets.append(m + fid)
+            readers.append((table, mu_at, lam_at))
+        servers.append((v, offsets, readers, Counter()))
     done = 0
     while done < trials:
-        block = [[draw(2) for _ in range(2 * m)]
-                 for _ in range(min(_SAMPLE_BLOCK, trials - done))]
-        done += len(block)
-        for _v, pick, _terms, patterns in servers:
-            patterns.update(map(pick, block))
+        block = min(_SAMPLE_BLOCK, trials - done)
+        bits = random_bits(rng, block * width)
+        done += block
+        for _v, offsets, _readers, patterns in servers:
+            if offsets:
+                patterns.update(zip(*[bits[i::width] for i in offsets]))
+            else:
+                patterns[()] += block
 
     counts = {}
-    for v, _pick, terms, patterns in servers:
-        deg = len(terms)
+    for v, _offsets, readers, patterns in servers:
         combos = counts[v] = Counter()
-        for bits, count in patterns.items():
-            combo = (table[mu_bit][lam_bit] for table, mu_bit, lam_bit
-                     in zip(terms, bits[:deg], bits[deg:]))
+        for pattern, count in patterns.items():
+            bits = pattern + (0,)
+            combo = (table[bits[mu_at]][bits[lam_at]]
+                     for table, mu_at, lam_at in readers)
             combos[tuple(t for t in combo if t is not None)] += count
     return counts
 

@@ -9,8 +9,11 @@ float draw to a Fraction (exactly) and bisects the cumulative row
 probabilities, so it picks the first row whose edge exceeds the draw in
 O(log rows) comparisons.  The statistical audit counts each server's
 combo straight from the sampled (mu, lam) bits, in integers, and builds
-no scheme per query; it consumes the same random stream as drawing one
-`random_general_scheme` per query.
+no scheme per query.  It draws those bits in bulk through
+`general.random_bits`, as `random_general_scheme` does, so it consumes
+the same random stream as drawing one `random_general_scheme` per query,
+and the bits equal per-call `randrange(2)` draws for a `random.Random`
+whose `getrandbits` is not overridden.
 
 Privacy audits come in three strengths:
 
@@ -49,14 +52,23 @@ class Storage:
     contents: tuple  # one tuple of L symbols per file
 
     def __post_init__(self):
-        object.__setattr__(self, "contents",
-                           tuple(tuple(int(x) for x in row)
-                                 for row in self.contents))
-        if len(self.contents) != len(self.graph.edges):
+        check_q(self.q)
+        contents = tuple(map(tuple, self.contents))
+        object.__setattr__(self, "contents", contents)
+        if len(contents) != len(self.graph.edges):
             raise ParameterError("storage must hold one row per file")
-        if any(len(row) != self.L for row in self.contents):
-            raise ParameterError(f"every file must split into exactly "
-                                 f"{self.L} subfiles")
+        for fid, row in enumerate(contents):
+            if len(row) != self.L:
+                raise ParameterError(f"every file must split into exactly "
+                                     f"{self.L} subfiles")
+            # whole-row checks; a bool or float symbol fails the type set
+            if row and not (set(map(type, row)) == {int}
+                            and min(row) >= 0 and max(row) < self.q):
+                bad = next(x for x in row
+                           if type(x) is not int or not 0 <= x < self.q)
+                raise ParameterError(f"file {fid} holds symbol {bad!r}; "
+                                     f"symbols must be ints in "
+                                     f"0..{self.q - 1}")
 
 
 def random_storage(graph, q, L, rng):
@@ -219,6 +231,16 @@ AUDIT_MEMBERS = {
 }
 
 
+def check_audit_member(mode, kind):
+    """Refuse an unknown audit mode, or members of a kind it does not read."""
+    if mode not in AUDIT_MEMBERS:
+        raise ParameterError(f"unknown audit mode {mode!r}")
+    if not issubclass(kind, AUDIT_MEMBERS[mode]):
+        kinds = " or ".join(k.__name__ for k in AUDIT_MEMBERS[mode])
+        raise ParameterError(f"a {mode} audit reads {kinds} members, "
+                             f"got a {kind.__name__}")
+
+
 def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
     """Compare what each server observes across all desired files.
 
@@ -229,13 +251,8 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
     """
     if not schemes:
         raise ParameterError("the audit family has no desired files")
-    if mode not in AUDIT_MEMBERS:
-        raise ParameterError(f"unknown audit mode {mode!r}")
     for member in schemes.values():
-        if not isinstance(member, AUDIT_MEMBERS[mode]):
-            kinds = " or ".join(k.__name__ for k in AUDIT_MEMBERS[mode])
-            raise ParameterError(f"a {mode} audit reads {kinds} members, "
-                                 f"got a {type(member).__name__}")
+        check_audit_member(mode, type(member))
     if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
         raise ParameterError(f"epsilon must be a finite number > 0, "
                              f"got {epsilon}")

@@ -3,9 +3,10 @@
 These are the direct forms that `pirlab.general` and `pirlab.sim` replace:
 the 4^degree enumeration of one server's answer distribution, the linear
 scan that picks a probabilistic row for each draw, and the statistical
-audit that builds every server's query for each sampled (mu, lam) and sums
-`Fraction` frequencies.  Tests compare the package against them on the
-same inputs and seeds, down to the RNG state afterwards.
+audit that draws each (mu, lam) bit with its own randrange(2), builds
+every server's query for it and sums `Fraction` frequencies.  Tests
+compare the package against them on the same inputs and seeds, down to
+the RNG state afterwards.
 """
 
 import math
@@ -96,6 +97,20 @@ def _tv(d1, d2):
     return sum(abs(d1.get(k, 0) - d2.get(k, 0)) for k in keys) / 2
 
 
+def reference_combo_counts(graph, theta, trials, rng, q=2):
+    """Each server's Counter of query combos over `trials` queries, each
+    drawn with 2m per-call randrange(2) (mu, then lam) and built whole."""
+    m = len(graph.edges)
+    per = defaultdict(Counter)
+    for _ in range(trials):
+        mu = tuple(rng.randrange(2) for _ in range(m))
+        lam = tuple(rng.randrange(2) for _ in range(m))
+        queries = reference_queries(graph, theta, mu, lam, q=q)
+        for srv, combo in queries.items():
+            per[srv][combo] += 1
+    return dict(per)
+
+
 def reference_statistical_audit(schemes, trials, rng, q=2, epsilon=None):
     """Statistical mode of `privacy_audit`, one full query per sample."""
     if not trials or rng is None:
@@ -104,15 +119,7 @@ def reference_statistical_audit(schemes, trials, rng, q=2, epsilon=None):
     empirical = {}
     support = defaultdict(set)
     for theta in thetas:
-        graph = schemes[theta]
-        m = len(graph.edges)
-        per = defaultdict(Counter)
-        for _ in range(trials):
-            mu = tuple(rng.randrange(2) for _ in range(m))
-            lam = tuple(rng.randrange(2) for _ in range(m))
-            queries = reference_queries(graph, theta, mu, lam, q=q)
-            for srv, combo in queries.items():
-                per[srv][combo] += 1
+        per = reference_combo_counts(schemes[theta], theta, trials, rng, q=q)
         empirical[theta] = {
             srv: {combo: Fraction(cnt, trials)
                   for combo, cnt in counter.items()}

@@ -10,6 +10,7 @@ import pytest
 
 import pirlab
 from pirlab.bounds import BOUNDS_CAP
+from pirlab import cli
 from pirlab.cli import main
 from pirlab.errors import InternalConsistencyError
 
@@ -130,6 +131,18 @@ def test_build_over_cap(capsys):
     rc, _, err = run_cli(capsys, "build", "--n", "9")
     assert rc == 2
     assert err
+
+
+def test_build_refuses_n_over_cap_before_making_the_graph(capsys,
+                                                          monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("K_n was made before the cap check")
+    monkeypatch.setattr(cli, "make_graph", no_graph)
+    rc, out, err = run_cli(capsys, "build", "--n", "100000")
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == \
+        "error: explicit construction is capped at n = 8, got 100000"
 
 
 def test_build_deterministic_bytes(capsys):
@@ -594,6 +607,27 @@ def test_audit_bad_family(capsys):
 
 
 _STATISTICAL = ["--mode", "statistical", "--trials", "5", "--seed", "1"]
+
+
+@pytest.mark.parametrize("family,mode,message", [
+    ("transform:k7", "structural",
+     "error: a structural audit reads DeterministicScheme members, got a "
+     "ProbabilisticScheme"),
+    ("k7", "statistical",
+     "error: a statistical audit reads Graph members, got a "
+     "DeterministicScheme"),
+    ("k7", "exact", "error: unknown audit mode 'exact'"),
+])
+def test_audit_refuses_the_mode_before_building(capsys, monkeypatch, family,
+                                                mode, message):
+    def no_build(*args):
+        raise AssertionError("a scheme was built before the mode check")
+    monkeypatch.setattr(cli, "build_scheme", no_build)
+    rc, out, err = run_cli(capsys, "audit", "--family", family,
+                           "--mode", mode, "--trials", "5", "--seed", "1")
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == message
 
 
 @pytest.mark.parametrize("argv,message", [

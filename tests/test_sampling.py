@@ -2,9 +2,9 @@
 
 `answer_distribution` multiplies per-file marginals, sampled trials bisect
 the cumulative row probabilities, and the statistical audit counts combos
-from the drawn bits.  Each is checked against the direct form it replaced
-(`reference_general`): same values, same dict order, same RNG state.  The
-digests pin CLI stdout as produced by the direct forms (re-rendered with
+from bits that `random_bits` draws in bulk.  Each is checked against the
+direct form it replaced (`reference_general`): same values, same dict
+order, same RNG state.  The digests pin CLI stdout as produced by the direct forms (re-rendered with
 json.dumps(indent=2), the form it was recorded in); the K4 `simulate` pins
 of that time read a per-pattern transform document (`reference_transform`),
 and SIMULATE_K4_MERGED_SHA256 pins the same runs on today's merged one.
@@ -18,7 +18,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pirlab import cli
 from pirlab.builder import build_scheme
-from pirlab.general import answer_distribution
+from pirlab.general import (answer_distribution, random_bits,
+                            random_general_scheme, sample_combo_counts)
 from pirlab.graphs import Graph, make_graph
 from pirlab.scheme import ProbabilisticScheme, ProbRow
 from pirlab.sim import privacy_audit, run_probabilistic_trials
@@ -26,7 +27,9 @@ from pirlab.transform import transform
 
 from conftest import indented_sha256
 from reference_general import (
+    reference_combo_counts,
     reference_distribution,
+    reference_queries,
     reference_sample_trials,
     reference_statistical_audit,
 )
@@ -69,6 +72,47 @@ def test_factored_distribution_matches_enumeration(q, graph):
 # ============================================================
 # statistical audit
 # ============================================================
+
+@pytest.mark.parametrize("count", [0, 1, 2, 31, 33, 9001])
+def test_random_bits_match_per_call_draws(count):
+    for seed in (0, 1, 2, 3, 4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert random_bits(rng, count) == \
+            bytes([ref_rng.randrange(2) for _ in range(count)])
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("spec", AUDIT_GRAPHS)
+def test_random_general_scheme_matches_per_call_draws(spec):
+    graph = cli._parse_graph(spec)
+    m = len(graph.edges)
+    rng, ref_rng = random.Random(9), random.Random(9)
+    for theta in graph.files:
+        scheme = random_general_scheme(graph, theta, rng, q=3)
+        mu = tuple(ref_rng.randrange(2) for _ in range(m))
+        lam = tuple(ref_rng.randrange(2) for _ in range(m))
+        assert (scheme.mu, scheme.lam) == (mu, lam)
+        assert scheme.queries == reference_queries(graph, theta, mu, lam,
+                                                   q=3)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("q", [2, 3, 257])
+def test_combo_counts_match_reference(q):
+    # server 4 stores one file (the pendant edge) and server 5 none
+    graph = Graph(5, ((1, 2), (1, 3), (2, 3), (1, 4)))
+    for theta in graph.files:
+        for trials in (300, 4500) if theta == 3 else (300,):
+            rng, ref_rng = random.Random(theta), random.Random(theta)
+            got = sample_combo_counts(graph, theta, trials, rng, q=q)
+            want = reference_combo_counts(graph, theta, trials, ref_rng,
+                                          q=q)
+            assert got == want
+            assert list(got) == list(want)
+            assert [list(c) for c in got.values()] == \
+                [list(c) for c in want.values()]
+            assert rng.getstate() == ref_rng.getstate()
+
 
 def _family(spec):
     graph = cli._parse_graph(spec)

@@ -13,6 +13,7 @@ from pirlab.graphs import Graph, make_graph
 from pirlab.scheme import Summation
 from pirlab.sequences import rate
 from pirlab.sim import (
+    Storage,
     privacy_audit,
     random_permutations,
     random_storage,
@@ -61,6 +62,21 @@ def test_trial_detects_corruption():
     bad[3] = tuple(rows)
     report = run_deterministic_trial(s.replace(queries=bad), storage)
     assert not report.ok
+
+
+@pytest.mark.parametrize("symbol,shown", [
+    (1.0, "1.0"), (True, "True"), (5, "5"), (-1, "-1")],
+    ids=["float", "bool", "q", "negative"])
+def test_storage_symbols_are_ints_below_q(symbol, shown):
+    graph = make_graph("complete", [3])
+    contents = [[0, 1, 2], [4, 3, 2], [1, 1, 1]]
+    assert Storage(graph, q=5, L=3, contents=contents).contents == \
+        ((0, 1, 2), (4, 3, 2), (1, 1, 1))
+    contents[1][2] = symbol
+    with pytest.raises(ParameterError) as exc:
+        Storage(graph, q=5, L=3, contents=contents)
+    assert str(exc.value) == \
+        f"file 1 holds symbol {shown}; symbols must be ints in 0..4"
 
 
 # ============================================================
