@@ -8,19 +8,22 @@ emits four pattern classes per desired endpoint i and helper set T:
   gamma  both endpoints participate and every helper answers a fresh k-sum,
   zeta   one non-endpoint server contributes an all-overlap summation.
 
-One table drives steps 2..n-1: each class lists its variants for a helper
-set T (beta: the helper left out of the matching and the matching; zeta:
-the overlap server) and gives the rows one variant creates and consumes.
-The loop builds those rows once per variant and hands them to `emit` with
-the ledger's copy count, in class order alpha, beta, gamma, zeta; `emit`
-books the variant's inventory once for all its copies, then writes them.
+`class_plan` is the bookkeeping.  One table drives steps 2..n-1: each
+class lists its variants for a helper set T (beta: the helper left out of
+the matching and the matching; zeta: the overlap server) and gives the
+rows one variant creates and consumes.  The plan returns the variants
+`(step, cls, copies, new_rows, old_rows)` in emission order (class order
+alpha, beta, gamma, zeta) with the ledger's copy count, and the pool of
+rows no pattern consumed.  `build_scheme` only writes: the rows and
+pattern of every copy, then the pool as side information.
 
 Bookkeeping invariant: after step k, every k-subset of the non-desired
 files stored at a server accounts for exactly x_k * M summations of that
 shape — some already materialized inside step-k patterns, the rest pooled
 for later consumption (or, once the late-regime cap binds, left over as
 side information).  `_types` enumerates those (server, k-subset) types
-once, for both the build's inventory and `verify_scheme`'s quota check.
+once and `_quota` gives x_k * M, for both the plan's inventory and
+`verify_scheme`'s quota check.
 Subfile subscripts come from global per-file pattern counters, in
 emission order: a pattern bumps the counter of every file it touches, and
 all terms of that file inside the pattern share the new value.  The top
@@ -31,7 +34,6 @@ leftover side information continues from it.
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (InternalConsistencyError, ParameterError,
                      UnsupportedSizeError, check_theta)
@@ -74,6 +76,11 @@ def _types(graph, theta, k):
             yield v, frozenset(combo)
 
 
+def _quota(led, k):
+    """x_k * M: the rows every size-k type holds once step k is done."""
+    return _as_int(led.x[k] * led.m_scale, f"x_{k} M")
+
+
 # ============================================================
 # the builder
 # ============================================================
@@ -87,28 +94,27 @@ def check_build_n(n):
     return n
 
 
-def build_scheme(n, theta=0):
-    check_build_n(n)
-    graph = make_graph("complete", [n])
-    check_theta(theta, graph)
+def class_plan(graph, theta, led):
+    """The construction's class variants and its leftover rows.
 
-    led = build_sequences(n)
+    Returns `(variants, pool)`: every `(step, cls, copies, new_rows,
+    old_rows)` in emission order, where the row dicts map a server to its
+    frozenset of files, and the pool mapping each (server, fileset) type
+    to the copies no pattern consumed.  The inventory is checked as it is
+    booked; a ledger that does not balance raises InternalConsistencyError.
+    """
     m = led.m_scale
-    big_l = led.subpacketization
     t1, t2 = graph.endpoints(theta)
     helpers = tuple(v for v in graph.servers if v not in (t1, t2))
-    eid = graph.file_id
-
-    queries = {v: [] for v in graph.servers}
-    patterns = []
-    sub = defaultdict(int)          # per-file pattern counter
-    top = defaultdict(int)          # (server, file) -> last subscript written
-    pool = defaultdict(int)         # (server, frozenset(files)) -> copies
+    # (server, server) -> file id; star() reads it ~400k times at n = 10
+    eid = {}
+    for f, (u, v) in enumerate(graph.edges):
+        eid[u, v] = eid[v, u] = f
+    variants = []
+    pool = defaultdict(int)         # (server, fileset) -> copies
     created = defaultdict(int)      # fresh non-desired rows, current step
 
-    def emit(step, cls, copies, new_rows, old_rows):
-        """Emit `copies` (>= 1) patterns of one class variant.  Rows map a
-        server to its frozenset of files, which is also its inventory key."""
+    def book(step, cls, copies, new_rows, old_rows):
         for server, fileset in new_rows.items():
             if theta not in fileset:
                 created[(server, fileset)] += copies
@@ -118,27 +124,11 @@ def build_scheme(n, theta=0):
                     f"consumed missing type {sorted(fileset)} at server "
                     f"{server} in step {step} ({cls})")
             pool[(server, fileset)] -= copies
-        files = set().union(*new_rows.values(), *old_rows.values())
-        rows = [*new_rows.items(), *old_rows.items()]
-        for copy in range(copies):
-            for f in files:
-                sub[f] += 1
-            selections = {}
-            for server, fileset in rows:  # Summation sorts the terms
-                queries[server].append(
-                    Summation(tuple((f, sub[f], 1) for f in fileset)))
-                selections[server] = len(queries[server]) - 1
-            patterns.append(RecoveryPattern(target=sub[theta],
-                                            selections=selections,
-                                            step=step, pattern_class=cls))
-        # counters only grow, so the last copy wrote the top subscripts
-        for server, fileset in rows:
-            for f in fileset:
-                top[server, f] = sub[f]
+        variants.append((step, cls, copies, new_rows, old_rows))
 
     def settle_inventory(k):
         """After step k: pool the uncreated share of every size-k type."""
-        quota = _as_int(led.x[k] * m, f"x_{k} M")
+        quota = _quota(led, k)
         for key in _types(graph, theta, k):
             fresh = created.pop(key, 0)
             if fresh > quota:
@@ -151,8 +141,7 @@ def build_scheme(n, theta=0):
 
     # ---- step 1: direct requests -------------------------------------
     for i in (t1, t2):
-        emit(1, "direct", _as_int(led.x[1] * m, "x_1 M"),
-             {i: frozenset({theta})}, {})
+        book(1, "direct", _quota(led, 1), {i: frozenset({theta})}, {})
     settle_inventory(1)
 
     # ---- steps 2..n-1: one table of pattern classes --------------------
@@ -161,7 +150,7 @@ def build_scheme(n, theta=0):
     # maps (i, other, T, variant) to the rows it creates fresh and the
     # pooled rows it consumes.
     def star(v, ends):
-        return frozenset(eid(v, s) for s in ends if s != v)
+        return frozenset(eid[v, s] for s in ends if s != v)
 
     def alpha(i, other, tset, _):
         return ({i: star(i, (other, *tset))},
@@ -175,7 +164,7 @@ def build_scheme(n, theta=0):
         old_rows = {other: star(other, tset)}
         for j in tset:
             if j != j_star:  # matched helpers drop the edge to their partner
-                old_rows[j] = star(j, (i, other, *tset)) - {eid(j, match[j])}
+                old_rows[j] = star(j, (i, other, *tset)) - {eid[j, match[j]]}
         return new_rows, old_rows
 
     def beta_variants(tset):
@@ -203,21 +192,55 @@ def build_scheme(n, theta=0):
         ("zeta", zeta, lambda tset: [v for v in helpers if v not in tset]),
     )
 
-    for st in step_ledger(n):
+    for st in step_ledger(graph.n):
         k = st.k
-        for cls, rows, variants in classes:
+        for cls, rows, class_variants in classes:
             copies = _as_int(getattr(st, f"{cls}_per") * m, f"{cls} count")
             if not copies:
                 continue
             for i, other in ((t1, t2), (t2, t1)):
                 for tset in itertools.combinations(helpers, k - 1):
-                    for variant in variants(tset):
-                        emit(k, cls, copies, *rows(i, other, tset, variant))
+                    for variant in class_variants(tset):
+                        book(k, cls, copies, *rows(i, other, tset, variant))
 
-        if k <= n - 2:
+        if k <= graph.n - 2:
             settle_inventory(k)
         elif created:
             created.clear()  # last step: nothing consumes size-(n-1) types
+
+    return variants, pool
+
+
+def build_scheme(n, theta=0):
+    check_build_n(n)
+    graph = make_graph("complete", [n])
+    check_theta(theta, graph)
+    led = build_sequences(n)
+    big_l = led.subpacketization
+    variants, pool = class_plan(graph, theta, led)
+
+    queries = {v: [] for v in graph.servers}
+    patterns = []
+    sub = defaultdict(int)          # per-file pattern counter
+    top = defaultdict(int)          # (server, file) -> last subscript written
+    for step, cls, copies, new_rows, old_rows in variants:
+        files = set().union(*new_rows.values(), *old_rows.values())
+        rows = [*new_rows.items(), *old_rows.items()]
+        for copy in range(copies):
+            for f in files:
+                sub[f] += 1
+            selections = {}
+            for server, fileset in rows:  # Summation sorts the terms
+                queries[server].append(
+                    Summation(tuple((f, sub[f], 1) for f in fileset)))
+                selections[server] = len(queries[server]) - 1
+            patterns.append(RecoveryPattern(target=sub[theta],
+                                            selections=selections,
+                                            step=step, pattern_class=cls))
+        # counters only grow, so the last copy wrote the top subscripts
+        for server, fileset in rows:
+            for f in fileset:
+                top[server, f] = sub[f]
 
     # ---- leftovers become side information -----------------------------
     side_info = []
@@ -310,9 +333,8 @@ def verify_scheme(scheme):
                         f"{scheme.L // 2} per endpoint")
 
     if led is not None:
-        m = led.m_scale
         for k in range(1, n - 1):
-            quota = int(led.x[k] * m)
+            quota = _quota(led, k)
             for v, files in _types(scheme.graph, theta, k):
                 got = shapes[v][files]
                 if got != quota:

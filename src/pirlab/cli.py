@@ -74,8 +74,6 @@ def _parse_graph(spec):
                 raise ParameterError(f"bad edge token {token!r}")
             u, v = sorted((int(m.group(1)), int(m.group(2))))
             edges.append((u, v))
-        if not edges:
-            raise ParameterError("edge list is empty")
         return Graph(n=max(v for e in edges for v in e), edges=tuple(edges))
     if ":" in spec:
         family, _, params = spec.partition(":")

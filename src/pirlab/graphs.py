@@ -13,6 +13,16 @@ from .errors import (ParameterError, UnsupportedSizeError, check_int,
                      check_replication, malformed)
 
 MATCHING_FILE_CAP = 64
+GRAPH_FILE_CAP = 10_000  # `general --graph star:10000 --enumerate`: ~0.3 s
+GRAPH_VERTEX_CAP = GRAPH_FILE_CAP + 1  # so star:GRAPH_FILE_CAP fits
+
+
+def _check_size(vertices, files):
+    """Refuse a graph past the vertex or the file cap."""
+    if vertices > GRAPH_VERTEX_CAP or files > GRAPH_FILE_CAP:
+        raise UnsupportedSizeError(
+            f"graphs are capped at {GRAPH_VERTEX_CAP} vertices and "
+            f"{GRAPH_FILE_CAP} files, got {vertices} and {files}")
 
 
 # ============================================================
@@ -33,6 +43,7 @@ class Graph:
                                  f"got {self.multigraph!r}")
         edges = tuple((check_int(u, "edge end"), check_int(v, "edge end"))
                       for u, v in self.edges)
+        _check_size(self.n, len(edges))
         object.__setattr__(self, "edges", edges)
         seen = set()
         for u, v in edges:
@@ -109,6 +120,7 @@ class Graph:
     def extend(self, r):
         """Replicate every file r times (replication-r multigraph)."""
         check_replication(r)
+        _check_size(self.n, len(self.edges) * r)
         edges = tuple(e for e in self.edges for _ in range(r))
         return Graph(self.n, edges, multigraph=True)
 
@@ -138,27 +150,32 @@ def make_graph(family, params=()):
         (n,) = _int_params(family, params, 1)
         if n < 2:
             raise ParameterError("complete graph needs n >= 2")
+        _check_size(n, n * (n - 1) // 2)
         return Graph(n, tuple(itertools.combinations(range(1, n + 1), 2)))
     if family == "star":
         (leaves,) = _int_params(family, params, 1)
         if leaves < 1:
             raise ParameterError("star needs at least one leaf")
+        _check_size(leaves + 1, leaves)
         return Graph(leaves + 1, tuple((1, v) for v in range(2, leaves + 2)))
     if family == "cycle":
         (n,) = _int_params(family, params, 1)
         if n < 3:
             raise ParameterError("cycle needs n >= 3")
+        _check_size(n, n)
         edges = [(v, v + 1) for v in range(1, n)] + [(1, n)]
         return Graph(n, tuple(sorted(edges)))
     if family == "path":
         (n,) = _int_params(family, params, 1)
         if n < 2:
             raise ParameterError("path needs n >= 2")
+        _check_size(n, n - 1)
         return Graph(n, tuple((v, v + 1) for v in range(1, n)))
     if family == "complete_bipartite":
         a, b = _int_params(family, params, 2)
         if a < 1 or b < 1:
             raise ParameterError("complete_bipartite needs positive part sizes")
+        _check_size(a + b, a * b)
         edges = tuple((u, v) for u in range(1, a + 1)
                       for v in range(a + 1, a + b + 1))
         return Graph(a + b, edges)

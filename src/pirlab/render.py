@@ -3,38 +3,16 @@
 import decimal
 import hashlib
 import json
-import os
 from fractions import Fraction
 
-from .errors import ParameterError
 
-DEFAULT_PRECISION = 5
-PRECISION_ENV = "PIRLAB_PRECISION"
-
-
-def precision():
-    """Decimal places used for table output; overridable via PIRLAB_PRECISION."""
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        places = int(raw)
-    except ValueError:
-        raise ParameterError(f"{PRECISION_ENV} must be an integer, got {raw!r}")
-    if not 1 <= places <= 50:
-        raise ParameterError(f"{PRECISION_ENV} must be in 1..50, got {places}")
-    return places
-
-
-def decimal_str(value, places=None):
+def decimal_str(value, places=5):
     """Render an exact rational as a fixed-point decimal string.
 
     Rounding is banker's rounding (round half to even) at the requested
     number of places, computed from the exact fraction so values like
     84/305 print as 0.27541 rather than a truncated 0.27540.
     """
-    if places is None:
-        places = precision()
     frac = Fraction(value)
     with decimal.localcontext() as ctx:
         ctx.prec = places + 30

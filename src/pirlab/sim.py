@@ -61,14 +61,18 @@ class Storage:
             if len(row) != self.L:
                 raise ParameterError(f"every file must split into exactly "
                                      f"{self.L} subfiles")
-            # whole-row checks; a bool or float symbol fails the type set
-            if row and not (set(map(type, row)) == {int}
-                            and min(row) >= 0 and max(row) < self.q):
-                bad = next(x for x in row
-                           if type(x) is not int or not 0 <= x < self.q)
-                raise ParameterError(f"file {fid} holds symbol {bad!r}; "
-                                     f"symbols must be ints in "
-                                     f"0..{self.q - 1}")
+            _check_symbols(f"file {fid}", row, self.q - 1)
+
+
+def _check_symbols(where, row, top=math.inf):
+    """Refuse a symbol that is not an int in 0..top."""
+    # whole-row checks; a bool or float symbol fails the type set
+    if row and not (set(map(type, row)) == {int}
+                    and min(row) >= 0 and max(row) <= top):
+        bad = next(x for x in row
+                   if type(x) is not int or not 0 <= x <= top)
+        raise ParameterError(f"{where} holds symbol {bad!r}; symbols must "
+                             f"be ints in 0..{top}")
 
 
 def random_storage(graph, q, L, rng):
@@ -167,9 +171,10 @@ def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
     sample  draws rows with their probabilities and measures the rate as
             trials over total non-idle answers.
     """
-    contents = tuple(int(x) for x in contents)
+    contents = tuple(contents)
     if len(contents) != len(pscheme.graph.edges):
         raise ParameterError("contents must hold one symbol per file")
+    _check_symbols("contents", contents)
     want = contents[pscheme.theta]
 
     def recovers(row):

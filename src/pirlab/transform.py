@@ -88,9 +88,9 @@ def entropy_proxy_ok(scheme):
     disjoint supports, so they are independent exactly when none is empty.
     A scheme whose analysis is ok has no repeated symbol at any server
     (condition 2), so the answer follows from the analysis, which is kept
-    on the scheme.  Otherwise each server is read again, and only a server
-    where some symbol repeats needs Gaussian elimination, with bit
-    positions local to that server.
+    on the scheme.  Otherwise each server's rows go through Gaussian
+    elimination, with bit positions local to that server; an empty row
+    reduces to zero there too.
     """
     try:
         ok = analyze(scheme)[0].ok
@@ -99,15 +99,8 @@ def entropy_proxy_ok(scheme):
     if ok:
         return all(row.terms for rows in scheme.queries.values()
                    for row in rows)
-    for srv in scheme.graph.servers:
-        rows = scheme.queries[srv]
-        symbols = [(f, s) for row in rows for f, s, _sign in row.terms]
-        if len(set(symbols)) == len(symbols):
-            if not all(row.terms for row in rows):
-                return False
-        elif not _gf2_independent(rows):
-            return False
-    return True
+    return all(_gf2_independent(scheme.queries[srv])
+               for srv in scheme.graph.servers)
 
 
 def _gf2_independent(rows):

@@ -7,16 +7,20 @@ hand from the subscript rules before implementation.
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from pirlab.builder import build_scheme, class_counts, verify_scheme
+from pirlab.builder import (build_scheme, class_counts, class_plan,
+                            verify_scheme)
 from pirlab.scheme import Summation
 from pirlab.sim import random_storage, run_deterministic_trial
 from pirlab.sequences import (answer_count, build_sequences, step_ledger,
                               subpacketization)
-from pirlab.errors import ParameterError, UnsupportedSizeError
+from pirlab.errors import (InternalConsistencyError, ParameterError,
+                           UnsupportedSizeError)
+from pirlab.graphs import make_graph
 
 
 def _query_sets(s):
@@ -271,14 +275,61 @@ def test_verify_rejects_desired_term_off_the_endpoints():
 # the class ledger
 # ============================================================
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+# leftover side-information rows the plan pools, per n; 0 for n <= 6
+LEFTOVER_ROWS = {7: 480, 8: 16_344, 9: 627_480, 10: 19_765_920,
+                 11: 4_944_085_020}
+
+
+def _plan(n, theta, led=None):
+    return class_plan(make_graph("complete", [n]), theta,
+                      led or build_sequences(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10,
+                               pytest.param(11, marks=pytest.mark.slow)])
 def test_class_counts_match_the_ledger(n):
-    """Every step emits exactly the realizations the ledger counts."""
-    m = build_sequences(n).m_scale
+    """Every step emits exactly the realizations the ledger counts.
+
+    The plan is counted past BUILDER_CAP; the built scheme's patterns
+    match the plan's tally up to n = 6.
+    """
+    led = build_sequences(n)
+    m = led.m_scale
     for theta in (0, n * (n - 1) // 2 - 1):
-        counts = class_counts(build_scheme(n, theta))
+        variants, pool = _plan(n, theta, led)
+        plan_counts = Counter()
+        variant_counts = Counter()
+        for step, cls, copies, _new, _old in variants:
+            plan_counts[step, cls] += copies
+            variant_counts[step, cls] += 1
+        assert sum(plan_counts.values()) == led.subpacketization
+        assert sum(pool.values()) == LEFTOVER_ROWS.get(n, 0)
         for st in step_ledger(n):
             for cls in ("alpha", "beta", "gamma", "zeta"):
-                want = (getattr(st, f"{cls}_per")
-                        * getattr(st, f"{cls}_realizations") * m)
-                assert counts[st.k].get(cls, 0) == want, (n, theta, st.k, cls)
+                per = getattr(st, f"{cls}_per") * m
+                realizations = getattr(st, f"{cls}_realizations") if per else 0
+                assert variant_counts[st.k, cls] == realizations, \
+                    (n, theta, st.k, cls)
+                assert plan_counts[st.k, cls] == per * realizations
+        if n <= 6:
+            counts = class_counts(build_scheme(n, theta))
+            assert counts == {
+                step: {cls: c for (s, cls), c in plan_counts.items()
+                       if s == step}
+                for step in sorted({s for s, _ in plan_counts})}
+
+
+def test_plan_refuses_an_unbalanced_ledger():
+    # one row (1/M) short of x_1 starves the first step-2 alpha
+    led = build_sequences(5)
+    short = dataclasses.replace(
+        led, x={**led.x, 1: led.x[1] - F(1, led.m_scale)})
+    with pytest.raises(InternalConsistencyError) as exc:
+        _plan(5, 0, short)
+    assert str(exc.value) == \
+        "consumed missing type [1] at server 3 in step 2 (alpha)"
+    # no size-2 quota at all: the rows step 2 creates have nowhere to go
+    none = dataclasses.replace(led, x={**led.x, 2: F(0)})
+    with pytest.raises(InternalConsistencyError) as exc:
+        _plan(5, 0, none)
+    assert str(exc.value) == "over-created type [1, 4] at server 3"

@@ -49,11 +49,11 @@ def test_bounds_markdown(capsys):
 
 
 def test_bounds_precision_env(capsys, monkeypatch):
+    # the same flags print the same bytes, whatever the environment says
+    plain = run_cli(capsys, "bounds", "--max", "3")
+    assert plain[0] == 0 and "0.50000" in plain[1]
     monkeypatch.setenv("PIRLAB_PRECISION", "3")
-    rc, out, _ = run_cli(capsys, "bounds", "--max", "3")
-    assert rc == 0
-    data = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
-    assert data[1] == "3,0.500,0.500,1.500,1.500"
+    assert run_cli(capsys, "bounds", "--max", "3") == plain
 
 
 def test_bounds_bad_range(capsys):
@@ -665,10 +665,43 @@ def test_audit_refuses_the_mode_before_building(capsys, monkeypatch, family,
      "error: alphabet size q must be an integer >= 2, got 1"),
     (["build", "--n", "3", "--theta", "7"],
      "error: theta 7 is not a file id (0..2)"),
+    # graph specs, theta specs and family parameters
+    (["general", "--graph", "edges:1-x", "--enumerate"],
+     "error: bad edge token '1-x'"),
+    (["general", "--graph", "edges:", "--enumerate"],
+     "error: bad edge token ''"),
+    (["general", "--graph", "star:x", "--enumerate"],
+     "error: bad family parameters 'x'"),
+    (["general", "--graph", "complete:3", "--theta", "x", "--seed", "1"],
+     "error: bad theta 'x'"),
+    (["general", "--graph", "complete:3", "--theta", "1,x", "--seed", "1"],
+     "error: bad theta '1,x'"),
+    (["general", "--graph", "complete:1", "--enumerate"],
+     "error: complete graph needs n >= 2"),
+    (["general", "--graph", "star:0", "--enumerate"],
+     "error: star needs at least one leaf"),
+    (["general", "--graph", "cycle:2", "--enumerate"],
+     "error: cycle needs n >= 3"),
+    (["general", "--graph", "path:1", "--enumerate"],
+     "error: path needs n >= 2"),
+    (["general", "--graph", "complete_bipartite:0,3", "--enumerate"],
+     "error: complete_bipartite needs positive part sizes"),
+    (["general", "--graph", "complete_bipartite:3", "--enumerate"],
+     "error: complete_bipartite expects 2 parameter(s), got [3]"),
+    # refused from the parameters, before any edge is made
+    (["general", "--graph", "complete:100000", "--enumerate"],
+     "error: graphs are capped at 10001 vertices and 10000 files, got "
+     "100000 and 4999950000"),
+    (["general", "--graph", "complete:3", "--r", "100000000", "--enumerate"],
+     "error: graphs are capped at 10001 vertices and 10000 files, got 3 "
+     "and 300000000"),
 ], ids=["k3-statistical", "k3-distributional", "transform-structural",
         "general-structural", "epsilon-nan", "epsilon-negative",
         "epsilon-inf", "det-q0", "prob-q-3", "det-q1", "prob-q1",
-        "build-theta"])
+        "build-theta", "edge-token", "edges-empty", "family-param",
+        "theta-str", "theta-pair", "complete-1", "star-0", "cycle-2",
+        "path-1", "bipartite-0", "bipartite-arity", "graph-cap",
+        "replication-cap"])
 def test_bad_flags_exit_2(capsys, tmp_path, argv, message):
     prob, _doc = _k3_prob_doc(capsys, tmp_path)
     det = FIXTURES / "k3_scheme.json"
@@ -677,6 +710,31 @@ def test_bad_flags_exit_2(capsys, tmp_path, argv, message):
     assert rc == 2
     assert out == ""
     assert _one_line_error(err) == message
+
+
+def test_unreadable_documents_exit_2(capsys, tmp_path):
+    missing, bad = tmp_path / "missing.json", tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (missing, tmp_path):
+        rc, out, err = run_cli(capsys, "extract", "--scheme", str(path))
+        assert (rc, out) == (2, "")
+        assert _one_line_error(err).startswith(f"error: cannot read {path}: ")
+    rc, out, err = run_cli(capsys, "extract", "--scheme", str(bad))
+    assert (rc, out) == (2, "")
+    assert _one_line_error(err) == (
+        f"error: {bad} is not valid JSON: Expecting property name enclosed "
+        f"in double quotes: line 1 column 2 (char 1)")
+
+
+def test_simulate_refuses_a_general_document(capsys, tmp_path):
+    doc = tmp_path / "general.json"
+    assert run_cli(capsys, "general", "--graph", "complete:3", "--theta", "0",
+                   "--seed", "1", "--out", str(doc))[0] == 0
+    rc, out, err = run_cli(capsys, "simulate", "--scheme", str(doc))
+    assert (rc, out) == (2, "")
+    assert _one_line_error(err) == (
+        "error: randomized single-symbol schemes are audited with "
+        "`pirlab audit --family general:...`")
 
 
 # ============================================================

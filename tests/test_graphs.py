@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirlab.graphs import Graph, make_graph, matching_number
+from pirlab.graphs import (GRAPH_FILE_CAP, GRAPH_VERTEX_CAP, Graph,
+                           make_graph, matching_number)
 from pirlab.errors import ParameterError, UnsupportedSizeError
 
 
@@ -79,6 +80,45 @@ def test_edge_validation():
 def test_unknown_family():
     with pytest.raises(ParameterError):
         make_graph("wheel", [4])
+
+
+def _size_refusal(vertices, files):
+    return (f"graphs are capped at {GRAPH_VERTEX_CAP} vertices and "
+            f"{GRAPH_FILE_CAP} files, got {vertices} and {files}")
+
+
+@pytest.mark.parametrize("family,params,vertices,files", [
+    ("star", [GRAPH_FILE_CAP + 1], GRAPH_FILE_CAP + 2, GRAPH_FILE_CAP + 1),
+    ("path", [GRAPH_VERTEX_CAP + 1], GRAPH_VERTEX_CAP + 1, GRAPH_VERTEX_CAP),
+    ("cycle", [GRAPH_FILE_CAP + 1], GRAPH_FILE_CAP + 1, GRAPH_FILE_CAP + 1),
+    ("complete", [142], 142, 10_011),
+    ("complete_bipartite", [100, 101], 201, 10_100),
+])
+def test_family_size_caps(family, params, vertices, files):
+    # the count comes from the parameters; one below the cap is built
+    with pytest.raises(UnsupportedSizeError) as exc:
+        make_graph(family, params)
+    assert str(exc.value) == _size_refusal(vertices, files)
+    below = [params[0] - 1, *params[1:]]
+    assert len(make_graph(family, below).edges) <= GRAPH_FILE_CAP
+
+
+def test_star_fits_both_caps_at_the_edge():
+    g = make_graph("star", [GRAPH_FILE_CAP])
+    assert (g.n, len(g.edges)) == (GRAPH_VERTEX_CAP, GRAPH_FILE_CAP)
+
+
+def test_graph_size_caps():
+    assert Graph(GRAPH_VERTEX_CAP).n == GRAPH_VERTEX_CAP
+    with pytest.raises(UnsupportedSizeError) as exc:
+        Graph(GRAPH_VERTEX_CAP + 1, ((1, 2),))
+    assert str(exc.value) == _size_refusal(GRAPH_VERTEX_CAP + 1, 1)
+    # replication makes files too: a multigraph counts every copy
+    edge = make_graph("path", [2])
+    assert len(edge.extend(GRAPH_FILE_CAP).edges) == GRAPH_FILE_CAP
+    with pytest.raises(UnsupportedSizeError) as exc:
+        edge.extend(GRAPH_FILE_CAP + 1)
+    assert str(exc.value) == _size_refusal(2, GRAPH_FILE_CAP + 1)
 
 
 # ============================================================

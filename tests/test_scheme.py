@@ -115,6 +115,12 @@ def test_from_json_refuses_wrong_json_kind(cls, doc, message):
     assert str(exc.value) == message
 
 
+def _k3(**fields):
+    return DeterministicScheme(
+        **{"graph": make_graph("complete", [3]), "theta": 0, "L": 1,
+           "queries": {}, **fields})
+
+
 @pytest.mark.parametrize("build,message", [
     (lambda: Graph(3, ((1, 2.9),)), "edge end must be an integer, got 2.9"),
     (lambda: RecoveryPattern(target=1, selections={1: 0.5}),
@@ -128,8 +134,13 @@ def test_from_json_refuses_wrong_json_kind(cls, doc, message):
      "mu bit must be an integer, got True"),
     (lambda: RecoveryPattern(target=1, selections={}, pattern_class=[1]),
      "pattern class must be a string, got [1]"),
+    (lambda: _k3(queries={9: ()}), "no server 9 in the graph"),
+    (lambda: _k3(queries={1: ((0, 1, 1),)}),
+     "queries must contain Summation rows"),
+    (lambda: _k3(side_info=((1, 5),)),
+     "side info references missing row 5 at server 1"),
 ], ids=["edge-float", "selection-float", "p-float", "p-bool", "mu-bool",
-        "class-list"])
+        "class-list", "queries-server", "queries-row", "side-info-index"])
 def test_constructors_refuse_what_documents_refuse(build, message):
     # from_json hands document values to these constructors, so a
     # document gets the same text (test_cli.py)

@@ -79,6 +79,16 @@ def test_storage_symbols_are_ints_below_q(symbol, shown):
         f"file 1 holds symbol {shown}; symbols must be ints in 0..4"
 
 
+@pytest.mark.parametrize("contents,L,message", [
+    ([[0], [0]], 1, "storage must hold one row per file"),
+    ([[0], [0, 1], [0]], 1, "every file must split into exactly 1 subfiles"),
+], ids=["row-count", "row-length"])
+def test_storage_shape(contents, L, message):
+    with pytest.raises(ParameterError) as exc:
+        Storage(make_graph("complete", [3]), q=2, L=L, contents=contents)
+    assert str(exc.value) == message
+
+
 # ============================================================
 # probabilistic trials
 # ============================================================
@@ -100,6 +110,27 @@ def test_exact_rate_matches_deterministic(n):
     report = run_probabilistic_trials(p, contents, mode="exact")
     assert report.ok
     assert report.rate == rate(n)
+
+
+@pytest.mark.parametrize("contents,shown", [
+    ([0.9, 1.7, True], "0.9"), (["1", 0, 0], "'1'"), ([-1, 0, 0], "-1"),
+    ([True, 0, 0], "True")], ids=["float", "str", "negative", "bool"])
+def test_probabilistic_contents_are_ints(contents, shown):
+    # int() would truncate these to symbols the rows recover
+    with pytest.raises(ParameterError) as exc:
+        run_probabilistic_trials(transform(build_scheme(3)), contents)
+    assert str(exc.value) == \
+        f"contents holds symbol {shown}; symbols must be ints in 0..inf"
+
+
+@pytest.mark.parametrize("contents,mode,message", [
+    ([1, 0], "exact", "contents must hold one symbol per file"),
+    ([1, 0, 1], "fast", "unknown trial mode 'fast'"),
+], ids=["contents-length", "mode"])
+def test_probabilistic_trial_arguments(k3_scheme, contents, mode, message):
+    with pytest.raises(ParameterError) as exc:
+        run_probabilistic_trials(transform(k3_scheme), contents, mode=mode)
+    assert str(exc.value) == message
 
 
 def test_sampled_probabilistic_trials(k3_scheme):
