@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from .errors import (InternalConsistencyError, ParameterError,
                      UnsupportedSizeError, check_theta)
 from .graphs import make_graph
-from .scheme import DeterministicScheme, RecoveryPattern, Summation
+from .scheme import (DeterministicScheme, RecoveryPattern, Summation,
+                     row_shapes)
 from .sequences import BUILDER_CAP, build_sequences, check_n, step_ledger
 
 
@@ -69,11 +70,12 @@ def perfect_matchings(items):
 
 
 def _types(graph, theta, k):
-    """Each (server, size-k set of the non-desired files it stores)."""
+    """Each (server, sorted size-k tuple of the non-desired files it
+    stores): the row shape `row_shapes` counts."""
     for v in graph.servers:
         stored = [f for f in graph.incident(v) if f != theta]
         for combo in itertools.combinations(stored, k):
-            yield v, frozenset(combo)
+            yield v, combo
 
 
 def _quota(led, k):
@@ -98,9 +100,9 @@ def class_plan(graph, theta, led):
     """The construction's class variants and its leftover rows.
 
     Returns `(variants, pool)`: every `(step, cls, copies, new_rows,
-    old_rows)` in emission order, where the row dicts map a server to its
-    frozenset of files, and the pool mapping each (server, fileset) type
-    to the copies no pattern consumed.  The inventory is checked as it is
+    old_rows)` in emission order, where the row dicts map a server to the
+    sorted tuple of its files, and the pool mapping each (server, fileset)
+    type to the copies no pattern consumed.  The inventory is checked as it is
     booked; a ledger that does not balance raises InternalConsistencyError.
     """
     m = led.m_scale
@@ -121,7 +123,7 @@ def class_plan(graph, theta, led):
         for server, fileset in old_rows.items():
             if pool[(server, fileset)] < copies:
                 raise InternalConsistencyError(
-                    f"consumed missing type {sorted(fileset)} at server "
+                    f"consumed missing type {list(fileset)} at server "
                     f"{server} in step {step} ({cls})")
             pool[(server, fileset)] -= copies
         variants.append((step, cls, copies, new_rows, old_rows))
@@ -133,7 +135,7 @@ def class_plan(graph, theta, led):
             fresh = created.pop(key, 0)
             if fresh > quota:
                 raise InternalConsistencyError(
-                    f"over-created type {sorted(key[1])} at server {key[0]}")
+                    f"over-created type {list(key[1])} at server {key[0]}")
             pool[key] += quota - fresh
         if created:
             raise InternalConsistencyError(
@@ -141,7 +143,7 @@ def class_plan(graph, theta, led):
 
     # ---- step 1: direct requests -------------------------------------
     for i in (t1, t2):
-        book(1, "direct", _quota(led, 1), {i: frozenset({theta})}, {})
+        book(1, "direct", _quota(led, 1), {i: (theta,)}, {})
     settle_inventory(1)
 
     # ---- steps 2..n-1: one table of pattern classes --------------------
@@ -150,7 +152,7 @@ def class_plan(graph, theta, led):
     # maps (i, other, T, variant) to the rows it creates fresh and the
     # pooled rows it consumes.
     def star(v, ends):
-        return frozenset(eid[v, s] for s in ends if s != v)
+        return tuple(sorted(eid[v, s] for s in ends if s != v))
 
     def alpha(i, other, tset, _):
         return ({i: star(i, (other, *tset))},
@@ -164,7 +166,8 @@ def class_plan(graph, theta, led):
         old_rows = {other: star(other, tset)}
         for j in tset:
             if j != j_star:  # matched helpers drop the edge to their partner
-                old_rows[j] = star(j, (i, other, *tset)) - {eid[j, match[j]]}
+                old_rows[j] = star(j, (i, other,
+                                       *(t for t in tset if t != match[j])))
         return new_rows, old_rows
 
     def beta_variants(tset):
@@ -230,7 +233,7 @@ def build_scheme(n, theta=0):
             for f in files:
                 sub[f] += 1
             selections = {}
-            for server, fileset in rows:  # Summation sorts the terms
+            for server, fileset in rows:
                 queries[server].append(
                     Summation(tuple((f, sub[f], 1) for f in fileset)))
                 selections[server] = len(queries[server]) - 1
@@ -244,12 +247,10 @@ def build_scheme(n, theta=0):
 
     # ---- leftovers become side information -----------------------------
     side_info = []
-    for (v, fileset), count in sorted(pool.items(),
-                                      key=lambda kv: (kv[0][0],
-                                                      sorted(kv[0][1]))):
+    for (v, fileset), count in sorted(pool.items()):
         for copy in range(count):
             terms = []
-            for f in sorted(fileset):
+            for f in fileset:
                 top[v, f] += 1
                 terms.append((f, top[v, f], 1))
             queries[v].append(Summation(tuple(terms)))
@@ -324,8 +325,7 @@ def verify_scheme(scheme):
                             "one the rows give")
 
     theta = scheme.theta
-    shapes = {v: Counter(frozenset(row.files) for row in rows)
-              for v, rows in scheme.queries.items()}
+    shapes = {v: row_shapes(rows) for v, rows in scheme.queries.items()}
     desired = {v: sum(c for files, c in shapes[v].items() if theta in files)
                for v in scheme.graph.endpoints(theta)}
     if any(count * 2 != scheme.L for count in desired.values()):

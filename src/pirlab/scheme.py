@@ -7,7 +7,7 @@ that the group cancels to a single desired subfile.  Side information rows
 are downloaded but not used by any pattern.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
 
@@ -26,6 +26,7 @@ class Summation:
     terms: tuple
 
     def __post_init__(self):
+        # a checked term that is already a tuple is kept, not copied
         norm = []
         for term in self.terms:
             if len(term) != 3:
@@ -38,19 +39,27 @@ class Summation:
                 raise ParameterError(f"bad subfile index in term {term}")
             if not (type(sign) is int and sign in (1, -1)):
                 raise ParameterError(f"bad sign in term {term}")
-            norm.append((f, s, sign))
-        object.__setattr__(self, "terms", tuple(sorted(norm)))
+            norm.append(term if type(term) is tuple else (f, s, sign))
+        norm.sort()
+        object.__setattr__(self, "terms", tuple(norm))
 
     @property
     def files(self):
         return tuple(f for f, _, _ in self.terms)
 
     def to_json(self):
-        return {"terms": [[f, s, sign] for f, s, sign in self.terms]}
+        # json.dumps writes the term tuples as arrays
+        return {"terms": self.terms}
 
     @classmethod
     def from_json(cls, doc):
         return cls(tuple(map(tuple, doc["terms"])))
+
+
+def row_shapes(rows):
+    """How many rows have each shape: the sorted tuple of the files a row
+    sums (a file twice in a row is there twice)."""
+    return Counter(row.files for row in rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +71,11 @@ class RecoveryPattern:
 
     def __post_init__(self):
         check_int(self.target, "pattern target")
-        sel = {check_int(srv, "server"): check_int(idx, "pattern selection")
-               for srv, idx in dict(self.selections).items()}
+        sel = dict(self.selections)
+        for srv, idx in sel.items():
+            if type(srv) is not int or type(idx) is not int:
+                check_int(srv, "server")
+                check_int(idx, "pattern selection")
         object.__setattr__(self, "selections", sel)
         if self.step is not None:
             check_int(self.step, "pattern step")

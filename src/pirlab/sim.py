@@ -27,16 +27,17 @@ Privacy audits come in three strengths:
 
 import math
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from .errors import ParameterError, check_q
-from .general import GeneralScheme, answer_distribution, sample_combo_counts
+from .general import (GeneralScheme, answer_distribution, random_bits,
+                      sample_combo_counts)
 from .graphs import Graph
 from .patterns import extract_patterns
-from .scheme import DeterministicScheme, ProbabilisticScheme
+from .scheme import DeterministicScheme, ProbabilisticScheme, row_shapes
 from .transform import prob_rate
 
 # ============================================================
@@ -76,9 +77,16 @@ def _check_symbols(where, row, top=math.inf):
 
 
 def random_storage(graph, q, L, rng):
+    """Uniform symbols in 0..q-1, file by file: the draws of one
+    `rng.randrange(q)` call per symbol, made in bulk when q = 2."""
     check_q(q)
-    contents = tuple(tuple(rng.randrange(q) for _ in range(L))
-                     for _ in graph.files)
+    if q == 2:
+        bits = random_bits(rng, len(graph.files) * L)
+        contents = tuple(tuple(bits[i * L:(i + 1) * L])
+                         for i in range(len(graph.files)))
+    else:
+        contents = tuple(tuple(rng.randrange(q) for _ in range(L))
+                         for _ in graph.files)
     return Storage(graph=graph, q=q, L=L, contents=contents)
 
 
@@ -116,16 +124,28 @@ def run_deterministic_trial(scheme, storage, perms=None):
         identity = tuple(range(1, scheme.L + 1))
         perms = {fid: identity for fid in scheme.graph.files}
 
-    def symbol(f, s):
-        if f not in perms or s > len(perms[f]):
-            raise ParameterError(f"a row asks for subfile {s} of file {f}, "
-                                 f"which storage does not hold")
-        return storage.contents[f][perms[f][s - 1] - 1]
+    # file -> its symbols in subscript order, read once; index 0 pads, so
+    # a 1-based subscript indexes it directly
+    held = len(storage.contents)
+    symbols = {}
+    for f, perm in perms.items():
+        if f in range(held):
+            padded = (None, *storage.contents[f])
+            symbols[f] = (None, *map(padded.__getitem__, perm))
 
-    answered = {
-        srv: tuple(_xor(symbol(f, s) for f, s, _sign in row.terms)
-                   for row in rows)
-        for srv, rows in scheme.queries.items()}
+    answered = {}
+    try:
+        for srv, rows in scheme.queries.items():
+            answers = []
+            for row in rows:
+                value = 0
+                for f, s, _sign in row.terms:
+                    value ^= symbols[f][s]
+                answers.append(value)
+            answered[srv] = answers
+    except (KeyError, IndexError):
+        raise ParameterError(f"a row asks for subfile {s} of file {f}, "
+                             f"which storage does not hold") from None
 
     patterns = scheme.patterns
     if patterns is None:
@@ -266,8 +286,7 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
         shapes = {}
         for theta in thetas:
             s = schemes[theta]
-            shapes[theta] = {srv: Counter(frozenset(row.files)
-                                          for row in rows)
+            shapes[theta] = {srv: row_shapes(rows)
                              for srv, rows in s.queries.items()}
         ok = all(shapes[t] == shapes[thetas[0]] for t in thetas[1:])
         return AuditReport(ok=ok, mode=mode)

@@ -26,15 +26,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pirlab.builder import build_scheme
 from pirlab.cli import main
 from pirlab.graphs import make_graph
+from pirlab.render import canonical_json
 from pirlab.sequences import BOUNDS_CAP, BUILDER_CAP
 from pirlab.transform import transform
 
 _SCHEME = build_scheme(3, 0)
-_DOCS = {
-    "scheme": _SCHEME.to_json(),
-    "transform": transform(_SCHEME).to_json(),
-    "graph": make_graph("complete", [3]).to_json(),
-}
+# read back from their text, as the CLI reads them: `to_json` keeps term
+# arrays as tuples, which `_mutate` would not descend into
+_DOCS = {kind: json.loads(canonical_json(obj.to_json())) for kind, obj in (
+    ("scheme", _SCHEME),
+    ("transform", transform(_SCHEME)),
+    ("graph", make_graph("complete", [3])))}
 _COMMANDS = {
     "scheme": [["extract", "--scheme", "{path}"],
                ["transform", "--scheme", "{path}"],
@@ -79,6 +81,11 @@ def _malformed(key, old, new):
         return not (new is None or type(new) is str)
     return (type(old) is int and type(new) is not int
             and not (key == "step" and new is None))
+
+
+def test_fuzzed_term_arrays_are_lists():
+    # _mutate walks dicts and lists only, so terms must be lists to be hit
+    assert type(_DOCS["scheme"]["queries"]["1"][0]["terms"][0]) is list
 
 
 @settings(max_examples=600, deadline=None,

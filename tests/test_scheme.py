@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pirlab.errors import ParameterError
+from pirlab.errors import ParameterError, check_int
 from pirlab.general import GeneralScheme
 from pirlab.graphs import Graph, make_graph
 from pirlab.scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
@@ -56,6 +56,37 @@ def test_summation_matches_term_by_term_checks(terms):
         got = Summation(tuple(terms)).terms
         assert got == want
         assert all(type(t) is tuple for t in got)
+
+
+def _reference_selections(selections):
+    """The selection checks through `check_int`, key before value."""
+    return {check_int(srv, "server"): check_int(idx, "pattern selection")
+            for srv, idx in dict(selections).items()}
+
+
+_entry = st.booleans() | st.floats() | st.text(max_size=2) \
+    | st.integers(-2, 9)
+_selections = st.dictionaries(_entry, _entry, max_size=4) \
+    | st.lists(st.tuples(_entry, _entry), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_selections)
+@example({1: 0, 2: True})
+@example({1: 0.5, "2": 1})
+@example([(3, 1), (True, 2)])
+def test_pattern_matches_check_int_selections(selections):
+    try:
+        want = _reference_selections(selections)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            RecoveryPattern(target=1, selections=selections)
+        assert str(got.value) == str(exc)
+    else:
+        got = RecoveryPattern(target=1, selections=selections).selections
+        assert type(got) is dict
+        assert list(got.items()) == list(want.items())
+        assert got is not selections
 
 
 def _k3_rows(**second):

@@ -89,6 +89,58 @@ def test_storage_shape(contents, L, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("L", [0, 1, 7, 33, 336])
+def test_random_storage_matches_per_symbol_draws(q, L):
+    graph = make_graph("complete", [4])
+    for seed in (0, 1, 2):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        storage = random_storage(graph, q, L, rng)
+        assert storage.contents == tuple(
+            tuple(ref_rng.randrange(q) for _ in range(L))
+            for _ in graph.files)
+        assert rng.getstate() == ref_rng.getstate()
+        assert rng.random() == ref_rng.random()
+
+
+def _with_row(scheme, row):
+    """`scheme` with server 1's first row replaced by `row`."""
+    rows = list(scheme.queries[1])
+    rows[0] = Summation(row)
+    return scheme.replace(queries={**scheme.queries, 1: tuple(rows)})
+
+
+@pytest.mark.parametrize("case,message", [
+    ("subfile", "a row asks for subfile 7 of file 0, which storage does "
+                "not hold"),
+    ("short-storage", "a row asks for subfile 4 of file 0, which storage "
+                      "does not hold"),
+    ("file", "a row asks for subfile 1 of file 99, which storage does not "
+             "hold"),
+    ("perms", "a row asks for subfile 1 of file 0, which storage does not "
+              "hold"),
+])
+def test_trial_refuses_a_symbol_storage_lacks(case, message):
+    s = build_scheme(3)  # L = 6; server 1 stores files 0 and 1
+    rng = random.Random(5)
+    L = 3 if case == "short-storage" else s.L
+    storage = random_storage(s.graph, 2, L, rng)
+    perms = random_permutations(s.graph, L, rng)
+    assert all(p != tuple(range(1, L + 1)) for p in perms.values())
+    if case == "subfile":
+        s = _with_row(s, ((0, 7, 1),))
+    elif case == "short-storage":
+        s = _with_row(s, ((0, 4, 1),))
+    elif case == "file":
+        s = _with_row(s, ((1, 1, 1), (99, 1, 1)))
+    else:
+        del perms[0]
+        s = _with_row(s, ((0, 1, 1),))
+    with pytest.raises(ParameterError) as exc:
+        run_deterministic_trial(s, storage, perms)
+    assert str(exc.value) == message
+
+
 # ============================================================
 # probabilistic trials
 # ============================================================
@@ -192,6 +244,17 @@ def test_structural_audit_catches_missing_row():
     schemes[0] = s.replace(queries=bad, patterns=None, side_info=None)
     report = privacy_audit(schemes, mode="structural")
     assert not report.ok
+
+
+def test_structural_audit_counts_a_repeated_file():
+    # a row summing two subfiles of file 0 differs from one summing one
+    schemes = {theta: build_scheme(3, theta) for theta in range(3)}
+    s = schemes[0]
+    row = s.queries[1][0]
+    assert row.files == (0,)
+    other = row.terms[0][1] % s.L + 1
+    schemes[0] = _with_row(s, row.terms + ((0, other, 1),))
+    assert not privacy_audit(schemes, mode="structural").ok
 
 
 def test_distributional_audit_on_transforms():
