@@ -157,7 +157,9 @@ def sample_combo_counts(graph, theta, trials, rng, q=2):
     bits and the final state of one `randrange(2)` call per bit.  Each
     server counts the patterns of the bits its combo depends on: the mu
     bit of each of its files, and the lam bit where lam changes the file's
-    term (never at q = 2).  Each distinct pattern is turned into a combo once.
+    term (never at q = 2).  A pattern is packed into one byte per 8 bits,
+    so the counting runs over `bytes` (a tuple of them past 8 bits), and
+    each distinct pattern is turned into a combo once.
     Returns {server: Counter(combo -> count)}, combos in first-seen order.
     """
     check_theta(theta, graph)
@@ -168,38 +170,49 @@ def sample_combo_counts(graph, theta, trials, rng, q=2):
     for v in graph.servers:
         copies = graph.copies(v)
         # a pattern holds the mu bits of the server's files, then the lam
-        # bits that change a term; a file whose lam changes nothing reads
-        # the 0 appended to every pattern instead
+        # bits that change a term; a file whose lam changes nothing has a
+        # table whose rows ignore the lam bit, and reads bit 0 for it
         offsets = [fid for fid, _ in copies]
         readers = []
         for mu_at, (fid, at_lower) in enumerate(copies):
             table = [[_query_term(fid, theta, at_lower, mu_bit, lam_bit, q)
                       for lam_bit in (0, 1)] for mu_bit in (0, 1)]
-            lam_at = -1
+            lam_at = 0
             if any(row[0] != row[1] for row in table):
                 lam_at = len(offsets)
                 offsets.append(m + fid)
             readers.append((table, mu_at, lam_at))
-        servers.append((v, offsets, readers, Counter()))
+        groups = [offsets[g:g + 8] for g in range(0, len(offsets), 8)]
+        servers.append((v, groups, readers, Counter()))
     done = 0
     while done < trials:
         block = min(_SAMPLE_BLOCK, trials - done)
         bits = random_bits(rng, block * width)
         done += block
-        for _v, offsets, _readers, patterns in servers:
-            if offsets:
-                patterns.update(zip(*[bits[i::width] for i in offsets]))
+        for _v, groups, _readers, patterns in servers:
+            # bit j of a query's byte in group g is its bit offsets[8g + j];
+            # each byte of bits is 0 or 1, so the shifts never carry
+            packed = [sum(int.from_bytes(bits[i::width], "big") << j
+                          for j, i in enumerate(group))
+                      .to_bytes(block, "big") for group in groups]
+            if len(packed) == 1:
+                patterns.update(packed[0])
+            elif packed:
+                patterns.update(zip(*packed))
             else:
-                patterns[()] += block
+                patterns[0] += block
 
     counts = {}
-    for v, _offsets, readers, patterns in servers:
+    for v, groups, readers, patterns in servers:
         combos = counts[v] = Counter()
-        for pattern, count in patterns.items():
-            bits = pattern + (0,)
-            combo = (table[bits[mu_at]][bits[lam_at]]
-                     for table, mu_at, lam_at in readers)
-            combos[tuple(t for t in combo if t is not None)] += count
+        for key, count in patterns.items():
+            if type(key) is tuple:  # bit k of the pattern is bit k of key
+                key = int.from_bytes(bytes(key), "little")
+            combo = tuple([
+                term for table, mu_at, lam_at in readers
+                if (term := table[key >> mu_at & 1][key >> lam_at & 1])
+                is not None])
+            combos[combo] += count
     return counts
 
 
@@ -230,17 +243,17 @@ def general_rate(graph):
     return 1 / total
 
 
-def answer_distribution(graph, theta, server, q=2):
-    """Exact distribution of one server's query combo.
+def answer_counts(graph, theta, server, q=2):
+    """Exact distribution of one server's query combo, as integer weights.
 
-    Each incident file carries its own uniform (mu, lam) pair, so the
-    combo is a product of independent per-file factors: each of the four
-    equally likely codes adds one term or nothing.  The distribution is
-    built as the product of those marginals, in O(support x degree) steps.
-    The support itself still grows as 2^degree (3^degree for q > 2), so
-    degrees past DISTRIBUTION_DEGREE_CAP are refused.  The result is
-    identical for every theta, which is the privacy statement in exact
-    form.
+    Returns {combo: weight}; the weights sum to 4^degree.  Each incident
+    file carries its own uniform (mu, lam) pair, so the combo is a product
+    of independent per-file factors: each of the four equally likely codes
+    adds one term or nothing.  The distribution is built as the product of
+    those marginals, in O(support x degree) steps.  The support itself
+    still grows as 2^degree (3^degree for q > 2), so degrees past
+    DISTRIBUTION_DEGREE_CAP are refused.  The result is identical for
+    every theta, which is the privacy statement in exact form.
     """
     check_theta(theta, graph)
     check_q(q)
@@ -252,9 +265,8 @@ def answer_distribution(graph, theta, server, q=2):
             f"degree {len(copies)} exceeds the enumeration cap "
             f"{DISTRIBUTION_DEGREE_CAP}")
 
-    # Integer weights out of 4^degree.  Terms are appended in file-id
-    # order, so every combo is already sorted, and no two (combo, term)
-    # pairs collide.
+    # Terms are appended in file-id order, so every combo is already
+    # sorted, and no two (combo, term) pairs collide.
     counts = {(): 1}
     for fid, at_lower in copies:
         marginal = Counter(
@@ -263,5 +275,11 @@ def answer_distribution(graph, theta, server, q=2):
         counts = {combo if term is None else combo + (term,): count * k
                   for combo, count in counts.items()
                   for term, k in marginal.items()}
-    total = 4 ** len(copies)
+    return counts
+
+
+def answer_distribution(graph, theta, server, q=2):
+    """`answer_counts` as probabilities: {combo: Fraction}."""
+    counts = answer_counts(graph, theta, server, q=q)
+    total = 4 ** len(graph.copies(server))
     return {combo: Fraction(count, total) for combo, count in counts.items()}

@@ -4,16 +4,19 @@ Deterministic and probabilistic trials evaluate summations by XOR-ing
 stored symbols, which cancels pairs regardless of the alphabet; a trial
 passes when the reconstructed desired file matches storage exactly.
 
-Sampling is exact and cheap.  A sampled probabilistic trial converts each
-float draw to a Fraction (exactly) and bisects the cumulative row
-probabilities, so it picks the first row whose edge exceeds the draw in
-O(log rows) comparisons.  The statistical audit counts each server's
-combo straight from the sampled (mu, lam) bits, in integers, and builds
-no scheme per query.  It draws those bits in bulk through
-`general.random_bits`, as `random_general_scheme` does, so it consumes
-the same random stream as drawing one `random_general_scheme` per query,
-and the bits equal per-call `randrange(2)` draws for a `random.Random`
-whose `getrandbits` is not overridden.
+Sampling is exact and cheap, and runs in integers.  A sampled
+probabilistic trial scales each float draw by 2^53, which is exact, and
+bisects the cumulative row probabilities rounded up to that grid, so it
+picks the first row whose edge exceeds the draw in O(log rows) integer
+comparisons; a draw off the grid (from a `random` that is not
+`random.Random`'s) is compared as an exact Fraction instead.  The
+statistical audit counts each server's combo straight from the sampled
+(mu, lam) bits and builds no scheme per query.  It draws those bits in
+bulk through `general.random_bits`, as `random_general_scheme` does, so it
+consumes the same random stream as drawing one `random_general_scheme` per
+query, and the bits equal per-call `randrange(2)` draws for a
+`random.Random` whose `getrandbits` is not overridden.  The distributional
+audit compares integer weights by cross-multiplication.
 
 Privacy audits come in three strengths:
 
@@ -27,18 +30,22 @@ Privacy audits come in three strengths:
 
 import math
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .errors import ParameterError, check_q
-from .general import (GeneralScheme, answer_distribution, random_bits,
+from .general import (GeneralScheme, answer_counts, random_bits,
                       sample_combo_counts)
 from .graphs import Graph
 from .patterns import extract_patterns
 from .scheme import DeterministicScheme, ProbabilisticScheme, row_shapes
 from .transform import prob_rate
+
+# sampled trials compare draws with row edges on this grid: random()
+# returns multiples of 1/_GRID
+_GRID = 2 ** 53
 
 # ============================================================
 # storage
@@ -117,21 +124,23 @@ def run_deterministic_trial(scheme, storage, perms=None):
     """Answer every query row and reconstruct the desired file.
 
     Subscripts address subfiles through the (optional) per-file
-    permutations, mirroring the privacy mechanism; recovery must return
-    the desired file's full contents for the trial to pass.
+    permutations of 1..storage.L, mirroring the privacy mechanism; recovery
+    must return the desired file's full contents for the trial to pass.
+    Storage must split each file into the scheme's L subfiles.
     """
-    if perms is None:
-        identity = tuple(range(1, scheme.L + 1))
-        perms = {fid: identity for fid in scheme.graph.files}
-
     # file -> its symbols in subscript order, read once; index 0 pads, so
     # a 1-based subscript indexes it directly
-    held = len(storage.contents)
-    symbols = {}
-    for f, perm in perms.items():
-        if f in range(held):
-            padded = (None, *storage.contents[f])
-            symbols[f] = (None, *map(padded.__getitem__, perm))
+    symbols = {f: (None, *row) for f, row in enumerate(storage.contents)}
+    if perms is not None:
+        every = set(range(1, storage.L + 1))
+        for f, perm in perms.items():
+            if not (len(perm) == storage.L and set(perm) == every
+                    and set(map(type, perm)) <= {int}):
+                raise ParameterError(f"the subfile permutation of file {f} "
+                                     f"is not a permutation of "
+                                     f"1..{storage.L}")
+        symbols = {f: (None, *map(symbols[f].__getitem__, perm))
+                   for f, perm in perms.items() if f in symbols}
 
     answered = {}
     try:
@@ -146,14 +155,21 @@ def run_deterministic_trial(scheme, storage, perms=None):
     except (KeyError, IndexError):
         raise ParameterError(f"a row asks for subfile {s} of file {f}, "
                              f"which storage does not hold") from None
+    # storage shorter than the scheme's L is named above, by the first row
+    # that reads past it; recovery places L subfiles, so storage of any
+    # other length is refused here
+    if storage.L != scheme.L:
+        raise ParameterError(f"storage splits each file into {storage.L} "
+                             f"subfiles, the scheme into {scheme.L}")
 
     patterns = scheme.patterns
     if patterns is None:
         patterns = extract_patterns(scheme).patterns
+    place = range(1, scheme.L + 1) if perms is None else perms[scheme.theta]
     recovered = [None] * scheme.L
     for p in patterns:
         value = _xor(answered[srv][idx] for srv, idx in p.selections.items())
-        recovered[perms[scheme.theta][p.target - 1] - 1] = value
+        recovered[place[p.target - 1] - 1] = value
     recovered = tuple(recovered)
 
     downloaded = sum(len(rows) for rows in scheme.queries.values())
@@ -210,16 +226,24 @@ def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
         _check_trials(trials, rng, mode)
         rows = pscheme.rows
         edges = list(accumulate(row.p for row in rows))
-        ok = True
-        answered = 0
+        # a draw x on the 2^-53 grid lies below edge e exactly when
+        # x * 2^53 < ceil(e * 2^53), so integers pick the same row
+        grid = [-(-e.numerator * _GRID // e.denominator) for e in edges]
+        picks = Counter()
         for _ in range(trials):
-            # the first row whose cumulative edge exceeds the draw;
-            # Fraction(float) is exact, so rounding never moves a draw
-            # across an edge
-            row = rows[bisect_right(edges, Fraction(rng.random()))]
-            ok = ok and recovers(row)
-            answered += sum(1 for combo in row.q.values()
-                            if combo is not None)
+            # the first row whose cumulative edge exceeds the draw
+            draw = rng.random()
+            scaled = draw * _GRID  # exact: a power-of-two scale
+            if scaled.is_integer():
+                picks[bisect_right(grid, int(scaled))] += 1
+            else:  # off the grid: compare the draw exactly
+                picks[bisect_right(edges, Fraction(draw))] += 1
+        # recovers is pure, so checking each drawn row once, in first-drawn
+        # order, gives the verdict of checking every draw
+        ok = all(recovers(rows[i]) for i in picks)
+        answered = sum(count * sum(1 for combo in rows[i].q.values()
+                                   if combo is not None)
+                       for i, count in picks.items())
         if not answered:
             raise ParameterError(f"none of the {trials} drawn rows queries "
                                  f"any server, so the rate is undefined")
@@ -243,9 +267,35 @@ class AuditReport:
     epsilon: object = None
 
 
-def _tv(d1, d2):
-    keys = set(d1) | set(d2)
-    return sum(abs(d1.get(k, 0) - d2.get(k, 0)) for k in keys) / 2
+def _answer_weights(member, theta, q):
+    """Each server's combo distribution under one distributional-audit
+    member, as integer weights: {server: {combo: weight}}."""
+    if isinstance(member, ProbabilisticScheme):
+        # p * lcm(denominators) is an integer for every row
+        scale = math.lcm(*(row.p.denominator for row in member.rows))
+        masses = [row.p.numerator * (scale // row.p.denominator)
+                  for row in member.rows]
+        per = {}
+        for srv in member.graph.servers:
+            weights = defaultdict(int)
+            for row, mass in zip(member.rows, masses):
+                combo = row.q.get(srv)
+                weights[() if combo is None else combo] += mass
+            per[srv] = weights
+        return per
+    graph, desired, size = (member, theta, q) if isinstance(member, Graph) \
+        else (member.graph, member.theta, member.q)
+    return {srv: answer_counts(graph, desired, srv, q=size)
+            for srv in graph.servers}
+
+
+def _tv(w1, w2):
+    """Total variation distance between two integer-weighted distributions,
+    by cross-multiplication; no weights at all read as zero mass."""
+    t1, t2 = sum(w1.values()) or 1, sum(w2.values()) or 1
+    gap = sum(abs(w1.get(k, 0) * t2 - w2.get(k, 0) * t1)
+              for k in w1.keys() | w2.keys())
+    return Fraction(gap, 2 * t1 * t2)
 
 
 # the member kinds each audit mode reads
@@ -292,23 +342,8 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
         return AuditReport(ok=ok, mode=mode)
 
     if mode == "distributional":
-        dists = {}
-        for theta in thetas:
-            s = schemes[theta]
-            if isinstance(s, ProbabilisticScheme):
-                per = {}
-                for srv in s.graph.servers:
-                    d = defaultdict(Fraction)
-                    for row in s.rows:
-                        combo = row.q.get(srv)
-                        d[() if combo is None else combo] += row.p
-                    per[srv] = dict(d)
-            else:
-                graph, desired, size = (s, theta, q) if isinstance(s, Graph) \
-                    else (s.graph, s.theta, s.q)
-                per = {srv: answer_distribution(graph, desired, srv, q=size)
-                       for srv in graph.servers}
-            dists[theta] = per
+        dists = {theta: _answer_weights(schemes[theta], theta, q)
+                 for theta in thetas}
         worst = Fraction(0)
         for t in thetas[1:]:
             for srv in dists[thetas[0]]:
@@ -331,17 +366,17 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
         # TV distance in units of 1/(2 trials): sum |c1 - c2| over combos,
         # which is c1 + c2 - 2 min(c1, c2) summed.  Rounding a rational to
         # a float is monotone, so the float of the largest numerator is the
-        # largest float TV distance.
+        # largest float TV distance.  Each theta's counts at a server are
+        # laid out once over that server's support (all 0 where the member
+        # has no such server), so a pair's overlap is one map over two lists.
         widest_gap = 0
-        for i, t1 in enumerate(thetas):
-            for t2 in thetas[i + 1:]:
-                for srv in empirical[t1].keys() | empirical[t2].keys():
-                    c1 = empirical[t1].get(srv, {})
-                    c2 = empirical[t2].get(srv, {})
-                    overlap = sum(min(c1[k], c2[k])
-                                  for k in c1.keys() & c2.keys())
-                    gap = sum(c1.values()) + sum(c2.values()) - 2 * overlap
-                    widest_gap = max(widest_gap, gap)
+        for srv, combos in support.items():
+            vectors = [[counts[k] for k in combos] for counts in
+                       (empirical[t].get(srv, Counter()) for t in thetas)]
+            for (v1, n1), (v2, n2) in combinations(
+                    zip(vectors, map(sum, vectors)), 2):
+                overlap = sum(map(min, v1, v2))
+                widest_gap = max(widest_gap, n1 + n2 - 2 * overlap)
         worst = float(Fraction(widest_gap, 2 * trials))
         return AuditReport(ok=worst < epsilon, mode=mode,
                            max_deviation=worst, epsilon=epsilon)
@@ -350,6 +385,6 @@ def privacy_audit(schemes, mode, trials=None, rng=None, q=2, epsilon=None):
 def _check_trials(trials, rng, mode):
     if not trials or rng is None:
         raise ParameterError(f"{mode} mode needs trials and rng")
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:  # check_int's rule: no bool
         raise ParameterError(f"trials must be a positive integer, "
                              f"got {trials}")

@@ -1,10 +1,12 @@
 """Reference randomized-query code for the differential tests.
 
 These are the direct forms that `pirlab.general` and `pirlab.sim` replace:
-the 4^degree enumeration of one server's answer distribution, the linear
-scan that picks a probabilistic row for each draw, and the statistical
-audit that draws each (mu, lam) bit with its own randrange(2), builds
-every server's query for it and sums `Fraction` frequencies.  Tests
+the 4^degree enumeration of one server's answer distribution, the
+distributional audit that sums and compares those distributions as
+`Fraction`s, the linear scan that picks a probabilistic row for each draw,
+and the statistical audit that draws each (mu, lam) bit with its own
+randrange(2), builds every server's query for it and sums `Fraction`
+frequencies.  Tests
 compare the package against them on the same inputs and seeds, down to
 the RNG state afterwards.
 """
@@ -15,6 +17,8 @@ from fractions import Fraction
 from itertools import product
 
 from pirlab.errors import ParameterError
+from pirlab.graphs import Graph
+from pirlab.scheme import ProbabilisticScheme
 from pirlab.sim import AuditReport, ProbTrialReport
 
 
@@ -95,6 +99,36 @@ def reference_sample_trials(pscheme, contents, trials, rng):
 def _tv(d1, d2):
     keys = set(d1) | set(d2)
     return sum(abs(d1.get(k, 0) - d2.get(k, 0)) for k in keys) / 2
+
+
+def reference_distributional_audit(schemes, q=2):
+    """Distributional mode of `privacy_audit`: each member's per-server
+    distribution in Fractions, compared with the first member's."""
+    thetas = sorted(schemes)
+    dists = {}
+    for theta in thetas:
+        s = schemes[theta]
+        if isinstance(s, ProbabilisticScheme):
+            per = {}
+            for srv in s.graph.servers:
+                d = defaultdict(Fraction)
+                for row in s.rows:
+                    combo = row.q.get(srv)
+                    d[() if combo is None else combo] += row.p
+                per[srv] = dict(d)
+        else:
+            graph, desired, size = (s, theta, q) if isinstance(s, Graph) \
+                else (s.graph, s.theta, s.q)
+            per = {srv: reference_distribution(graph, desired, srv, q=size)
+                   for srv in graph.servers}
+        dists[theta] = per
+    worst = Fraction(0)
+    for t in thetas[1:]:
+        for srv in dists[thetas[0]]:
+            worst = max(worst, _tv(dists[t].get(srv, {}),
+                                   dists[thetas[0]][srv]))
+    return AuditReport(ok=worst == 0, mode="distributional",
+                       max_deviation=worst)
 
 
 def reference_combo_counts(graph, theta, trials, rng, q=2):

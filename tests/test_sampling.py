@@ -1,17 +1,23 @@
 """Cheap sampling and exact distributions: identity with the direct forms.
 
-`answer_distribution` multiplies per-file marginals, sampled trials bisect
-the cumulative row probabilities, and the statistical audit counts combos
-from bits that `random_bits` draws in bulk.  Each is checked against the
-direct form it replaced (`reference_general`): same values, same dict
-order, same RNG state.  The digests pin CLI stdout as produced by the direct forms (re-rendered with
-json.dumps(indent=2), the form it was recorded in); the K4 `simulate` pins
-of that time read a per-pattern transform document (`reference_transform`),
-and SIMULATE_K4_MERGED_SHA256 pins the same runs on today's merged one.
+`answer_distribution` multiplies per-file marginals, the distributional
+audit compares integer weights, sampled trials bisect integer row edges,
+and the statistical audit counts packed patterns of bits that
+`random_bits` draws in bulk.  Each is checked against the direct form it
+replaced (`reference_general`): same values, same dict order, same RNG
+state.  The digests pin CLI stdout as produced by the direct forms
+(re-rendered with json.dumps(indent=2), the form it was recorded in); the
+K4 `simulate` pins of that time read a per-pattern transform document
+(`reference_transform`), and SIMULATE_K4_MERGED_SHA256 pins the same runs
+on today's merged one.
 """
 
+import dataclasses
 import hashlib
+import math
 import random
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -29,6 +35,7 @@ from conftest import indented_sha256
 from reference_general import (
     reference_combo_counts,
     reference_distribution,
+    reference_distributional_audit,
     reference_queries,
     reference_sample_trials,
     reference_statistical_audit,
@@ -37,6 +44,9 @@ from reference_transform import reference_transform
 
 # the graph mix of the benchmark's statistical audits
 AUDIT_GRAPHS = ("edges:1-2,1-3,2-3,1-4", "complete:5", "star:8", "cycle:6")
+# the same mix with a smaller star, which the 4^degree reference can afford
+DISTRIBUTIONAL_GRAPHS = ("edges:1-2,1-3,2-3,1-4", "complete:5", "star:5",
+                         "cycle:6")
 
 
 # ============================================================
@@ -97,21 +107,37 @@ def test_random_general_scheme_matches_per_call_draws(spec):
         assert rng.getstate() == ref_rng.getstate()
 
 
+def _assert_same_counts(graph, theta, trials, seed, q):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = sample_combo_counts(graph, theta, trials, rng, q=q)
+    want = reference_combo_counts(graph, theta, trials, ref_rng, q=q)
+    assert got == want
+    assert list(got) == list(want)
+    assert [list(c) for c in got.values()] == \
+        [list(c) for c in want.values()]
+    assert rng.getstate() == ref_rng.getstate()
+
+
 @pytest.mark.parametrize("q", [2, 3, 257])
 def test_combo_counts_match_reference(q):
     # server 4 stores one file (the pendant edge) and server 5 none
     graph = Graph(5, ((1, 2), (1, 3), (2, 3), (1, 4)))
     for theta in graph.files:
         for trials in (300, 4500) if theta == 3 else (300,):
-            rng, ref_rng = random.Random(theta), random.Random(theta)
-            got = sample_combo_counts(graph, theta, trials, rng, q=q)
-            want = reference_combo_counts(graph, theta, trials, ref_rng,
-                                          q=q)
-            assert got == want
-            assert list(got) == list(want)
-            assert [list(c) for c in got.values()] == \
-                [list(c) for c in want.values()]
-            assert rng.getstate() == ref_rng.getstate()
+            _assert_same_counts(graph, theta, trials, theta, q)
+
+
+@pytest.mark.parametrize("spec,q,trials", [
+    ("star:7", 2, 300), ("star:8", 2, 300), ("star:9", 2, 300),
+    ("star:16", 2, 300), ("star:17", 2, 4500), ("star:8", 3, 300),
+    ("star:9", 3, 4500), ("star:12", 3, 300)])
+def test_combo_counts_match_reference_at_pattern_widths(spec, q, trials):
+    # the centre of star:k reads k bits at q = 2 and 2k at q = 3, packed
+    # 8 to a byte: 7, 8, 9, 16, 17, 18 and 24 bits, over one block of
+    # queries or past it
+    graph = cli._parse_graph(spec)
+    for theta in (0, len(graph.edges) - 1):
+        _assert_same_counts(graph, theta, trials, 7 + theta, q)
 
 
 def _family(spec):
@@ -153,6 +179,71 @@ def test_statistical_audit_matches_reference_across_blocks(
 
 
 # ============================================================
+# distributional audit
+# ============================================================
+
+def _assert_same_distributional(schemes, q=2):
+    got = privacy_audit(schemes, mode="distributional", q=q)
+    want = reference_distributional_audit(schemes, q=q)
+    assert got == want
+    assert type(got.max_deviation) is Fraction
+    return got
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_distributional_audit_matches_reference_on_transforms(n):
+    family = cli._family_schemes(f"transform:k{n}", "distributional")
+    assert _assert_same_distributional(family).ok
+
+
+@pytest.mark.parametrize("q", [2, 3, 257])
+@pytest.mark.parametrize("spec", DISTRIBUTIONAL_GRAPHS)
+def test_distributional_audit_matches_reference_on_graphs(spec, q):
+    assert _assert_same_distributional(_family(spec), q=q).ok
+    graph = cli._parse_graph(spec)
+    rng = random.Random(q)
+    members = {theta: random_general_scheme(graph, theta, rng, q=q)
+               for theta in graph.files}
+    assert _assert_same_distributional(members).ok
+    # each member brings its own q, so one other alphabet breaches
+    members[0] = random_general_scheme(graph, 0, rng, q=3 if q == 2 else 2)
+    assert not _assert_same_distributional(members, q=q).ok
+
+
+def _move_mass(pscheme, moved):
+    """`pscheme` with `moved` of row 0's mass put on row 1."""
+    first, second, *rest = pscheme.rows
+    return dataclasses.replace(pscheme, rows=(
+        dataclasses.replace(first, p=first.p - moved),
+        dataclasses.replace(second, p=second.p + moved), *rest))
+
+
+def test_distributional_audit_matches_reference_on_planted_breaches():
+    star, cycle = cli._parse_graph("star:4"), cli._parse_graph("cycle:4")
+    report = _assert_same_distributional({0: star, 1: cycle})
+    assert report.max_deviation == Fraction(3, 4)
+    family = cli._family_schemes("transform:k3", "distributional")
+    family[1] = _move_mass(family[1], family[1].rows[0].p / 2)
+    assert not _assert_same_distributional(family).ok
+
+
+def test_distributional_audit_matches_reference_across_denominators():
+    family = cli._family_schemes("transform:k4", "distributional")
+    # member 2's first row split in thirds: the same distribution, with
+    # other denominators
+    first, *rest = family[2].rows
+    family[2] = dataclasses.replace(family[2], rows=(
+        dataclasses.replace(first, p=first.p / 3),
+        dataclasses.replace(first, p=first.p * 2 / 3), *rest))
+    assert len({row.p.denominator for member in family.values()
+                for row in member.rows}) > 2
+    assert _assert_same_distributional(family).ok
+    family[4] = _move_mass(family[4], Fraction(1, 1009))
+    report = _assert_same_distributional(family)
+    assert not report.ok and report.max_deviation.denominator % 1009 == 0
+
+
+# ============================================================
 # sampled probabilistic trials
 # ============================================================
 
@@ -184,6 +275,41 @@ def test_sampled_trials_skip_zero_probability_rows(k3_scheme):
     want = reference_sample_trials(padded, contents, 2000, random.Random(8))
     assert got == want
     assert got.ok
+
+
+class _OffGridRandom(random.Random):
+    """A Random whose draws lie below 1/2, most of them off the 2^-53
+    grid: a third of a plain draw, then in turn each of `near` (set after
+    construction)."""
+
+    near = ()
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        if self.calls % 2:
+            return super().random() / 3
+        return self.near[self.calls // 2 % len(self.near)]
+
+
+@pytest.mark.parametrize("n,theta", [(3, 0), (4, 1)])
+def test_sampled_trials_match_reference_off_the_grid(n, theta):
+    pscheme = transform(build_scheme(n, theta))
+    contents = [1] * len(pscheme.graph.files)
+    # the floats at and either side of each row edge below 1/2
+    edges = [e for e in accumulate(row.p for row in pscheme.rows)
+             if e < Fraction(1, 2)]
+    near = [x for e in edges for x in (math.nextafter(float(e), 0),
+                                       float(e), math.nextafter(float(e), 1))]
+    rng, ref_rng, probe = (_OffGridRandom(5) for _ in range(3))
+    rng.near = ref_rng.near = probe.near = near
+    got = run_probabilistic_trials(pscheme, contents, mode="sample",
+                                   trials=600, rng=rng)
+    want = reference_sample_trials(pscheme, contents, 600, ref_rng)
+    assert got == want
+    assert rng.getstate() == ref_rng.getstate()
+    draws = [probe.random() for _ in range(600)]
+    assert sum(not (x * 2 ** 53).is_integer() for x in draws) > 300
 
 
 # ============================================================

@@ -141,6 +141,36 @@ def test_trial_refuses_a_symbol_storage_lacks(case, message):
     assert str(exc.value) == message
 
 
+_NOT_A_PERMUTATION = ("^the subfile permutation of file 1 is not a "
+                      "permutation of 1..6$")
+
+
+@pytest.mark.parametrize("L,entries,message", [
+    (3, None, "which storage does not hold$"),
+    (9, None, "^storage splits each file into 9 subfiles, the scheme "
+              "into 6$"),
+    (6, (1, 2, 3, 4, 5, 7), _NOT_A_PERMUTATION),
+    (6, (0, 1, 2, 3, 4, 5), _NOT_A_PERMUTATION),
+    (6, (1, 1, 2, 3, 4, 5), _NOT_A_PERMUTATION),
+    (6, (1, 2, 3, 4, 5), _NOT_A_PERMUTATION),
+    (6, (1.0, 2, 3, 4, 5, 6), _NOT_A_PERMUTATION),
+    (6, (True, 2, 3, 4, 5, 6), _NOT_A_PERMUTATION),
+], ids=["short-storage", "long-storage", "past-L", "zero", "repeat",
+        "short-permutation", "float", "bool"])
+def test_trial_refuses_storage_or_permutations_off_the_scheme(L, entries,
+                                                              message):
+    s = build_scheme(3)  # L = 6
+    rng = random.Random(4)
+    storage = random_storage(s.graph, 2, L, rng)
+    perms = None
+    if entries is not None:
+        perms = random_permutations(s.graph, L, rng)
+        perms[1] = entries
+    with pytest.raises(ParameterError, match=message) as exc:
+        run_deterministic_trial(s, storage, perms)
+    assert "\n" not in str(exc.value)
+
+
 # ============================================================
 # probabilistic trials
 # ============================================================
@@ -210,7 +240,7 @@ def test_probabilistic_scheme_rejects_bad_mass(k3_scheme):
         dataclasses.replace(p, rows=flipped + rows[2:])
 
 
-@pytest.mark.parametrize("trials", [-3, 2.5])
+@pytest.mark.parametrize("trials", [-3, 2.5, True])
 def test_sampling_needs_positive_trials(k3_scheme, pendant_triangle,
                                         trials):
     p = transform(k3_scheme)
