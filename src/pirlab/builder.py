@@ -39,7 +39,7 @@ from .errors import (InternalConsistencyError, ParameterError,
                      UnsupportedSizeError, check_theta)
 from .graphs import make_graph
 from .scheme import (DeterministicScheme, RecoveryPattern, Summation,
-                     row_shapes)
+                     gc_paused, row_shapes)
 from .sequences import BUILDER_CAP, build_sequences, check_n, step_ledger
 
 
@@ -214,6 +214,7 @@ def class_plan(graph, theta, led):
     return variants, pool
 
 
+@gc_paused
 def build_scheme(n, theta=0):
     check_build_n(n)
     graph = make_graph("complete", [n])
@@ -230,12 +231,15 @@ def build_scheme(n, theta=0):
         files = set().union(*new_rows.values(), *old_rows.values())
         rows = [*new_rows.items(), *old_rows.items()]
         for copy in range(copies):
+            # the pattern's term of each file, shared by all its rows
+            term = {}
             for f in files:
                 sub[f] += 1
+                term[f] = (f, sub[f], 1)
             selections = {}
             for server, fileset in rows:
                 queries[server].append(
-                    Summation(tuple((f, sub[f], 1) for f in fileset)))
+                    Summation(tuple(map(term.__getitem__, fileset))))
                 selections[server] = len(queries[server]) - 1
             patterns.append(RecoveryPattern(target=sub[theta],
                                             selections=selections,
@@ -285,6 +289,7 @@ class VerifyReport:
     violations: tuple
 
 
+@gc_paused
 def verify_scheme(scheme):
     """Structural verification of a built scheme.
 

@@ -26,7 +26,7 @@ from .general import general_rate, random_general_scheme
 from .graphs import Graph, make_graph
 from .patterns import IndependenceError, check_srp, extract_patterns
 from .render import canonical_json, frac_str, meta_header
-from .scheme import DeterministicScheme, ProbabilisticScheme
+from .scheme import DeterministicScheme, ProbabilisticScheme, gc_paused
 from .sequences import build_sequences, rate
 from .sim import (check_audit_member, privacy_audit, random_permutations,
                   random_storage, run_deterministic_trial,
@@ -49,6 +49,7 @@ def _emit_doc(doc, out_path):
     _emit(canonical_json(doc) + "\n", out_path)
 
 
+@gc_paused
 def _load_doc(path):
     """The JSON object in a file; every pirlab document is one."""
     try:

@@ -34,7 +34,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .scheme import RecoveryPattern
+from .scheme import RecoveryPattern, gc_paused
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ class IndependenceError(RuntimeError):
 # the single row walk
 # ============================================================
 
+@gc_paused
 def analyze(scheme):
     """Check independence and extract patterns in one walk over the rows.
 

@@ -5,8 +5,16 @@ with.  Each summation term is a (file, subfile, sign) triple; subfiles are
 1-based.  Recovery patterns group one summation per involved server such
 that the group cancels to a single desired subfile.  Side information rows
 are downloaded but not used by any pattern.
+
+`gc_paused` runs the functions that allocate scheme data in bulk with
+CPython's cyclic collector paused.  That is safe because the data holds no
+cycles (tuples, dicts and frozen dataclasses that only point down), so
+reference counting frees all of it, and the collector would only traverse
+it again and again.
 """
 
+import functools
+import gc
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
@@ -15,6 +23,22 @@ from .errors import (ParameterError, check_combo, check_frac, check_int,
                      check_theta, malformed, server_key)
 from .graphs import Graph
 from .render import frac_str
+
+
+def gc_paused(fn):
+    """`fn` run with the cyclic collector paused.  Only the outermost call
+    turns it back on, so nested calls and a caller that turned it off
+    themselves keep it off; it is turned back on after a raise too."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return run
 
 
 # ============================================================
@@ -152,6 +176,7 @@ class DeterministicScheme:
     def replace(self, **overrides):
         return _dc_replace(self, **overrides)
 
+    @gc_paused
     def to_json(self):
         doc = {
             "graph": self.graph.to_json(),
@@ -166,6 +191,7 @@ class DeterministicScheme:
         return doc
 
     @classmethod
+    @gc_paused
     def from_json(cls, doc):
         with malformed("scheme"):
             return cls(graph=Graph.from_json(doc["graph"]),

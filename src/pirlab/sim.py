@@ -40,7 +40,8 @@ from .general import (GeneralScheme, answer_counts, random_bits,
                       sample_combo_counts)
 from .graphs import Graph
 from .patterns import extract_patterns
-from .scheme import DeterministicScheme, ProbabilisticScheme, row_shapes
+from .scheme import (DeterministicScheme, ProbabilisticScheme, gc_paused,
+                     row_shapes)
 from .transform import prob_rate
 
 # sampled trials compare draws with row edges on this grid: random()
@@ -83,6 +84,7 @@ def _check_symbols(where, row, top=math.inf):
                              f"be ints in 0..{top}")
 
 
+@gc_paused
 def random_storage(graph, q, L, rng):
     """Uniform symbols in 0..q-1, file by file: the draws of one
     `rng.randrange(q)` call per symbol, made in bulk when q = 2."""
@@ -120,6 +122,7 @@ class TrialReport:
     measured_rate: Fraction
 
 
+@gc_paused
 def run_deterministic_trial(scheme, storage, perms=None):
     """Answer every query row and reconstruct the desired file.
 

@@ -12,17 +12,18 @@ another, so each row of the result is one distinct joint query
 
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (InfeasibleError, InternalConsistencyError,
                      ParameterError)
 from .patterns import analyze, extract_patterns
-from .scheme import ProbabilisticScheme, ProbRow
+from .scheme import ProbabilisticScheme, ProbRow, gc_paused
 
 
-def _combo(summation):
-    return tuple(sorted((f, sign) for f, _s, sign in summation.terms))
+_file_sign = itemgetter(0, 2)   # a term's (file, sign)
 
 
+@gc_paused
 def transform(scheme, extraction=None):
     """Build the probabilistic scheme induced by a deterministic one.
 
@@ -38,11 +39,23 @@ def transform(scheme, extraction=None):
                 f"summations but only {scheme.L} slots exist", server=srv)
 
     ex = extraction if extraction is not None else extract_patterns(scheme)
-    queries = scheme.queries
+    # each distinct combo gets a small int, from 1 (0 is an idle server),
+    # so a slot's joint query is a tuple of ints.  A row's (file, sign)
+    # pairs, in term order, are sorted into a combo once per distinct
+    # sequence of them at the server.
+    combo_ids = {}      # combo -> id
+    ids = {}            # server -> the combo id of each of its rows
+    for srv, rows in scheme.queries.items():
+        keys = [tuple(map(_file_sign, row.terms)) for row in rows]
+        key_ids = {key: combo_ids.setdefault(tuple(sorted(key)),
+                                             len(combo_ids) + 1)
+                   for key in dict.fromkeys(keys)}
+        ids[srv] = list(map(key_ids.__getitem__, keys))
+    combos = (None, *combo_ids)
     spare = {srv: [] for srv in scheme.graph.servers}
     for srv, idx in ex.side_info:
-        spare[srv].append(_combo(queries[srv][idx]))
-    spare = {srv: iter(combos) for srv, combos in spare.items()}
+        spare[srv].append(ids[srv][idx])
+    spare = {srv: iter(side) for srv, side in spare.items()}
 
     # pattern t fills slot t; a server idle in it takes its next
     # side-information combo, if any is left.  Equal slots merge into one
@@ -50,16 +63,16 @@ def transform(scheme, extraction=None):
     counts = Counter()
     for pattern in ex.patterns:
         sel = pattern.selections
-        q = tuple((srv, _combo(queries[srv][sel[srv]]) if srv in sel
-                   else next(combos, None))
-                  for srv, combos in spare.items())
+        q = tuple([ids[srv][sel[srv]] if srv in sel else next(side, 0)
+                   for srv, side in spare.items()])
         counts[q, tuple(sorted(sel))] += 1
-    for srv, combos in spare.items():
-        if next(combos, None) is not None:
+    for srv, side in spare.items():
+        if next(side, 0):
             raise InternalConsistencyError(
                 f"no idle row left at server {srv} for side information")
 
-    rows = tuple(ProbRow(p=Fraction(count, scheme.L), q=dict(q),
+    rows = tuple(ProbRow(p=Fraction(count, scheme.L),
+                         q=dict(zip(spare, map(combos.__getitem__, q))),
                          pattern_servers=servers)
                  for (q, servers), count in counts.items())
     return ProbabilisticScheme(graph=scheme.graph, theta=scheme.theta,

@@ -140,6 +140,14 @@ def test_combo_counts_match_reference_at_pattern_widths(spec, q, trials):
         _assert_same_counts(graph, theta, trials, 7 + theta, q)
 
 
+@pytest.mark.parametrize("spec,q", [("star:40", 2), ("star:33", 3)])
+def test_combo_counts_match_reference_past_one_key_word(spec, q):
+    # 40 bits make one 8-byte key per query; 66 bits make two, a tuple
+    graph = cli._parse_graph(spec)
+    for theta in (0, len(graph.edges) - 1):
+        _assert_same_counts(graph, theta, 300, theta, q)
+
+
 def _family(spec):
     graph = cli._parse_graph(spec)
     return {theta: graph for theta in graph.files}
