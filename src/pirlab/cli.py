@@ -40,7 +40,10 @@ SCHEMA_VERSION = {"transform": 2}
 
 def _emit(text, out_path):
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -278,79 +281,110 @@ def _cmd_audit(args):
 # parser
 # ============================================================
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
+# Each subcommand once: its help, its handler and its flags in order, as
+# (flag, add_argument keywords); every subcommand takes --out last.
+_COMMANDS = {
+    "bounds": ("capacity bound table", _cmd_bounds, (
+        ("--min", {"type": int, "default": 3}),
+        ("--max", {"type": int, "default": 10}),
+        ("--format", {"choices": ("csv", "markdown"), "default": "csv"}),
+    )),
+    "sequences": ("construction sequences for K_n", _cmd_sequences, (
+        ("--n", {"type": int, "required": True}),
+    )),
+    "build": ("explicit scheme on K_n", _cmd_build, (
+        ("--n", {"type": int, "required": True}),
+        ("--theta", {"default": "0",
+                     "help": "file id, or an endpoint pair like 1,3"}),
+    )),
+    "extract": ("recover patterns from a scheme", _cmd_extract, (
+        ("--scheme", {"required": True}),
+    )),
+    "transform": ("deterministic -> probabilistic", _cmd_transform, (
+        ("--scheme", {"required": True}),
+    )),
+    "general": ("randomized single-symbol scheme", _cmd_general, (
+        ("--graph", {"required": True,
+                     "help": "edges:1-2,1-3,... or family:params or a "
+                             "JSON path"}),
+        ("--theta", {"default": None}),
+        ("--r", {"type": int, "default": 1,
+                 "help": "replication factor (multigraph extension)"}),
+        ("--q", {"type": int, "default": 2}),
+        ("--seed", {"type": int, "default": None}),
+        ("--enumerate", {"action": "store_true",
+                         "help": "report the exact rate and idle "
+                                 "probabilities"}),
+    )),
+    "simulate": ("run a scheme against random storage", _cmd_simulate, (
+        ("--scheme", {"required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--trials", {"type": int, "default": None}),
+        ("--q", {"type": int, "default": 2}),
+    )),
+    "audit": ("privacy audit across desired files", _cmd_audit, (
+        ("--family", {"required": True,
+                      "help": "kN, transform:kN, or general:<graph spec>"}),
+        ("--mode", {"required": True}),
+        ("--trials", {"type": int, "default": None}),
+        ("--seed", {"type": int, "default": None}),
+        ("--q", {"type": int, "default": 2}),
+        ("--epsilon", {"type": float, "default": None}),
+    )),
+}
+
+
+def _build_parser(commands=_COMMANDS, parser_class=argparse.ArgumentParser):
+    """The pirlab parser with the subcommands named in `commands`."""
+    parser = parser_class(
         prog="pirlab",
         description="private retrieval toolkit for 2-replicated "
                     "graph storage")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="capacity bound table")
-    p.add_argument("--min", type=int, default=3)
-    p.add_argument("--max", type=int, default=10)
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("sequences", help="construction sequences for K_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sequences)
-
-    p = sub.add_parser("build", help="explicit scheme on K_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", default="0",
-                   help="file id, or an endpoint pair like 1,3")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("extract", help="recover patterns from a scheme")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_extract)
-
-    p = sub.add_parser("transform", help="deterministic -> probabilistic")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("general", help="randomized single-symbol scheme")
-    p.add_argument("--graph", required=True,
-                   help="edges:1-2,1-3,... or family:params or a JSON path")
-    p.add_argument("--theta", default=None)
-    p.add_argument("--r", type=int, default=1,
-                   help="replication factor (multigraph extension)")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--enumerate", action="store_true",
-                   help="report the exact rate and idle probabilities")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_general)
-
-    p = sub.add_parser("simulate", help="run a scheme against random storage")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("audit", help="privacy audit across desired files")
-    p.add_argument("--family", required=True,
-                   help="kN, transform:kN, or general:<graph spec>")
-    p.add_argument("--mode", required=True)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_audit)
-
+    for name in commands:
+        help_text, func, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
     return parser
 
 
+class _Unparsed(Exception):
+    pass
+
+
+class _QuietParser(argparse.ArgumentParser):
+    """A parser that neither prints nor exits: help and errors raise
+    `_Unparsed`, so the full parser can give them their exact text."""
+
+    def print_help(self, file=None):
+        raise _Unparsed
+
+    def error(self, message):
+        raise _Unparsed
+
+
+def _parse_args(argv):
+    """Parse with the named subcommand's parser alone; help, an error or a
+    name that is not a command goes to the full parser, whose usage lists
+    every command."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        try:
+            args, extras = _build_parser(
+                (argv[0],), _QuietParser).parse_known_args(argv)
+        except _Unparsed:
+            pass
+        else:
+            if not extras:
+                return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     version = SCHEMA_VERSION.get(args.command, 1)
     print(f"schema: pirlab/{args.command}/v{version}", file=sys.stderr)
     try:

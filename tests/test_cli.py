@@ -762,6 +762,18 @@ def test_documents_are_compact_json(capsys, tmp_path, argv):
     assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", ""],
+                         ids=["missing-directory", "a-directory"])
+def test_out_that_cannot_be_written(capsys, tmp_path, target):
+    path = tmp_path / target
+    rc, out, err = run_cli(capsys, "sequences", "--n", "4",
+                           "--out", str(path))
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith(f"error: cannot write {path}: ")
+
+
 # ============================================================
 # process-level smoke test
 # ============================================================

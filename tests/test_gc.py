@@ -65,10 +65,13 @@ def test_library_pass_leaves_no_cyclic_garbage(n):
 
 
 def test_cli_runs_leave_no_cyclic_garbage(tmp_path, capsys, monkeypatch):
-    # an argparse parser is a web of cycles, so every run shares one built
-    # beforehand and only what the commands make is looked at
-    parser = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    # an argparse parser is a web of cycles, so every run shares the one
+    # built beforehand for its subcommand and only what the commands make
+    # is looked at
+    shapes = [((command,), cli._QuietParser)
+              for command in ("build", "extract", "transform", "simulate")]
+    parsers = {shape: cli._build_parser(*shape) for shape in shapes}
+    monkeypatch.setattr(cli, "_build_parser", lambda *shape: parsers[shape])
     scheme, prob = tmp_path / "k4.json", tmp_path / "k4_prob.json"
 
     def run():

@@ -10,6 +10,7 @@ separators, and documents parse back to the objects they came from.
 
 import copy
 import enum
+import hashlib
 import json
 import re
 from collections import OrderedDict
@@ -17,8 +18,9 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pirlab import cli, render
 from pirlab.builder import build_scheme
-from pirlab.render import canonical_json
+from pirlab.render import canonical_json, input_digest
 from pirlab.scheme import DeterministicScheme, ProbabilisticScheme
 from pirlab.transform import transform
 
@@ -133,3 +135,68 @@ def test_scheme_documents_match(n, theta):
         json.loads(canonical_json(scheme.to_json()))) == scheme
     assert ProbabilisticScheme.from_json(
         json.loads(canonical_json(prob.to_json()))) == prob
+
+
+# ============================================================
+# the encoder without its cycle scan
+# ============================================================
+
+def _checked_digest(obj):
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_command_documents_encode_as_the_checked_encoder(
+        n, tmp_path, capsys, monkeypatch):
+    # every document a command writes and every input a digest covers, as
+    # the objects the command hands the encoder (term tuples and all)
+    docs, inputs = [], []
+    emit, digest = cli._emit_doc, render.input_digest
+    monkeypatch.setattr(cli, "_emit_doc",
+                        lambda doc, out: docs.append(doc) or emit(doc, out))
+    monkeypatch.setattr(render, "input_digest",
+                        lambda obj: inputs.append(obj) or digest(obj))
+    scheme, prob = str(tmp_path / "scheme.json"), str(tmp_path / "prob.json")
+    last = str(n * (n - 1) // 2 - 1)
+    for argv in (["sequences", "--n", str(n)],
+                 ["build", "--n", str(n), "--theta", last, "--out", scheme],
+                 ["extract", "--scheme", scheme],
+                 ["transform", "--scheme", scheme, "--out", prob],
+                 ["simulate", "--scheme", scheme, "--seed", "1"],
+                 ["simulate", "--scheme", prob, "--seed", "1"],
+                 ["simulate", "--scheme", prob, "--seed", "1",
+                  "--trials", "20"],
+                 ["general", "--graph", f"complete:{n}", "--enumerate"],
+                 ["general", "--graph", f"complete:{n}", "--theta", last,
+                  "--seed", "1"],
+                 ["audit", "--family", f"k{n}", "--mode", "structural"],
+                 ["audit", "--family", f"transform:k{n}",
+                  "--mode", "distributional"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(docs) == len(inputs) == 11
+    for doc in docs:
+        _same(doc)
+    for obj in inputs:
+        assert digest(obj) == _checked_digest(obj)
+
+
+def test_digest_of_a_cycle_raises_like_json_dumps():
+    loop = {"command": "build", "inputs": []}
+    loop["inputs"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        input_digest(loop)
+
+
+@pytest.mark.parametrize("encode", [canonical_json, input_digest])
+def test_nesting_past_the_recursion_limit_raises_like_json_dumps(encode):
+    # deeper than the recursion limit of any CPython the project supports
+    value = 0
+    for _ in range(100_000):
+        value = [value]
+    with pytest.raises(RecursionError) as expected:
+        json.dumps(value)
+    with pytest.raises(RecursionError) as raised:
+        encode(value)
+    assert str(raised.value) == str(expected.value)
