@@ -7,7 +7,7 @@ is min(max_degree/|E|, 1/matching_number).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, UnsupportedSizeError, check_replication
@@ -59,7 +59,7 @@ def general_upper_bound(g):
 
 
 def prior_bounds_complete(n):
-    """Previously published bounds on complete graphs, for comparison columns."""
+    """Previously published bounds on complete graphs, keyed by source."""
     check_n(n)
     half = Fraction(1, 2)
     return {
@@ -84,7 +84,6 @@ class BoundReport:
     n: int
     upper: Fraction
     lower: Fraction
-    sources: dict = field(default_factory=dict)
 
     @property
     def coefficient_upper(self):
@@ -110,7 +109,7 @@ def bounds_table(n_min=3, n_max=10):
         raise UnsupportedSizeError(f"bound tables stop at n = {BOUNDS_CAP}, "
                                    f"got n_max = {n_max}")
     uppers = _complete_upper_bounds(n_min, n_max)
-    return [BoundReport(n, upper, rate(n), prior_bounds_complete(n))
+    return [BoundReport(n, upper, rate(n))
             for n, upper in zip(range(n_min, n_max + 1), uppers)]
 
 

@@ -15,7 +15,6 @@ overridden: `randrange(2)` then reads the top two bits of one 32-bit
 Mersenne Twister word per try.
 """
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +27,6 @@ DISTRIBUTION_DEGREE_CAP = 12
 
 # sampled queries held in memory at once by sample_combo_counts
 _SAMPLE_BLOCK = 4096
-# native unsigned int formats of 2, 4 and 8 bytes, for memoryview.cast
-_NATIVE = {2: "H", 4: "I", 8: "Q"}
 
 # random_bits: bit 6 of a word's top byte, for bytes.translate; a top byte
 # with bit 7 set is a word that randrange(2) rejects
@@ -160,10 +157,11 @@ def sample_combo_counts(graph, theta, trials, rng, q=2):
     bits and the final state of one `randrange(2)` call per bit.  Each
     server counts the patterns of the bits its combo depends on: the mu
     bit of each of its files, and the lam bit where lam changes the file's
-    term (never at q = 2).  A pattern is packed into one byte per 8 bits,
-    and a query's bytes into one int key up to 64 bits (`_pattern_keys`),
-    so the counting runs over `bytes` or a memoryview of ints, and each
-    distinct pattern is turned into a combo once.
+    term (never at q = 2).  A pattern is packed into one byte per 8 bits.
+    A query's key is its one byte for patterns of up to 8 bits, so the
+    counting runs over `bytes`, and the tuple of its group bytes past 8
+    bits; a server with no bits counts key 0.  Each distinct key is turned
+    into a combo once.
     Returns {server: Counter(combo -> count)}, combos in first-seen order.
     """
     check_theta(theta, graph)
@@ -199,43 +197,21 @@ def sample_combo_counts(graph, theta, trials, rng, q=2):
             packed = [sum(int.from_bytes(bits[i::width], "big") << j
                           for j, i in enumerate(group))
                       .to_bytes(block, "big") for group in groups]
-            if len(packed) == 1:
-                patterns.update(packed[0])
-            elif packed:
-                patterns.update(_pattern_keys(packed))
-            else:
-                patterns[0] += block
+            patterns.update(packed[0] if len(packed) == 1 else
+                            zip(*packed) if packed else bytes(block))
 
     counts = {}
     for v, groups, readers, patterns in servers:
         combos = counts[v] = Counter()
         for key, count in patterns.items():
-            if type(key) is tuple:  # 64 bits of the pattern per int
-                key = sum(word << 64 * i for i, word in enumerate(key))
+            if type(key) is tuple:  # group g weighs 2^(8g)
+                key = int.from_bytes(bytes(key), "little")
             combo = tuple([
                 term for table, mu_at, lam_at in readers
                 if (term := table[key >> mu_at & 1][key >> lam_at & 1])
                 is not None])
             combos[combo] += count
     return counts
-
-
-def _pattern_keys(packed):
-    """One key per query from its group bytes (`packed` holds one bytes
-    object per group): an int whose byte g is the query's group-g byte, or
-    past 8 groups a tuple of such ints, one per 8 groups."""
-    words = []
-    for lo in range(0, len(packed), 8):
-        word = packed[lo:lo + 8]
-        size = next(size for size in (2, 4, 8) if size >= len(word))
-        # a native int of `size` bytes per query, byte g where it weighs
-        # 2^(8g)
-        record = bytearray(len(word[0]) * size)
-        for g, column in enumerate(word):
-            at = g if sys.byteorder == "little" else size - 1 - g
-            record[at::size] = column
-        words.append(memoryview(record).cast(_NATIVE[size]))
-    return words[0] if len(words) == 1 else zip(*words)
 
 
 def answers(scheme, contents):

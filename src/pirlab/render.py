@@ -6,19 +6,23 @@ import json
 from fractions import Fraction
 
 
-def decimal_str(value, places=5):
+# decimal places of every fixed-point value pirlab prints
+PLACES = 5
+
+
+def decimal_str(value):
     """Render an exact rational as a fixed-point decimal string.
 
-    Rounding is banker's rounding (round half to even) at the requested
-    number of places, computed from the exact fraction so values like
+    Rounding is banker's rounding (round half to even) at PLACES decimal
+    places, computed from the exact fraction so values like
     84/305 print as 0.27541 rather than a truncated 0.27540.
     """
     frac = Fraction(value)
     with decimal.localcontext() as ctx:
-        ctx.prec = places + 30
+        ctx.prec = PLACES + 30
         ctx.rounding = decimal.ROUND_HALF_EVEN
         d = decimal.Decimal(frac.numerator) / decimal.Decimal(frac.denominator)
-        quantum = decimal.Decimal(1).scaleb(-places)
+        quantum = decimal.Decimal(1).scaleb(-PLACES)
         return str(d.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
 
 

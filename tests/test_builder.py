@@ -22,6 +22,8 @@ from pirlab.errors import (InternalConsistencyError, ParameterError,
                            UnsupportedSizeError)
 from pirlab.graphs import make_graph
 
+from relabel import relabel
+
 
 def _query_sets(s):
     return {srv: {q.terms for q in qs} for srv, qs in s.queries.items()}
@@ -150,6 +152,19 @@ def test_k6_builds_and_verifies():
     assert s.L == subpacketization(6)
     assert verify_scheme(s).ok
     assert s.side_info == ()
+
+
+# ============================================================
+# every theta is a relabeling of theta = 0
+# ============================================================
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_theta_is_theta_zero_relabeled(n):
+    # the whole scheme: each server's rows in order, the patterns in order
+    # and the side information (the K7 case is in the slow tier)
+    base = build_scheme(n, 0)
+    for theta in base.graph.files:
+        assert relabel(base, theta) == build_scheme(n, theta), theta
 
 
 # ============================================================

@@ -2,6 +2,7 @@
 
 Deselected by default; run with `python -m pytest -m slow`.  One build is
 shared by the module: it takes about 10 s and most of a 1 GB peak RSS.
+The relabeling check holds at most one more K7 scheme at a time.
 """
 
 import hashlib
@@ -12,6 +13,8 @@ from pirlab.builder import build_scheme, verify_scheme
 from pirlab.sequences import rate
 from pirlab.sim import run_probabilistic_trials
 from pirlab.transform import entropy_proxy_ok, prob_rate, transform
+
+from relabel import relabel
 
 pytestmark = pytest.mark.slow
 
@@ -31,11 +34,26 @@ def k7_prob(k7):
     return transform(k7)
 
 
+def _digest(scheme):
+    text = repr((sorted(scheme.queries.items()), scheme.patterns,
+                 scheme.side_info))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_k7_build_pinned(k7):
     assert k7.L == 135_792
     assert len(k7.side_info) == 480
-    text = repr((sorted(k7.queries.items()), k7.patterns, k7.side_info))
-    assert hashlib.sha256(text.encode()).hexdigest() == K7_THETA0_SHA256
+    assert _digest(k7) == K7_THETA0_SHA256
+
+
+def test_k7_theta_is_theta_zero_relabeled(k7):
+    # theta = 11 is edge (3, 4); the digest covers each server's rows in
+    # order, the patterns and the side information in order.  Each scheme
+    # is dropped once digested, so at most two K7 schemes are alive.
+    relabeled = _digest(relabel(k7, 11))
+    built = build_scheme(7, 11)
+    assert built.graph.endpoints(11) == (3, 4)
+    assert _digest(built) == relabeled
 
 
 def test_k7_verifies(k7):

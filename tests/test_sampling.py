@@ -142,7 +142,7 @@ def test_combo_counts_match_reference_at_pattern_widths(spec, q, trials):
 
 @pytest.mark.parametrize("spec,q", [("star:40", 2), ("star:33", 3)])
 def test_combo_counts_match_reference_past_one_key_word(spec, q):
-    # 40 bits make one 8-byte key per query; 66 bits make two, a tuple
+    # 40 bits make a tuple key of 5 group bytes per query; 66 bits make 9
     graph = cli._parse_graph(spec)
     for theta in (0, len(graph.edges) - 1):
         _assert_same_counts(graph, theta, 300, theta, q)
