@@ -15,6 +15,7 @@ overridden: `randrange(2)` then reads the top two bits of one 32-bit
 Mersenne Twister word per try.
 """
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,23 +42,32 @@ class GeneralScheme:
     q: int
     mu: tuple
     lam: tuple
-    queries: dict
 
     def __post_init__(self):
         check_theta(self.theta, self.graph)
         check_q(self.q)
-        object.__setattr__(self, "mu",
-                           tuple(check_int(b, "mu bit") for b in self.mu))
-        object.__setattr__(self, "lam",
-                           tuple(check_int(b, "lam bit") for b in self.lam))
-        _check_bits(self.graph, self.mu, self.lam)
-        queries = {check_int(v, "server"): check_combo(combo, v)
-                   for v, combo in dict(self.queries).items()}
-        servers = self.graph.servers
-        for v in queries:
-            if v not in servers:
-                raise ParameterError(f"no server {v} in the graph")
-        object.__setattr__(self, "queries", queries)
+        m = len(self.graph.edges)
+        for name in ("mu", "lam"):
+            bits = tuple(check_int(b, f"{name} bit")
+                         for b in getattr(self, name))
+            if len(bits) != m:
+                raise ParameterError(f"{name} must carry one bit per file "
+                                     f"({m}), got {len(bits)}")
+            if bits.count(0) + bits.count(1) != m:
+                raise ParameterError(f"{name} entries must be 0 or 1")
+            object.__setattr__(self, name, bits)
+
+    @functools.cached_property
+    def queries(self):
+        """Each server's query combo, its (file, sign) terms in file-id
+        order; cached like `Graph._copies`, outside the dataclass fields."""
+        queries = {}
+        for v in self.graph.servers:
+            terms = (_query_term(fid, self.theta, at_lower, self.mu[fid],
+                                 self.lam[fid], self.q)
+                     for fid, at_lower in self.graph.copies(v))
+            queries[v] = tuple(term for term in terms if term is not None)
+        return queries
 
     def to_json(self):
         return {
@@ -67,33 +77,23 @@ class GeneralScheme:
             "mu": list(self.mu),
             "lam": list(self.lam),
             "queries": {str(v): [[f, sign] for f, sign in combo]
-                        for v, combo in sorted(self.queries.items())},
+                        for v, combo in self.queries.items()},
         }
 
     @classmethod
     def from_json(cls, doc):
+        """The scheme of the document's bits; its `queries` must be the
+        ones those bits give."""
         with malformed("scheme"):
-            return cls(graph=Graph.from_json(doc["graph"]),
-                       theta=doc["theta"], q=doc["q"], mu=doc["mu"],
-                       lam=doc["lam"],
-                       queries={server_key(v): combo
-                                for v, combo in doc["queries"].items()})
-
-
-def _check_bits(graph, mu, lam):
-    m = len(graph.edges)
-    for name, bits in (("mu", mu), ("lam", lam)):
-        if len(bits) != m:
-            raise ParameterError(f"{name} must carry one bit per file "
-                                 f"({m}), got {len(bits)}")
-        if bits.count(0) + bits.count(1) != m:
-            raise ParameterError(f"{name} entries must be 0 or 1")
-
-
-def _sign(at_lower, lam_bit, q):
-    if q == 2:
-        return 1
-    return (-1) ** lam_bit if at_lower else (-1) ** (lam_bit + 1)
+            scheme = cls(graph=Graph.from_json(doc["graph"]),
+                         theta=doc["theta"], q=doc["q"], mu=doc["mu"],
+                         lam=doc["lam"])
+            queries = {server_key(v): check_combo(combo, v)
+                       for v, combo in doc["queries"].items()}
+        if queries != scheme.queries:
+            raise ParameterError("queries do not follow from the mu and "
+                                 "lam bits")
+        return scheme
 
 
 def _query_term(fid, theta, at_lower, mu_bit, lam_bit, q):
@@ -101,24 +101,18 @@ def _query_term(fid, theta, at_lower, mu_bit, lam_bit, q):
 
     Returns None when that copy stays out.  Both copies of a file follow
     mu, except the higher copy of the desired file, which takes the
-    opposite choice so that exactly one copy of it survives the sum.
+    opposite choice so that exactly one copy of it survives the sum.  The
+    lower copy's sign is (-1)^lam and the higher copy's the opposite; at
+    q = 2 every sign is +1.
     """
     if mu_bit == (fid == theta and not at_lower):
         return None
-    return (fid, _sign(at_lower, lam_bit, q))
+    return (fid, 1 if q == 2 else (-1) ** (lam_bit + (not at_lower)))
 
 
 def build_general_query(graph, theta, mu, lam, q=2):
-    """Assemble per-server query combos from explicit randomness bits."""
-    mu, lam = tuple(mu), tuple(lam)
-    _check_bits(graph, mu, lam)  # before they are indexed by file id
-    queries = {}
-    for v in graph.servers:  # copies come in file-id order, so sorted
-        terms = (_query_term(fid, theta, at_lower, mu[fid], lam[fid], q)
-                 for fid, at_lower in graph.copies(v))
-        queries[v] = tuple(term for term in terms if term is not None)
-    return GeneralScheme(graph=graph, theta=theta, q=q, mu=mu, lam=lam,
-                         queries=queries)
+    """The scheme that explicit randomness bits give."""
+    return GeneralScheme(graph=graph, theta=theta, q=q, mu=mu, lam=lam)
 
 
 def random_bits(rng, count):
@@ -225,10 +219,11 @@ def answers(scheme, contents):
 def reconstruct(scheme, answer_map):
     """Recover the desired symbol from the full answer map."""
     total = sum(answer_map.values()) % scheme.q
-    # the desired term enters with coefficient +-1; that sign is its own
-    # inverse mod q
-    coef = (1 - 2 * scheme.mu[scheme.theta]) * \
-        _sign(at_lower=False, lam_bit=scheme.lam[scheme.theta], q=scheme.q)
+    # every other file cancels, and the one copy of the desired file that
+    # is queried enters with a sign that is its own inverse mod q
+    theta = scheme.theta
+    coef, = (sign for v in scheme.graph.endpoints(theta)
+             for f, sign in scheme.queries[v] if f == theta)
     return (total * coef) % scheme.q
 
 

@@ -599,6 +599,26 @@ def test_audit_empty_family(capsys, tmp_path, family, mode):
         "error: the audit family has no desired files"
 
 
+def test_structural_audit_size_cap(capsys, monkeypatch):
+    # the edge: K6 is audited, K7 is refused before any member is built
+    rc, out, _ = run_cli(capsys, "audit", "--family",
+                         f"k{cli.STRUCTURAL_AUDIT_CAP}", "--mode",
+                         "structural")
+    assert rc == 0 and json.loads(out)["ok"] is True
+
+    def no_build(*args):
+        raise AssertionError("a scheme was built before the size check")
+    monkeypatch.setattr(cli, "build_scheme", no_build)
+    rc, out, err = run_cli(capsys, "audit", "--family",
+                           f"k{cli.STRUCTURAL_AUDIT_CAP + 1}", "--mode",
+                           "structural")
+    assert rc == 2
+    assert out == ""
+    assert _one_line_error(err) == (
+        "error: a structural audit keeps all 21 K7 schemes alive and is "
+        "capped at n = 6")
+
+
 def test_audit_bad_family(capsys):
     rc, _, err = run_cli(capsys, "audit", "--family", "wheel:5",
                          "--mode", "structural")

@@ -9,7 +9,13 @@ puts a non-integer where the document held an integer (other than a null
 optional `step`), or anything but a string or null in place of a pattern's
 `class`, makes the document malformed: it exits 2, never with an "ok".
 
-A second test fuzzes the flags instead: it draws a subcommand, one of its
+A meaning oracle keeps the types but breaks the scheme: in a K3 or K4
+scheme document, a term gets another subfile in 1..L or another file its
+server stores, or two rows at a server swap places.  `simulate`,
+`extract` and `transform` then exit 0, 2 or 3, and print `"ok":true` only
+if `analyze` accepts the mutated scheme.
+
+A last test fuzzes the flags instead: it draws a subcommand, one of its
 numeric flags set to 0, -3, 1, nan or a value too large for it, and for
 `audit` a family and a mode.  The exit code is 0, 2 or 3, an exit without
 a document prints exactly one `error:` line, and no `NaN` or `Infinity`
@@ -20,13 +26,18 @@ import contextlib
 import copy
 import io
 import json
+import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pirlab.builder import build_scheme
 from pirlab.cli import main
+from pirlab.errors import ParameterError
 from pirlab.graphs import make_graph
+from pirlab.patterns import analyze
 from pirlab.render import canonical_json
+from pirlab.scheme import DeterministicScheme
 from pirlab.sequences import BOUNDS_CAP, BUILDER_CAP
 from pirlab.transform import transform
 
@@ -108,6 +119,54 @@ def test_mutated_documents_exit_cleanly(tmp_path, data):
     if _malformed(key, old, new):
         assert rc == 2, (key, old, new)
         assert '"ok":true' not in out.getvalue()
+
+
+def _meaning_mutation(doc, rng):
+    """`doc` with one term given another subfile in 1..L or another file
+    its server stores, or with two rows at one server swapped."""
+    doc = copy.deepcopy(doc)
+    srv = rng.choice(sorted(doc["queries"]))
+    rows = doc["queries"][srv]
+    kind = rng.choice(("subfile", "file", "swap"))
+    if kind == "swap":
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i], rows[j] = rows[j], rows[i]
+        return doc
+    term = rng.choice(rng.choice(rows)["terms"])
+    if kind == "subfile":
+        term[1] = rng.choice([sub for sub in range(1, doc["L"] + 1)
+                              if sub != term[1]])
+    else:
+        stored = make_graph("complete", [doc["graph"]["n"]]).incident(
+            int(srv))
+        term[0] = rng.choice([f for f in stored if f != term[0]])
+    return doc
+
+
+def _analysis_accepts(doc):
+    try:
+        scheme = DeterministicScheme.from_json(doc)
+    except ParameterError:
+        return False
+    return analyze(scheme)[0].ok
+
+
+@pytest.mark.parametrize("n,count", [(3, 100), (4, 40)])
+def test_mutated_schemes_pass_only_if_analysis_accepts(tmp_path, n, count):
+    base = json.loads(canonical_json(build_scheme(n, 0).to_json()))
+    rng = random.Random(n)
+    path = tmp_path / "doc.json"
+    for _ in range(count):
+        doc = _meaning_mutation(base, rng)
+        path.write_text(json.dumps(doc))
+        accepted = _analysis_accepts(doc)
+        for argv in _COMMANDS["scheme"]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main([a.format(path=path) for a in argv])
+            assert rc in (0, 2, 3), (argv, doc)
+            assert accepted or '"ok":true' not in out.getvalue(), (argv, doc)
 
 
 # per subcommand: its argv, and each numeric flag with a value too large

@@ -1,6 +1,8 @@
 """Randomized single-symbol scheme for arbitrary graphs: goldens and laws."""
 
+import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -193,7 +195,8 @@ def test_json_round_trip(pendant_triangle):
 
 
 _K3_GENERAL = {"theta": 0, "q": 2, "mu": [0, 1, 0], "lam": [1, 0, 0],
-               "queries": {"1": [[0, 1]], "2": [], "3": [[2, 1]]}}
+               "queries": {"1": [[1, 1]], "2": [[0, 1]], "3": [[1, 1]]}}
+_CONTRADICTS = "queries do not follow from the mu and lam bits"
 
 
 @pytest.mark.parametrize("fields,message", [
@@ -203,20 +206,67 @@ _K3_GENERAL = {"theta": 0, "q": 2, "mu": [0, 1, 0], "lam": [1, 0, 0],
     ({"q": 1}, "alphabet size q must be an integer >= 2, got 1"),
     ({"mu": [0, 1]}, "mu must carry one bit per file (3), got 2"),
     ({"lam": [1, 0, 2]}, "lam entries must be 0 or 1"),
-    ({"queries": {"9": [[0, 1]]}}, "no server 9 in the graph"),
-], ids=["all", "theta", "q", "mu-length", "lam-bit", "server"])
+    ({"queries": {"9": [[0, 1]]}}, _CONTRADICTS),
+    # the queries this fixture held while nothing checked them
+    ({"queries": {"1": [[0, 1]], "2": [], "3": [[2, 1]]}}, _CONTRADICTS),
+], ids=["all", "theta", "q", "mu-length", "lam-bit", "server",
+        "contradiction"])
 def test_general_scheme_checks_its_fields(fields, message):
     doc = {"graph": _k3().to_json(), **_K3_GENERAL, **fields}
     with pytest.raises(ParameterError) as exc:
         GeneralScheme.from_json(doc)
     assert str(exc.value) == message
-    with pytest.raises(ParameterError) as exc:
-        GeneralScheme(_k3(), theta=doc["theta"], q=doc["q"],
-                      mu=tuple(doc["mu"]), lam=tuple(doc["lam"]),
-                      queries={int(v): tuple(map(tuple, combo))
-                               for v, combo in doc["queries"].items()})
-    assert str(exc.value) == message
+    if message != _CONTRADICTS:  # the constructor takes no queries
+        with pytest.raises(ParameterError) as exc:
+            GeneralScheme(_k3(), theta=doc["theta"], q=doc["q"],
+                          mu=tuple(doc["mu"]), lam=tuple(doc["lam"]))
+        assert str(exc.value) == message
     assert GeneralScheme.from_json({"graph": _k3().to_json(), **_K3_GENERAL})
+
+
+def test_a_scheme_is_its_bits():
+    assert [f.name for f in dataclasses.fields(GeneralScheme)] == [
+        "graph", "theta", "q", "mu", "lam"]
+    # the seed-1 K3 draw with its queries emptied would read 0 for a 1
+    doc = random_general_scheme(_k3(), 0, random.Random(1)).to_json()
+    for queries in ({"1": [], "2": [], "3": []},
+                    {k: v for k, v in doc["queries"].items() if k != "3"},
+                    {**doc["queries"], "9": []}):
+        with pytest.raises(ParameterError) as exc:
+            GeneralScheme.from_json({**doc, "queries": queries})
+        assert str(exc.value) == _CONTRADICTS
+    with pytest.raises(ParameterError, match="^combo sign must be an "
+                                             "integer, got True$"):
+        GeneralScheme.from_json({**doc, "queries": {
+            v: [[f, True] for f, _ in combo]
+            for v, combo in doc["queries"].items()}})
+
+
+@pytest.mark.parametrize("spec", [
+    ("edges", [(1, 2), (1, 3), (2, 3), (1, 4)]), ("complete", [5]),
+    ("star", [8]), ("cycle", [6])])
+@pytest.mark.parametrize("q", [2, 257])
+def test_drawn_schemes_round_trip(spec, q):
+    family, params = spec
+    graph = Graph(4, tuple(params)) if family == "edges" \
+        else make_graph(family, params)
+    rng = random.Random(q)
+    for theta in graph.files:
+        s = random_general_scheme(graph, theta, rng, q=q)
+        # through the text, as the CLI reads it
+        doc = json.loads(json.dumps(s.to_json()))
+        assert GeneralScheme.from_json(doc) == s
+        assert GeneralScheme.from_json(doc).queries == s.queries
+
+
+def test_every_bit_choice_recovers_on_the_pendant_triangle(pendant_triangle):
+    contents = [17, 101, 233, 5]
+    bits = list(itertools.product((0, 1), repeat=4))
+    for q in (2, 257):
+        symbols = [c % q for c in contents]
+        for theta, mu, lam in itertools.product(range(4), bits, bits):
+            s = build_general_query(pendant_triangle, theta, mu, lam, q=q)
+            assert reconstruct(s, answers(s, symbols)) == symbols[theta]
 
 
 def test_checks_share_one_text_per_rule():

@@ -161,7 +161,7 @@ def _k3(**fields):
     (lambda: ProbRow(p=True, q={}),
      "p must be a fraction string or an integer, got True"),
     (lambda: GeneralScheme(make_graph("complete", [3]), theta=0, q=2,
-                           mu=(True, 0, 0), lam=(0, 0, 0), queries={}),
+                           mu=(True, 0, 0), lam=(0, 0, 0)),
      "mu bit must be an integer, got True"),
     (lambda: RecoveryPattern(target=1, selections={}, pattern_class=[1]),
      "pattern class must be a string, got [1]"),
