@@ -7,8 +7,8 @@ given scheme rather than malformed.  InternalConsistencyError marks a failed
 self-check, that is a bug.  The command line maps ParameterError (and
 subclasses) to exit code 2, InfeasibleError to exit code 3 and
 InternalConsistencyError to exit code 4.  Constructors check their fields
-with `check_int`, `check_frac` and `check_combo`; a `from_json` only maps
-JSON to fields, with `server_key` for server keys, inside `malformed`.
+with `check_int` and `check_combo`; a `from_json` only maps JSON to fields,
+with `server_key` and `check_frac`, inside `malformed`.
 Every entry point that takes a parameter checks it with its rule's one
 check: `check_theta`, `check_q`, `check_replication`, `sequences.check_n`.
 """
@@ -67,12 +67,11 @@ def check_replication(r):
 
 
 def check_frac(value, field):
-    """`value` as a Fraction when it is a Fraction, an int or a string like
-    "7/20" with a nonzero denominator.  A float, bool or decimal string is
-    refused: it is not an exact value."""
-    if isinstance(value, Fraction) or type(value) is int or (
-            type(value) is str
-            and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", value)):
+    """`value` as a Fraction when it is an int or a string like "7/20" with
+    a nonzero denominator, as JSON gives it.  A float, bool or decimal
+    string is refused: it is not an exact value."""
+    if type(value) is int or type(value) is str and re.fullmatch(
+            r"-?[0-9]+(/0*[1-9][0-9]*)?", value):
         return Fraction(value)
     raise ParameterError(f"{field} must be a fraction string or an integer, "
                          f"got {value!r}")

@@ -15,7 +15,8 @@ it again and again.
 
 import functools
 import gc
-from collections import Counter, defaultdict
+import math
+from collections import Counter
 from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
 
@@ -211,12 +212,12 @@ class DeterministicScheme:
 
 @dataclass(frozen=True)
 class ProbRow:
-    p: Fraction
+    mass: int
     q: dict
     pattern_servers: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "p", check_frac(self.p, "p"))
+        check_int(self.mass, "mass")
         object.__setattr__(self, "q", {
             check_int(srv, "server"):
                 None if combo is None else check_combo(combo, srv)
@@ -228,48 +229,45 @@ class ProbRow:
                                  f"server twice")
         object.__setattr__(self, "pattern_servers", servers)
 
-    def to_json(self):
-        return {
-            "p": frac_str(self.p),
-            "q": {str(srv): None if combo is None
-                  else [[f, sign] for f, sign in combo]
-                  for srv, combo in sorted(self.q.items())},
-            "pattern_servers": list(self.pattern_servers),
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(p=doc["p"],
-                   q={server_key(s): combo for s, combo in doc["q"].items()},
-                   pattern_servers=doc.get("pattern_servers", ()))
-
 
 @dataclass(frozen=True)
 class ProbabilisticScheme:
+    """Rows of probability mass / denominator, reduced by their gcd."""
     graph: Graph
     theta: int
     rows: tuple
+    denominator: int
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
         check_theta(self.theta, self.graph)
-        # numerators summed per denominator: one pass, and few Fraction
-        # additions, since rows tend to share a denominator
-        mass = defaultdict(int)
+        den = self.denominator
+        if check_int(den, "denominator") < 1:
+            raise ParameterError(f"denominator must be >= 1, got {den}")
         for i, row in enumerate(self.rows):
-            p = row.p
-            if p.numerator < 0:
+            if row.mass < 0:
                 raise ParameterError(f"row {i} has negative probability "
-                                     f"{frac_str(p)}")
-            mass[p.denominator] += p.numerator
+                                     f"{frac_str(self.p(row))}")
             if None in map(row.q.get, row.pattern_servers):
-                raise ParameterError(f"row {i} recovers through a server "
-                                     f"it leaves idle")
+                outside = set(row.pattern_servers) - set(self.graph.servers)
+                raise ParameterError(
+                    f"row {i} recovers through server {min(outside)}, which "
+                    f"is not in the graph" if outside else f"row {i} "
+                    f"recovers through a server it leaves idle")
         self._check_combos()
-        total = sum(Fraction(num, den) for den, num in mass.items())
-        if total != 1:
+        total = sum(row.mass for row in self.rows)
+        if total != den:
             raise ParameterError(f"row probabilities sum to "
-                                 f"{frac_str(total)}, not 1")
+                                 f"{frac_str(Fraction(total, den))}, not 1")
+        g = math.gcd(den, *(row.mass for row in self.rows))
+        if g > 1:
+            object.__setattr__(self, "rows", tuple(
+                _dc_replace(row, mass=row.mass // g) for row in self.rows))
+            object.__setattr__(self, "denominator", den // g)
+
+    def p(self, row):
+        """The probability of drawing `row`, one of the scheme's rows."""
+        return Fraction(row.mass, self.denominator)
 
     def _check_combos(self):
         """Every combo names only files stored at the server it goes to."""
@@ -293,12 +291,22 @@ class ProbabilisticScheme:
         return {
             "graph": self.graph.to_json(),
             "theta": self.theta,
-            "rows": [row.to_json() for row in self.rows],
+            "rows": [{"p": frac_str(self.p(row)),
+                      "q": {str(srv): None if combo is None
+                            else [[f, sign] for f, sign in combo]
+                            for srv, combo in sorted(row.q.items())},
+                      "pattern_servers": list(row.pattern_servers)}
+                     for row in self.rows],
         }
 
     @classmethod
     def from_json(cls, doc):
         with malformed("probabilistic"):
-            return cls(graph=Graph.from_json(doc["graph"]),
-                       theta=doc["theta"],
-                       rows=tuple(map(ProbRow.from_json, doc["rows"])))
+            graph, theta = Graph.from_json(doc["graph"]), doc["theta"]
+            ps = [check_frac(row["p"], "p") for row in doc["rows"]]
+            den = math.lcm(*(p.denominator for p in ps))
+            return cls(graph=graph, theta=theta, denominator=den, rows=tuple(
+                ProbRow(mass=p.numerator * (den // p.denominator),
+                        q={server_key(s): c for s, c in row["q"].items()},
+                        pattern_servers=row.get("pattern_servers", ()))
+                for p, row in zip(ps, doc["rows"])))

@@ -6,17 +6,17 @@ passes when the reconstructed desired file matches storage exactly.
 
 Sampling is exact and cheap, and runs in integers.  A sampled
 probabilistic trial scales each float draw by 2^53, which is exact, and
-bisects the cumulative row probabilities rounded up to that grid, so it
-picks the first row whose edge exceeds the draw in O(log rows) integer
-comparisons; a draw off the grid (from a `random` that is not
-`random.Random`'s) is compared as an exact Fraction instead.  The
+bisects the prefix sums of the row masses scaled to that grid and rounded
+up, so it picks the first row whose edge exceeds the draw in O(log rows)
+integer comparisons; a draw off the grid (from a `random` that is not
+`random.Random`'s) times the denominator is compared exactly instead.  The
 statistical audit counts each server's combo straight from the sampled
 (mu, lam) bits and builds no scheme per query.  It draws those bits in
 bulk through `general.random_bits`, as `random_general_scheme` does, so it
 consumes the same random stream as drawing one `random_general_scheme` per
 query, and the bits equal per-call `randrange(2)` draws for a
 `random.Random` whose `getrandbits` is not overridden.  The distributional
-audit compares integer weights by cross-multiplication.
+audit compares integer weights (a row's mass) by cross-multiplication.
 
 Privacy audits come in three strengths:
 
@@ -171,7 +171,9 @@ def run_deterministic_trial(scheme, storage, perms=None):
     place = range(1, scheme.L + 1) if perms is None else perms[scheme.theta]
     recovered = [None] * scheme.L
     for p in patterns:
-        value = _xor(answered[srv][idx] for srv, idx in p.selections.items())
+        value = 0
+        for srv, idx in p.selections.items():
+            value ^= answered[srv][idx]
         recovered[place[p.target - 1] - 1] = value
     recovered = tuple(recovered)
 
@@ -180,13 +182,6 @@ def run_deterministic_trial(scheme, storage, perms=None):
                        recovered=recovered,
                        downloaded_symbols=downloaded,
                        measured_rate=Fraction(scheme.L, downloaded))
-
-
-def _xor(values):
-    out = 0
-    for v in values:
-        out ^= v
-    return out
 
 
 # ============================================================
@@ -204,22 +199,28 @@ class ProbTrialReport:
 
 def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
                              rng=None):
-    """Check recovery of a probabilistic scheme against flat contents.
+    """Check recovery of a probabilistic scheme, one symbol per file.
 
     exact   walks every row once and scores the idle-server mass exactly;
     sample  draws rows with their probabilities and measures the rate as
             trials over total non-idle answers.
+
+    A row recovers when its answers XOR to the desired file for every
+    storage, so `contents` are checked but do not sway the verdict.
     """
     contents = tuple(contents)
     if len(contents) != len(pscheme.graph.edges):
         raise ParameterError("contents must hold one symbol per file")
     _check_symbols("contents", contents)
-    want = contents[pscheme.theta]
 
     def recovers(row):
-        value = _xor(_xor(contents[f] for f, _sign in row.q[srv])
-                     for srv in row.pattern_servers)
-        return value == want
+        # XOR is linear, so that holds exactly when the files asked of the
+        # pattern servers, counted mod 2, are the desired file alone
+        odd = 0
+        for srv in row.pattern_servers:
+            for f, _sign in row.q[srv]:
+                odd ^= 1 << f
+        return odd == 1 << pscheme.theta
 
     if mode == "exact":
         ok = all(recovers(row) for row in pscheme.rows)
@@ -227,11 +228,11 @@ def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
 
     if mode == "sample":
         _check_trials(trials, rng, mode)
-        rows = pscheme.rows
-        edges = list(accumulate(row.p for row in rows))
-        # a draw x on the 2^-53 grid lies below edge e exactly when
-        # x * 2^53 < ceil(e * 2^53), so integers pick the same row
-        grid = [-(-e.numerator * _GRID // e.denominator) for e in edges]
+        rows, den = pscheme.rows, pscheme.denominator
+        edges = list(accumulate(row.mass for row in rows))
+        # a draw x on the 2^-53 grid lies below edge e / den exactly when
+        # x * 2^53 < ceil(e * 2^53 / den), so integers pick the same row
+        grid = [-(-e * _GRID // den) for e in edges]
         picks = Counter()
         for _ in range(trials):
             # the first row whose cumulative edge exceeds the draw
@@ -240,7 +241,7 @@ def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
             if scaled.is_integer():
                 picks[bisect_right(grid, int(scaled))] += 1
             else:  # off the grid: compare the draw exactly
-                picks[bisect_right(edges, Fraction(draw))] += 1
+                picks[bisect_right(edges, Fraction(draw) * den)] += 1
         # recovers is pure, so checking each drawn row once, in first-drawn
         # order, gives the verdict of checking every draw
         ok = all(recovers(rows[i]) for i in picks)
@@ -274,16 +275,12 @@ def _answer_weights(member, theta, q):
     """Each server's combo distribution under one distributional-audit
     member, as integer weights: {server: {combo: weight}}."""
     if isinstance(member, ProbabilisticScheme):
-        # p * lcm(denominators) is an integer for every row
-        scale = math.lcm(*(row.p.denominator for row in member.rows))
-        masses = [row.p.numerator * (scale // row.p.denominator)
-                  for row in member.rows]
         per = {}
         for srv in member.graph.servers:
             weights = defaultdict(int)
-            for row, mass in zip(member.rows, masses):
+            for row in member.rows:
                 combo = row.q.get(srv)
-                weights[() if combo is None else combo] += mass
+                weights[() if combo is None else combo] += row.mass
             per[srv] = weights
         return per
     graph, desired, size = (member, theta, q) if isinstance(member, Graph) \

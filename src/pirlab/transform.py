@@ -7,7 +7,8 @@ the random row choice.  Side-information summations are folded into slots
 where their server would otherwise idle, which preserves every per-server
 marginal and hence privacy.  Without subscripts most slots repeat one
 another, so each row of the result is one distinct joint query
-(q, pattern_servers), drawn with probability (slots holding it) / L.
+(q, pattern_servers), whose mass is the number of slots holding it, over
+the denominator L.
 """
 
 from collections import Counter
@@ -71,24 +72,22 @@ def transform(scheme, extraction=None):
             raise InternalConsistencyError(
                 f"no idle row left at server {srv} for side information")
 
-    rows = tuple(ProbRow(p=Fraction(count, scheme.L),
+    rows = tuple(ProbRow(mass=count,
                          q=dict(zip(spare, map(combos.__getitem__, q))),
                          pattern_servers=servers)
                  for (q, servers), count in counts.items())
     return ProbabilisticScheme(graph=scheme.graph, theta=scheme.theta,
-                               rows=rows)
+                               rows=rows, denominator=scheme.L)
 
 
 def prob_rate(pscheme):
     """1 over the expected number of non-idle answers per retrieval."""
-    total = Fraction(0)
-    for srv in pscheme.graph.servers:
-        total += sum((row.p for row in pscheme.rows
-                      if row.q.get(srv) is not None), Fraction(0))
-    if not total:
+    answered = sum(row.mass * sum(c is not None for c in row.q.values())
+                   for row in pscheme.rows)
+    if not answered:
         raise ParameterError("no row queries any server, so the rate "
                              "is undefined")
-    return 1 / total
+    return Fraction(pscheme.denominator, answered)
 
 
 def entropy_proxy_ok(scheme):

@@ -3,12 +3,12 @@
 These are the direct forms that `pirlab.general` and `pirlab.sim` replace:
 the 4^degree enumeration of one server's answer distribution, the
 distributional audit that sums and compares those distributions as
-`Fraction`s, the linear scan that picks a probabilistic row for each draw,
-and the statistical audit that draws each (mu, lam) bit with its own
-randrange(2), builds every server's query for it and sums `Fraction`
-frequencies.  Tests
-compare the package against them on the same inputs and seeds, down to
-the RNG state afterwards.
+`Fraction`s, the linear scan that picks a probabilistic row for each draw
+by its `Fraction` probability and checks it on every storage that holds a
+single 1, and the statistical audit that draws each (mu, lam) bit with its
+own randrange(2), builds every server's query for it and sums `Fraction`
+frequencies.  Tests compare the package against them on the same inputs
+and seeds, down to the RNG state afterwards.
 """
 
 import math
@@ -71,19 +71,24 @@ def _xor(values):
 
 
 def reference_sample_trials(pscheme, contents, trials, rng):
-    """Sample mode of `run_probabilistic_trials`, one linear scan per draw."""
-    contents = tuple(int(x) for x in contents)
-    want = contents[pscheme.theta]
+    """Sample mode of `run_probabilistic_trials`, one linear scan per draw.
+    The verdict does not read `contents`: XOR is linear, so a row that
+    recovers from each storage holding a single 1 recovers from all."""
+    files = pscheme.graph.files
 
     def recovers(row):
-        value = _xor(_xor(contents[f] for f, _sign in row.q[srv])
-                     for srv in row.pattern_servers)
-        return value == want
+        for one in files:
+            unit = [int(f == one) for f in files]
+            value = _xor(_xor(unit[f] for f, _sign in row.q[srv])
+                         for srv in row.pattern_servers)
+            if value != unit[pscheme.theta]:
+                return False
+        return True
 
     cumulative = []
     acc = Fraction(0)
     for row in pscheme.rows:
-        acc += row.p
+        acc += pscheme.p(row)
         cumulative.append((acc, row))
     ok = True
     answered = 0
@@ -114,7 +119,7 @@ def reference_distributional_audit(schemes, q=2):
                 d = defaultdict(Fraction)
                 for row in s.rows:
                     combo = row.q.get(srv)
-                    d[() if combo is None else combo] += row.p
+                    d[() if combo is None else combo] += s.p(row)
                 per[srv] = dict(d)
         else:
             graph, desired, size = (s, theta, q) if isinstance(s, Graph) \

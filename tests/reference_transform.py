@@ -1,13 +1,12 @@
 """Reference transform for the differential tests: one row per pattern.
 
 This is the per-pattern form that `pirlab.transform.transform` replaces.
-It writes one row of mass 1/L for every slot, so rows with the same joint
-query repeat.  Tests group its rows by (q, pattern_servers) and compare the
-result with the merged transform, and the pinned document digests recorded
-before the merge are checked against documents written from it.
+It writes one row of mass 1 over the denominator L for every slot, so rows
+with the same joint query repeat.  Tests group its rows by (q,
+pattern_servers) and compare the result with the merged transform, and the
+pinned document digests recorded before the merge are checked against
+documents written from it.
 """
-
-from fractions import Fraction
 
 from pirlab.errors import InfeasibleError, InternalConsistencyError
 from pirlab.patterns import extract_patterns
@@ -19,7 +18,7 @@ def _combo(summation):
 
 
 def reference_transform(scheme, extraction=None):
-    """The parent transform: L rows of mass 1/L, one per slot.
+    """The parent transform: L rows of mass 1 over L, one per slot.
 
     Requires every server to answer at most L summations; otherwise the
     rows cannot host them all and InfeasibleError names the first
@@ -56,8 +55,7 @@ def reference_transform(scheme, extraction=None):
         slots[at][srv] = combo
         cursor[srv] = at + 1
 
-    p = Fraction(1, scheme.L)
-    rows = tuple(ProbRow(p=p, q=row, pattern_servers=servers)
+    rows = tuple(ProbRow(mass=1, q=row, pattern_servers=servers)
                  for row, servers in zip(slots, servers_of))
     return ProbabilisticScheme(graph=scheme.graph, theta=scheme.theta,
-                               rows=rows)
+                               rows=rows, denominator=scheme.L)

@@ -187,7 +187,7 @@ def test_criterion_06_transform():
     try:
         k3 = transform(load_scheme("k3_scheme.json"))
         assert len(k3.rows) == 6
-        assert all(row.p == F(1, 6) for row in k3.rows)
+        assert all(k3.p(row) == F(1, 6) for row in k3.rows)
         star = transform(load_scheme("star4_scheme.json"))
         assert prob_rate(star) == F(5, 12)
         rc = main(["transform", "--scheme",

@@ -365,6 +365,35 @@ def test_simulate_zero_trials_means_exact(capsys, tmp_path):
     assert doc["rate"] == "1/2"
 
 
+def _wrong_file(doc):
+    """Row 0 asks server 1 for file 1, so it recovers file 1, not 0."""
+    assert doc["rows"][0]["q"]["1"] == [[0, 1]]
+    doc["rows"][0]["q"]["1"] = [[1, 1]]
+
+
+def _no_pattern_servers(doc):
+    for row in doc["rows"]:
+        row["pattern_servers"] = []
+
+
+@pytest.mark.parametrize("trials", [[], ["--trials", "200"]],
+                         ids=["exact", "sample"])
+@pytest.mark.parametrize("spoil", [_wrong_file, _no_pattern_servers],
+                         ids=["wrong-file", "no-pattern-servers"])
+def test_simulate_verdict_does_not_depend_on_storage(capsys, tmp_path,
+                                                     spoil, trials):
+    # each seed draws other contents; rows that miss the desired file for
+    # some storage fail for every one of them
+    prob, doc = _k3_prob_doc(capsys, tmp_path)
+    spoil(doc)
+    prob.write_text(json.dumps(doc))
+    for seed in range(10):
+        rc, out, _ = run_cli(capsys, "simulate", "--scheme", str(prob),
+                             "--seed", str(seed), *trials)
+        assert rc == 0
+        assert json.loads(out)["ok"] is False, seed
+
+
 @pytest.mark.parametrize("trials,message", [
     ([], "error: no row queries any server, so the rate is undefined"),
     (["--trials", "5"], "error: none of the 5 drawn rows queries any "

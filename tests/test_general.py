@@ -276,7 +276,8 @@ def test_checks_share_one_text_per_rule():
                  lambda: build_general_query(k3, 3, (0,) * 3, (0,) * 3),
                  lambda: build_scheme(3, 3),
                  lambda: DeterministicScheme(k3, theta=3, L=1, queries={}),
-                 lambda: ProbabilisticScheme(k3, theta=3, rows=())):
+                 lambda: ProbabilisticScheme(k3, theta=3, rows=(),
+                                             denominator=1)):
         with pytest.raises(ParameterError,
                            match=r"^theta 3 is not a file id \(0\.\.2\)$"):
             call()

@@ -219,11 +219,13 @@ def test_distributional_audit_matches_reference_on_graphs(spec, q):
 
 
 def _move_mass(pscheme, moved):
-    """`pscheme` with `moved` of row 0's mass put on row 1."""
-    first, second, *rest = pscheme.rows
-    return dataclasses.replace(pscheme, rows=(
-        dataclasses.replace(first, p=first.p - moved),
-        dataclasses.replace(second, p=second.p + moved), *rest))
+    """`pscheme` with `moved` of row 0's probability put on row 1, through
+    the document's "p" strings."""
+    doc = pscheme.to_json()
+    first, second = doc["rows"][:2]
+    first["p"] = str(Fraction(first["p"]) - moved)
+    second["p"] = str(Fraction(second["p"]) + moved)
+    return ProbabilisticScheme.from_json(doc)
 
 
 def test_distributional_audit_matches_reference_on_planted_breaches():
@@ -231,7 +233,7 @@ def test_distributional_audit_matches_reference_on_planted_breaches():
     report = _assert_same_distributional({0: star, 1: cycle})
     assert report.max_deviation == Fraction(3, 4)
     family = cli._family_schemes("transform:k3", "distributional")
-    family[1] = _move_mass(family[1], family[1].rows[0].p / 2)
+    family[1] = _move_mass(family[1], family[1].p(family[1].rows[0]) / 2)
     assert not _assert_same_distributional(family).ok
 
 
@@ -239,11 +241,14 @@ def test_distributional_audit_matches_reference_across_denominators():
     family = cli._family_schemes("transform:k4", "distributional")
     # member 2's first row split in thirds: the same distribution, with
     # other denominators
-    first, *rest = family[2].rows
-    family[2] = dataclasses.replace(family[2], rows=(
-        dataclasses.replace(first, p=first.p / 3),
-        dataclasses.replace(first, p=first.p * 2 / 3), *rest))
-    assert len({row.p.denominator for member in family.values()
+    member = family[2]
+    first, *rest = member.rows
+    family[2] = ProbabilisticScheme(member.graph, member.theta, (
+        first, dataclasses.replace(first, mass=2 * first.mass),
+        *(dataclasses.replace(row, mass=3 * row.mass) for row in rest)),
+        3 * member.denominator)
+    assert len({member.denominator for member in family.values()}) == 2
+    assert len({member.p(row).denominator for member in family.values()
                 for row in member.rows}) > 2
     assert _assert_same_distributional(family).ok
     family[4] = _move_mass(family[4], Fraction(1, 1009))
@@ -274,9 +279,10 @@ def test_sampled_trials_skip_zero_probability_rows(k3_scheme):
     # scan nor the bisection may ever pick it
     pscheme = transform(k3_scheme)
     rows = pscheme.rows
-    dead = ProbRow(p=0, q={srv: None for srv in pscheme.graph.servers})
+    dead = ProbRow(mass=0, q={srv: None for srv in pscheme.graph.servers})
     padded = ProbabilisticScheme(graph=pscheme.graph, theta=pscheme.theta,
-                                 rows=(dead,) + rows[:2] + (dead,) + rows[2:])
+                                 rows=(dead,) + rows[:2] + (dead,) + rows[2:],
+                                 denominator=pscheme.denominator)
     contents = [1, 0, 1]
     got = run_probabilistic_trials(padded, contents, mode="sample",
                                    trials=2000, rng=random.Random(8))
@@ -305,7 +311,7 @@ def test_sampled_trials_match_reference_off_the_grid(n, theta):
     pscheme = transform(build_scheme(n, theta))
     contents = [1] * len(pscheme.graph.files)
     # the floats at and either side of each row edge below 1/2
-    edges = [e for e in accumulate(row.p for row in pscheme.rows)
+    edges = [e for e in accumulate(map(pscheme.p, pscheme.rows))
              if e < Fraction(1, 2)]
     near = [x for e in edges for x in (math.nextafter(float(e), 0),
                                        float(e), math.nextafter(float(e), 1))]

@@ -1,15 +1,20 @@
 """Scheme data model: term validation and probabilistic row checks."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pirlab.builder import build_scheme
 from pirlab.errors import ParameterError, check_int
 from pirlab.general import GeneralScheme
 from pirlab.graphs import Graph, make_graph
 from pirlab.scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
                            RecoveryPattern, Summation)
+from pirlab.transform import transform
 
 from conftest import load_json
+from relabel import relabel
 
 
 def _reference_terms(terms):
@@ -91,10 +96,9 @@ def test_pattern_matches_check_int_selections(selections):
 
 def _k3_rows(**second):
     graph = make_graph("complete", [3])  # files 0=(1,2), 1=(1,3), 2=(2,3)
-    half = "1/2"
-    rows = [ProbRow(p=half, q={1: ((0, 1),), 2: ((0, 1),), 3: None},
+    rows = [ProbRow(mass=1, q={1: ((0, 1),), 2: ((0, 1),), 3: None},
                     pattern_servers=(1,)),
-            ProbRow(p=half, q={1: None, 2: ((2, 1),), 3: ((2, 1),),
+            ProbRow(mass=1, q={1: None, 2: ((2, 1),), 3: ((2, 1),),
                                **second.get("q", {})},
                     pattern_servers=second.get("servers", (2,)))]
     return graph, rows
@@ -102,7 +106,7 @@ def _k3_rows(**second):
 
 def test_probabilistic_rows_accept_stored_files():
     graph, rows = _k3_rows()
-    assert len(ProbabilisticScheme(graph, 0, rows).rows) == 2
+    assert len(ProbabilisticScheme(graph, 0, rows, 2).rows) == 2
 
 
 @pytest.mark.parametrize("second,message", [
@@ -112,17 +116,84 @@ def test_probabilistic_rows_accept_stored_files():
                             "graph"),
     ({"servers": (1,)}, "row 1 recovers through a server it leaves idle"),
     ({"servers": (2, 2)}, "pattern servers [2, 2] name a server twice"),
-], ids=["file", "server", "idle", "repeat"])
+    ({"servers": (2, 99)}, "row 1 recovers through server 99, which is "
+                           "not in the graph"),
+], ids=["file", "server", "idle", "repeat", "pattern-server"])
 def test_probabilistic_rows_reject(second, message):
     with pytest.raises(ParameterError) as exc:
         graph, rows = _k3_rows(**second)
-        ProbabilisticScheme(graph, 0, rows)
+        ProbabilisticScheme(graph, 0, rows, 2)
     assert str(exc.value) == message
 
 
 def _k3_prob_doc():
     graph, rows = _k3_rows()
-    return ProbabilisticScheme(graph, 0, rows).to_json()
+    return ProbabilisticScheme(graph, 0, rows, 2).to_json()
+
+
+# ============================================================
+# probabilistic schemes in canonical form
+# ============================================================
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_probabilistic_round_trip_at_every_theta(n):
+    base = build_scheme(n, 0)
+    for theta in base.graph.files:
+        p = transform(relabel(base, theta))
+        assert ProbabilisticScheme.from_json(p.to_json()) == p, theta
+        assert {type(row.mass) for row in p.rows} == {int}
+
+
+def _scaled(p, k):
+    return ProbabilisticScheme(
+        p.graph, p.theta,
+        [dataclasses.replace(row, mass=k * row.mass) for row in p.rows],
+        k * p.denominator)
+
+
+def test_scaled_masses_are_the_same_scheme(k3_scheme):
+    p = transform(k3_scheme)
+    assert p.denominator == 6
+    assert _scaled(p, 7) == p
+
+
+def test_split_row_survives_the_round_trip(k3_scheme):
+    # row 0 in thirds, a zero-mass row after it: D triples, and the
+    # round trip reads the same scheme back from the reduced "p" strings
+    p = transform(k3_scheme)
+    first, *rest = p.rows
+    dead = ProbRow(mass=0, q={srv: None for srv in p.graph.servers})
+    split = ProbabilisticScheme(
+        p.graph, p.theta,
+        [first, dataclasses.replace(first, mass=2 * first.mass), dead,
+         *(dataclasses.replace(row, mass=3 * row.mass) for row in rest)],
+        3 * p.denominator)
+    assert split.denominator == 18
+    assert [doc["p"] for doc in split.to_json()["rows"][:3]] == \
+        ["1/18", "1/9", "0"]
+    assert ProbabilisticScheme.from_json(split.to_json()) == split
+
+
+@pytest.mark.parametrize("masses,den,message", [
+    ((0, 0), 2, "row probabilities sum to 0, not 1"),
+    ((1, 1), 0, "denominator must be >= 1, got 0"),
+    ((1, 1), -2, "denominator must be >= 1, got -2"),
+    ((1, 1), 2.0, "denominator must be an integer, got 2.0"),
+], ids=["all-zero", "zero-denominator", "negative-denominator",
+        "float-denominator"])
+def test_probabilistic_scheme_refuses_masses(masses, den, message):
+    graph, rows = _k3_rows()
+    rows = [dataclasses.replace(row, mass=m) for row, m in zip(rows, masses)]
+    with pytest.raises(ParameterError) as exc:
+        ProbabilisticScheme(graph, 0, rows, den)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("mass", [0.1, True, "1"])
+def test_prob_row_mass_is_an_integer(mass):
+    with pytest.raises(ParameterError) as exc:
+        ProbRow(mass=mass, q={})
+    assert str(exc.value) == f"mass must be an integer, got {mass!r}"
 
 
 @pytest.mark.parametrize("cls,doc,message", [
@@ -156,9 +227,12 @@ def _k3(**fields):
     (lambda: Graph(3, ((1, 2.9),)), "edge end must be an integer, got 2.9"),
     (lambda: RecoveryPattern(target=1, selections={1: 0.5}),
      "pattern selection must be an integer, got 0.5"),
-    (lambda: ProbRow(p=0.1, q={}),
+    # p is read by the document mapping, which hands ProbRow a mass
+    (lambda: ProbabilisticScheme.from_json(
+        {**_k3_prob_doc(), "rows": [{"p": 0.1, "q": {}}]}),
      "p must be a fraction string or an integer, got 0.1"),
-    (lambda: ProbRow(p=True, q={}),
+    (lambda: ProbabilisticScheme.from_json(
+        {**_k3_prob_doc(), "rows": [{"p": True, "q": {}}]}),
      "p must be a fraction string or an integer, got True"),
     (lambda: GeneralScheme(make_graph("complete", [3]), theta=0, q=2,
                            mu=(True, 0, 0), lam=(0, 0, 0)),

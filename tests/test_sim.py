@@ -234,8 +234,9 @@ def test_probabilistic_scheme_rejects_bad_mass(k3_scheme):
         dataclasses.replace(p, rows=rows[:-1])
     with pytest.raises(ParameterError, match="sum to 0, not 1"):
         dataclasses.replace(p, rows=())
-    flipped = (dataclasses.replace(rows[0], p=-rows[0].p),
-               dataclasses.replace(rows[1], p=rows[1].p + 2 * rows[0].p))
+    flipped = (dataclasses.replace(rows[0], mass=-rows[0].mass),
+               dataclasses.replace(rows[1],
+                                   mass=rows[1].mass + 2 * rows[0].mass))
     with pytest.raises(ParameterError, match="row 0 has negative"):
         dataclasses.replace(p, rows=flipped + rows[2:])
 
@@ -294,7 +295,8 @@ def test_distributional_audit_on_transforms():
     # move the last row's mass onto the first: still a distribution, but
     # no longer the same one at every server
     rows = schemes[0].rows
-    heavier = dataclasses.replace(rows[0], p=rows[0].p + rows[-1].p)
+    heavier = dataclasses.replace(rows[0],
+                                  mass=rows[0].mass + rows[-1].mass)
     schemes[0] = dataclasses.replace(schemes[0],
                                      rows=(heavier,) + rows[1:-1])
     assert not privacy_audit(schemes, mode="distributional").ok
