@@ -13,7 +13,7 @@ from .bounds import (BoundReport, bounds_table, general_upper_bound,
                      multigraph_lower_bound, prior_bounds_complete,
                      render_table, upper_bound_balanced_bipartite,
                      upper_bound_complete)
-from .builder import build_scheme, class_counts, perfect_matchings, verify_scheme
+from .builder import build_scheme, perfect_matchings, verify_scheme
 from .errors import (InfeasibleError, InternalConsistencyError,
                      ParameterError, UnsupportedSizeError)
 from .general import (GeneralScheme, answer_distribution, answers,
@@ -24,8 +24,8 @@ from .patterns import (IndependenceError, analyze, check_independence,
                        check_srp, extract_patterns)
 from .scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
                      RecoveryPattern, Summation)
-from .sequences import (answer_count, build_sequences, closed_form_x, rate,
-                        step_ledger, subpacketization)
+from .sequences import (answer_count, build_sequences, rate, step_ledger,
+                        subpacketization)
 from .sim import (Storage, privacy_audit, random_permutations,
                   random_storage, run_deterministic_trial,
                   run_probabilistic_trials)
@@ -36,7 +36,7 @@ __all__ = [
     "BoundReport", "bounds_table", "general_upper_bound",
     "multigraph_lower_bound", "prior_bounds_complete", "render_table",
     "upper_bound_balanced_bipartite", "upper_bound_complete",
-    "build_scheme", "class_counts", "perfect_matchings", "verify_scheme",
+    "build_scheme", "perfect_matchings", "verify_scheme",
     "InfeasibleError", "InternalConsistencyError", "ParameterError",
     "UnsupportedSizeError",
     "GeneralScheme", "answer_distribution", "answers",
@@ -47,8 +47,8 @@ __all__ = [
     "extract_patterns",
     "DeterministicScheme", "ProbabilisticScheme", "ProbRow",
     "RecoveryPattern", "Summation",
-    "answer_count", "build_sequences", "closed_form_x", "rate",
-    "step_ledger", "subpacketization",
+    "answer_count", "build_sequences", "rate", "step_ledger",
+    "subpacketization",
     "Storage", "privacy_audit", "random_permutations", "random_storage",
     "run_deterministic_trial", "run_probabilistic_trials",
     "entropy_proxy_ok", "prob_rate", "transform",

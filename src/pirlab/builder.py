@@ -32,7 +32,7 @@ leftover side information continues from it.
 """
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import (InternalConsistencyError, ParameterError,
@@ -275,14 +275,6 @@ def build_scheme(n, theta=0):
 # reporting and verification
 # ============================================================
 
-def class_counts(scheme):
-    """Pattern tallies as {step: {class: count}}."""
-    out = {}
-    for p in scheme.patterns or ():
-        out.setdefault(p.step, Counter())[p.pattern_class] += 1
-    return {step: dict(counter) for step, counter in sorted(out.items())}
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     ok: bool
@@ -299,7 +291,7 @@ def verify_scheme(scheme):
     rows across the two endpoints.  The last two are K_n ledgers, so a
     graph that is not complete raises ParameterError.
     """
-    from .patterns import analyze
+    from .patterns import analyze, carried_mismatches
 
     n = scheme.graph.n
     edges = scheme.graph.edges
@@ -321,13 +313,7 @@ def verify_scheme(scheme):
     problems += [f"condition {v.condition}: {v.detail}"
                  for v in rep.violations]
     if extraction is not None and scheme.patterns:
-        if ({p.target: p.selections for p in scheme.patterns}
-                != {p.target: p.selections for p in extraction.patterns}):
-            problems.append("carried patterns differ from the ones the "
-                            "rows give")
-        if sorted(scheme.side_info) != list(extraction.side_info):
-            problems.append("carried side information differs from the "
-                            "one the rows give")
+        problems += carried_mismatches(scheme, extraction)
 
     theta = scheme.theta
     shapes = {v: row_shapes(rows) for v, rows in scheme.queries.items()}

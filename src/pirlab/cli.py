@@ -24,7 +24,8 @@ from .errors import (InfeasibleError, InternalConsistencyError,
                      ParameterError, UnsupportedSizeError, check_q)
 from .general import general_rate, random_general_scheme
 from .graphs import Graph, make_graph
-from .patterns import IndependenceError, check_srp, extract_patterns
+from .patterns import (IndependenceError, carried_mismatches, check_srp,
+                       extract_patterns)
 from .render import canonical_json, frac_str, meta_header
 from .scheme import DeterministicScheme, ProbabilisticScheme, gc_paused
 from .sequences import build_sequences, rate
@@ -37,9 +38,10 @@ from .transform import prob_rate, transform
 # once: 96 MB peak RSS at K6, while one K7 scheme alone keeps 282 MB
 STRUCTURAL_AUDIT_CAP = 6
 
-# stderr schema versions; transform is v2 because a row is one distinct
-# joint query, not one recovery pattern
-SCHEMA_VERSION = {"transform": 2}
+# stderr schema versions; build is v2 because a scheme document holds flat
+# integer columns, and transform is v2 because a row is one distinct joint
+# query, not one recovery pattern
+SCHEMA_VERSION = {"build": 2, "transform": 2}
 
 
 def _emit(text, out_path):
@@ -107,6 +109,16 @@ def _parse_theta(text, graph):
         raise ParameterError(f"bad theta {text!r}")
 
 
+def _extraction(scheme):
+    """The patterns `scheme`'s rows give.  A scheme that stores patterns
+    must store these and the side information they leave; one that stores
+    none has nothing to compare."""
+    ex = extract_patterns(scheme)
+    if carried_mismatches(scheme, ex):
+        raise ParameterError("patterns do not follow from the rows")
+    return ex
+
+
 # ============================================================
 # subcommand handlers
 # ============================================================
@@ -148,7 +160,7 @@ def _cmd_build(args):
 def _cmd_extract(args):
     source = _load_doc(args.scheme)
     scheme = DeterministicScheme.from_json(source)
-    ex = extract_patterns(scheme)
+    ex = _extraction(scheme)
     srp = check_srp(scheme, ex)
     doc = {
         "patterns": [p.to_json() for p in ex.patterns],
@@ -165,7 +177,7 @@ def _cmd_extract(args):
 def _cmd_transform(args):
     source = _load_doc(args.scheme)
     scheme = DeterministicScheme.from_json(source)
-    prob = transform(scheme)
+    prob = transform(scheme, _extraction(scheme))
     doc = prob.to_json()
     doc["rate"] = frac_str(prob_rate(prob))
     doc["meta"] = meta_header("transform", {"scheme": source})
@@ -230,9 +242,10 @@ def _cmd_simulate(args):
         storage = random_storage(scheme.graph, q=args.q, L=scheme.L, rng=rng)
         perms = random_permutations(scheme.graph, scheme.L, rng)
         report = run_deterministic_trial(scheme, storage, perms)
-        # a trial can recover through dependent rows by luck of the
-        # storage; after it, so that a subfile past L still exits 2
-        extract_patterns(scheme)
+        # by luck of the storage, a trial can pass through dependent rows,
+        # or fail through stored patterns that do not follow from the
+        # rows; checked after it, so that a subfile past L still exits 2
+        _extraction(scheme)
         doc = {
             "ok": report.ok,
             "rate": frac_str(report.measured_rate),

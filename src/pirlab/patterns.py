@@ -235,6 +235,25 @@ def extract_patterns(scheme):
     return extraction
 
 
+@gc_paused
+def carried_mismatches(scheme, extraction):
+    """How the patterns and side information `scheme` stores differ from
+    those of `extraction`, which its rows give, as problem texts.  The
+    comparison ignores order.  A scheme that stores no patterns has
+    nothing to compare."""
+    if scheme.patterns is None:
+        return []
+    problems = []
+    carried = sorted(scheme.patterns, key=lambda p: p.target)
+    if ([(p.target, p.selections) for p in carried]
+            != [(p.target, p.selections) for p in extraction.patterns]):
+        problems.append("carried patterns differ from the ones the rows give")
+    if sorted(scheme.side_info) != list(extraction.side_info):
+        problems.append("carried side information differs from the one the "
+                        "rows give")
+    return problems
+
+
 @dataclass(frozen=True)
 class SrpReport:
     counts: dict

@@ -6,6 +6,16 @@ with.  Each summation term is a (file, subfile, sign) triple; subfiles are
 that the group cancels to a single desired subfile.  Side information rows
 are downloaded but not used by any pattern.
 
+A deterministic scheme document (`pirlab/build/v2`) stores flat integer
+columns: per server the `file`, `subfile` and `sign` of every term, row
+after row, and the `ends` of the rows in those columns; the patterns as a
+`target`, `step` and `class` column and one `selections` column per server
+(null where the server is not in the pattern); and the side information as
+a `server` and an `index` column.  `from_json` also reads the v1 layout,
+one `{"terms": [[file, subfile, sign], ...]}` object per row, and tells
+the two apart by the shape of `queries`: a v2 document holds an object of
+columns per server, a v1 document an array of rows.
+
 `gc_paused` runs the functions that allocate scheme data in bulk with
 CPython's cyclic collector paused.  That is safe because the data holds no
 cycles (tuples, dicts and frozen dataclasses that only point down), so
@@ -19,6 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace as _dc_replace
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 
 from .errors import (ParameterError, check_combo, check_frac, check_int,
                      check_theta, malformed, server_key)
@@ -71,10 +82,6 @@ class Summation:
     @property
     def files(self):
         return tuple(f for f, _, _ in self.terms)
-
-    def to_json(self):
-        # json.dumps writes the term tuples as arrays
-        return {"terms": self.terms}
 
     @classmethod
     def from_json(cls, doc):
@@ -165,6 +172,11 @@ class DeterministicScheme:
                         raise ParameterError(
                             f"pattern {p.target} references missing row "
                             f"{idx} at server {srv}")
+            # a v2 document writes a step or class column whole or not at all
+            for name, label in (("step", "step"), ("pattern_class", "class")):
+                if len({getattr(p, name) is None for p in self.patterns}) > 1:
+                    raise ParameterError(f"some patterns have a {label} and "
+                                         f"some do not")
         side = () if self.side_info is None else tuple(
             (check_int(s, "side info server"), check_int(i, "side info index"))
             for s, i in self.side_info)
@@ -179,31 +191,118 @@ class DeterministicScheme:
 
     @gc_paused
     def to_json(self):
+        """The `pirlab/build/v2` document: flat integer columns."""
         doc = {
             "graph": self.graph.to_json(),
             "theta": self.theta,
             "L": self.L,
-            "queries": {str(srv): [row.to_json() for row in rows]
+            "queries": {str(srv): _row_columns(rows)
                         for srv, rows in sorted(self.queries.items())},
         }
-        if self.patterns is not None:
-            doc["patterns"] = [p.to_json() for p in self.patterns]
-        doc["side_info"] = [{"server": s, "index": i} for s, i in self.side_info]
+        patterns = self.patterns
+        if patterns is not None:
+            cols = {"target": [p.target for p in patterns]}
+            if patterns and patterns[0].step is not None:
+                cols["step"] = [p.step for p in patterns]
+            if patterns and patterns[0].pattern_class is not None:
+                cols["class"] = [p.pattern_class for p in patterns]
+            cols["selections"] = {
+                str(srv): [p.selections.get(srv) for p in patterns]
+                for srv in sorted(self.queries)}
+            doc["patterns"] = cols
+        doc["side_info"] = {"server": [s for s, _ in self.side_info],
+                            "index": [i for _, i in self.side_info]}
         return doc
 
     @classmethod
     @gc_paused
     def from_json(cls, doc):
+        """A scheme from a v2 document or from a v1 one (module doc)."""
         with malformed("scheme"):
-            return cls(graph=Graph.from_json(doc["graph"]),
-                       theta=doc["theta"], L=doc["L"],
-                       queries={server_key(s): map(Summation.from_json, rows)
-                                for s, rows in doc["queries"].items()},
-                       patterns=tuple(map(RecoveryPattern.from_json,
-                                          doc["patterns"]))
-                       if "patterns" in doc else None,
-                       side_info=tuple((e["server"], e["index"])
-                                       for e in doc.get("side_info", ())))
+            graph = Graph.from_json(doc["graph"])
+            theta, L, queries = doc["theta"], doc["L"], doc["queries"].items()
+            v2 = any(type(rows) is dict for _, rows in queries)
+            fields = (_v2_fields if v2 else _v1_fields)(doc, queries)
+            return cls(graph=graph, theta=theta, L=L, **fields)
+
+
+def _row_columns(rows):
+    """One server's rows as the v2 term columns and row ends."""
+    terms = [row.terms for row in rows]
+    # zip(*...) of no terms gives no columns at all
+    files, subs, signs = [*map(list, zip(*chain.from_iterable(terms)))] \
+        or ([], [], [])
+    return {"file": files, "subfile": subs, "sign": signs,
+            "ends": list(accumulate(map(len, terms)))}
+
+
+def _v1_fields(doc, queries):
+    return {
+        "queries": {server_key(s): map(Summation.from_json, rows)
+                    for s, rows in queries},
+        "patterns": tuple(map(RecoveryPattern.from_json, doc["patterns"]))
+        if "patterns" in doc else None,
+        "side_info": tuple((e["server"], e["index"])
+                           for e in doc.get("side_info", ())),
+    }
+
+
+def _v2_fields(doc, queries):
+    fields = {
+        "queries": {server_key(s): _v2_rows(s, cols) for s, cols in queries},
+        "patterns": _v2_patterns(doc["patterns"])
+        if "patterns" in doc else None,
+    }
+    side = doc.get("side_info", {"server": (), "index": ()})
+    servers, indices = side["server"], side["index"]
+    _same_length("the side_info index column", indices, servers)
+    fields["side_info"] = zip(servers, indices)
+    return fields
+
+
+def _same_length(name, column, first):
+    if len(column) != len(first):
+        raise ParameterError(f"{name} has {len(column)} entries, "
+                             f"not {len(first)}")
+
+
+def _v2_rows(server, cols):
+    """A server's Summation rows from its v2 columns.  The ends must rise
+    from 0 to the columns' length; the terms are checked by Summation."""
+    files, ends = cols["file"], cols["ends"]
+    for name in ("subfile", "sign"):
+        _same_length(f"the {name} column of server {server}", cols[name],
+                     files)
+    for end in ends:
+        check_int(end, "row end")
+    cuts = [0, *ends]
+    if cuts != sorted(cuts) or cuts[-1] != len(files):
+        raise ParameterError(f"row ends of server {server} must rise from 0 "
+                             f"to {len(files)}, the length of its columns")
+    terms = list(zip(files, cols["subfile"], cols["sign"]))
+    return [Summation(terms[start:end]) for start, end in zip(cuts, ends)]
+
+
+def _v2_patterns(cols):
+    """RecoveryPatterns from the v2 pattern columns; a null selection leaves
+    its server out of the pattern."""
+    targets = cols["target"]
+    steps, classes = cols.get("step"), cols.get("class")
+    selections = {server_key(s): col for s, col in cols["selections"].items()}
+    named = [("the pattern step column", steps),
+             ("the pattern class column", classes),
+             *((f"the selections column of server {srv}", col)
+               for srv, col in selections.items())]
+    for name, col in named:
+        if col is not None:
+            _same_length(name, col, targets)
+    servers = tuple(selections)
+    picks = zip(*selections.values()) if servers else repeat(())
+    return tuple(
+        RecoveryPattern(target, {srv: idx for srv, idx in zip(servers, pick)
+                                 if idx is not None}, step, cls)
+        for target, pick, step, cls in zip(
+            targets, picks, steps or repeat(None), classes or repeat(None)))
 
 
 # ============================================================

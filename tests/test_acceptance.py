@@ -16,7 +16,7 @@ from pirlab.bounds import (
     upper_bound_balanced_bipartite,
     upper_bound_complete,
 )
-from pirlab.builder import build_scheme, class_counts, verify_scheme
+from pirlab.builder import build_scheme, verify_scheme
 from pirlab.cli import main
 from pirlab.general import (
     answer_distribution,
@@ -27,7 +27,7 @@ from pirlab.general import (
 from pirlab.graphs import Graph, make_graph
 from pirlab.patterns import IndependenceError, check_independence, extract_patterns
 from pirlab.scheme import DeterministicScheme
-from pirlab.sequences import build_sequences, closed_form_x, rate
+from pirlab.sequences import build_sequences, rate
 from pirlab.sim import (
     privacy_audit,
     random_permutations,
@@ -38,6 +38,8 @@ from pirlab.sim import (
 from pirlab.transform import prob_rate, transform
 
 from conftest import FIXTURES, load_json, load_scheme
+from reference_scheme import class_counts
+from reference_sequences import closed_form_x
 
 
 def _report(num, name, ok):

@@ -12,8 +12,15 @@ hashed, and a pin holds exactly when the content, key order included, is
 unchanged.  The transform pins were recorded when transform wrote one row
 per pattern, so they are checked on documents written by that reference
 (`reference_transform`); MERGED_TRANSFORM_SHA256 pins the stdout of
-today's transform, one row per distinct joint query.
+today's transform, one row per distinct joint query.  All of these were
+recorded on v1 scheme documents (`pirlab/build/v1`), so they are checked
+on the reference v1 writer's output (`reference_scheme.v1_build_text`);
+BUILD_V2_SHA256 pins `pirlab build` stdout as it writes it today, flat
+integer columns, and the commands must print the same result from either
+layout.
 """
+
+import json
 
 import hashlib
 import random
@@ -39,6 +46,7 @@ from pirlab.transform import entropy_proxy_ok, transform
 
 from conftest import indented_sha256, load_json
 from reference_patterns import reference_check, reference_extract
+from reference_scheme import v1_build_text, v1_document
 from reference_transform import reference_transform
 from test_patterns import _mutate
 from test_transform import _gf2_reference
@@ -195,17 +203,42 @@ MERGED_TRANSFORM_SHA256 = {
         "3297a5620fbae9c6c12a729afc17a525a95039125bd7893c308d91938b92f4a5",
 }
 
+# sha256 of `pirlab build` stdout as written, flat integer columns (schema
+# pirlab/build/v2)
+BUILD_V2_SHA256 = {
+    (3, 0): "4d7f24590e16644bb24092d4ad98c912f245cbf92d7ba7ef595809b8ab8ad4a1",
+    (3, 1): "f35018e32e209b0941fa362b84ddd135c71251637335eb7cf1961ba945fa4072",
+    (3, 2): "38d2203bcba89505e3374ff662ea16d230fb2027837b9bc42e35b3983b16fc2b",
+    (4, 0): "6df6e13626283feecbaf65fcc18dae27be7f5b7ff39e99ee2102a63c0b88774d",
+    (4, 1): "80aa1956c73b56c371ad70edc807e38a3f35d86afcadc12676bb9dbb64e5ce03",
+    (4, 2): "3087fe7ca9b445d01c1cb0c46d9fd803433bf60b90b191794bc452a53c1642e7",
+    (4, 3): "94b8de45ab323f53f3f4783db068a9edc78179e41d4c9fb7da79969937738c4d",
+    (4, 4): "9f5d9d0f65a2737e5325fbad31403a6e8a9152ffb50e80ed3f4bf1018d806f4f",
+    (4, 5): "5cfd033b411237799467132258d6e76de42104ff9f1ec5faac223b286fd039a4",
+    (5, 0): "469ff69b2dbaf7743989e1fa3f2564497e27b5764c35a6beecf4b0de86cb70a6",
+    (5, 1): "2ddfde8e6e812477ef9e73aa84e2b6286ed8dba56c2b7ed91ddea1a03a67a2be",
+    (5, 2): "2e698618e820beab689e57614eaca4476bea2c1e463f420c754be6cca9cd8172",
+    (5, 3): "88ed26744b7798af87955eed19d4501f2ba8adc7c8a3b3baa30491f9598f01f3",
+    (5, 4): "17927ca49504934092d75a78fb3b3fdcf12cd6c33880ade716c6644c84f0c915",
+    (5, 5): "deaa24fce8f16473b2c0341c9ad4775900c2a10d25dcbfc8e55fdf82bdfbe997",
+    (5, 6): "3f114019038b83987bb5c3d66a660c9553492e086fb16da3e1ebd8a23da77a9f",
+    (5, 7): "479c4f20ec86ca82be54d24598af1e172c4abb924e8a1b5055e4fa25967e748f",
+    (5, 8): "fa5a06d307bdb4a6727bb664690f34a7d1eeea2fa3784f23b320c6e5521fdf11",
+    (5, 9): "76750171fb43ab660d44e33876b64df695584ad4c33e42c1ed306a94a68516c0",
+    (6, 0): "fc07204d2c7c5cd01532279db47d8b7ba353eddb5e954ba0c571078fc6d1d3cc",
+    (6, 1): "4c2d180497988fefdf55cb7f35a676c72e0fc9fe1d2f5ba41a32103d2402ce7e",
+}
+
 CASES = sorted({(n, theta) for _cmd, n, theta in CLI_SHA256})
 
 
 @pytest.mark.parametrize("n,theta", CASES)
 def test_cli_output_bytes_unchanged(n, theta, tmp_path, capsys, monkeypatch):
     # the transform pins were recorded when transform wrote one row per
-    # pattern, so they hold on documents written by that reference
+    # pattern, so they hold on documents written by that reference; all
+    # of them read the v1 build document
     monkeypatch.setattr(cli, "transform", reference_transform)
-    capsys.readouterr()
-    assert cli.main(["build", "--n", str(n), "--theta", str(theta)]) == 0
-    out = capsys.readouterr().out
+    out = v1_build_text(n, theta)
     assert indented_sha256(out) == BUILD_SHA256[(n, theta)], \
         ("build", n, theta)
     path = tmp_path / "scheme.json"
@@ -221,8 +254,7 @@ def test_cli_output_bytes_unchanged(n, theta, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("n,theta", CASES)
 def test_merged_transform_bytes(n, theta, tmp_path, capsys):
     path = tmp_path / "scheme.json"
-    assert cli.main(["build", "--n", str(n), "--theta", str(theta),
-                     "--out", str(path)]) == 0
+    path.write_text(v1_build_text(n, theta))
     capsys.readouterr()
     assert cli.main(["transform", "--scheme", str(path)]) == 0
     out, err = capsys.readouterr()
@@ -233,6 +265,33 @@ def test_merged_transform_bytes(n, theta, tmp_path, capsys):
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             MERGED_TRANSFORM_SHA256[(n, theta)]
+
+
+def _run(capsys, argv):
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    return capsys.readouterr()
+
+
+@pytest.mark.parametrize("n,theta", CASES)
+def test_v2_build_bytes_and_results(n, theta, tmp_path, capsys):
+    # extract, transform and simulate print the same result from the v1
+    # and the v2 document of one scheme; only their input digest differs
+    out, err = _run(capsys, ["build", "--n", str(n), "--theta", str(theta)])
+    assert err == "schema: pirlab/build/v2\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        BUILD_V2_SHA256[(n, theta)]
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(v1_build_text(n, theta))
+    v2.write_text(out)
+    for cmd, *flags in (["extract"], ["transform"],
+                        ["simulate", "--seed", "1"]):
+        docs = [json.loads(_run(capsys, [cmd, "--scheme", str(path),
+                                         *flags]).out)
+                for path in (v1, v2)]
+        digests = {doc["meta"].pop("input_sha256") for doc in docs}
+        assert len(digests) == 2, cmd
+        assert docs[0] == docs[1], cmd
 
 
 def _all_conditions_broken():
@@ -275,7 +334,7 @@ def _source_docs():
     docs = [load_json(name) for name in (
         "k3_scheme.json", "star4_scheme.json", "two_per_server.json",
         "star_center_heavy.json")]
-    return docs + [build_scheme(3, theta).to_json() for theta in (1, 2)]
+    return docs + [v1_document(build_scheme(3, theta)) for theta in (1, 2)]
 
 
 SOURCE_DOCS = _source_docs()

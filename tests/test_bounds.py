@@ -23,7 +23,7 @@ from pirlab.bounds import (
 )
 from pirlab.graphs import make_graph
 from pirlab.builder import build_scheme
-from pirlab.sequences import build_sequences, closed_form_x, rate
+from pirlab.sequences import build_sequences, rate
 from pirlab.render import decimal_str
 from pirlab.errors import ParameterError, UnsupportedSizeError
 
@@ -66,7 +66,7 @@ def test_upper_complete_rejects_small_n():
 ])
 def test_n_rule_has_one_text(n, message):
     for call in (upper_bound_complete, prior_bounds_complete, build_scheme,
-                 build_sequences, rate, lambda n: closed_form_x(n, 1)):
+                 build_sequences, rate):
         with pytest.raises(ParameterError) as exc:
             call(n)
         assert str(exc.value) == message, call

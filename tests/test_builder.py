@@ -12,8 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pirlab.builder import (build_scheme, class_counts, class_plan,
-                            verify_scheme)
+from pirlab.builder import build_scheme, class_plan, verify_scheme
 from pirlab.scheme import Summation
 from pirlab.sim import random_storage, run_deterministic_trial
 from pirlab.sequences import (answer_count, build_sequences, step_ledger,
@@ -22,6 +21,7 @@ from pirlab.errors import (InternalConsistencyError, ParameterError,
                            UnsupportedSizeError)
 from pirlab.graphs import make_graph
 
+from reference_scheme import class_counts
 from relabel import relabel
 
 

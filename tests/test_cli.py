@@ -14,7 +14,11 @@ from pirlab import cli
 from pirlab.cli import main
 from pirlab.errors import InternalConsistencyError
 
+from pirlab.builder import build_scheme
+from pirlab.render import canonical_json
+
 from conftest import FIXTURES, load_json
+from reference_scheme import v1_document
 
 
 def run_cli(capsys, *args):
@@ -111,13 +115,15 @@ def test_sequences_cap_edge(capsys):
 
 def test_build_writes_scheme(capsys, tmp_path):
     out_file = tmp_path / "k4.json"
-    rc, out, _ = run_cli(capsys, "build", "--n", "4", "--out", str(out_file))
+    rc, out, err = run_cli(capsys, "build", "--n", "4", "--out",
+                           str(out_file))
     assert rc == 0
     assert out == ""
+    assert err == "schema: pirlab/build/v2\n"
     doc = json.loads(out_file.read_text())
     assert doc["L"] == 84
     assert doc["theta"] == 0
-    assert len(doc["patterns"]) == 84
+    assert len(doc["patterns"]["target"]) == 84
 
 
 def test_build_theta_edge_form_matches_file_id(capsys):
@@ -161,6 +167,26 @@ def test_extract_on_fixture(capsys):
     assert doc["side_info"] == []
     assert doc["srp"] == {"1": 3, "2": 3, "ok": True}
     assert "pirlab/extract/v1" in err
+
+
+@pytest.mark.parametrize("layout", ["v1", "v2"])
+@pytest.mark.parametrize("command", ["extract", "transform", "simulate"])
+def test_stored_patterns_must_follow_from_the_rows(capsys, tmp_path, command,
+                                                   layout):
+    # with rows 0 and 1 swapped at server 1 the rows are still independent,
+    # but the stored patterns, which the trial recovers through, point at
+    # the wrong rows
+    scheme = build_scheme(3, 0)
+    rows = list(scheme.queries[1])
+    rows[0], rows[1] = rows[1], rows[0]
+    swapped = scheme.replace(queries={**scheme.queries, 1: tuple(rows)})
+    path = tmp_path / "k3.json"
+    path.write_text(canonical_json(
+        v1_document(swapped) if layout == "v1" else swapped.to_json()))
+    rc, out, err = run_cli(capsys, command, "--scheme", str(path))
+    assert (rc, out) == (2, "")
+    assert _one_line_error(err) == \
+        "error: patterns do not follow from the rows"
 
 
 def test_extract_rejects_dependent_scheme(capsys):

@@ -1,19 +1,26 @@
 """Mutation fuzz of the command line's input boundary.
 
-Hypothesis takes a valid K3 scheme, K3 transform or graph document, swaps
-one value at a random path for a value of another kind (or deletes a key)
-and runs a command that reads the document, in process.  Whatever the
-mutation, `main` returns 0, 2, 3 or 4, raises nothing, and a non-zero exit
-prints exactly one `error:` line after the schema line.  A mutation that
-puts a non-integer where the document held an integer (other than a null
-optional `step`), or anything but a string or null in place of a pattern's
-`class`, makes the document malformed: it exits 2, never with an "ok".
+Hypothesis takes a valid K3 scheme (in the v2 column layout that `build`
+writes and in the v1 layout of one object per row), K3 transform or graph
+document, swaps one value at a random path for a value of another kind (or
+deletes a key) and runs a command that reads the document, in process.
+Whatever the mutation, `main` returns 0, 2, 3 or 4, raises nothing, and a
+non-zero exit prints exactly one `error:` line after the schema line.  A
+mutation that puts a non-integer where the document held an integer (other
+than a null optional `step`), or anything but a string or null in place of
+a pattern's `class`, makes the document malformed: it exits 2, never with
+an "ok".
 
 A meaning oracle keeps the types but breaks the scheme: in a K3 or K4
 scheme document, a term gets another subfile in 1..L or another file its
 server stores, or two rows at a server swap places.  `simulate`,
 `extract` and `transform` then exit 0, 2 or 3, and print `"ok":true` only
-if `analyze` accepts the mutated scheme.
+if `analyze` accepts the mutated scheme, read from either layout.
+
+Targeted mutations of the v2 columns (columns of unequal length, row ends
+that fall or end off the columns, a bool, float or negative entry, a
+selection column of the wrong length, a class that is not a string, one
+pattern selection edited) exit 2 from all three commands with one line.
 
 A last test fuzzes the flags instead: it draws a subcommand, one of its
 numeric flags set to 0, -3, 1, nan or a value too large for it, and for
@@ -41,17 +48,22 @@ from pirlab.scheme import DeterministicScheme
 from pirlab.sequences import BOUNDS_CAP, BUILDER_CAP
 from pirlab.transform import transform
 
+from reference_scheme import v1_document
+
 _SCHEME = build_scheme(3, 0)
-# read back from their text, as the CLI reads them: `to_json` keeps term
-# arrays as tuples, which `_mutate` would not descend into
-_DOCS = {kind: json.loads(canonical_json(obj.to_json())) for kind, obj in (
-    ("scheme", _SCHEME),
-    ("transform", transform(_SCHEME)),
-    ("graph", make_graph("complete", [3])))}
+# read back from their text, as the CLI reads them: `_mutate` descends
+# into lists and dicts only
+_DOCS = {kind: json.loads(canonical_json(doc)) for kind, doc in (
+    ("scheme", v1_document(_SCHEME)),
+    ("scheme_v2", _SCHEME.to_json()),
+    ("transform", transform(_SCHEME).to_json()),
+    ("graph", make_graph("complete", [3]).to_json()))}
+_SCHEME_COMMANDS = [["extract", "--scheme", "{path}"],
+                    ["transform", "--scheme", "{path}"],
+                    ["simulate", "--scheme", "{path}", "--seed", "1"]]
 _COMMANDS = {
-    "scheme": [["extract", "--scheme", "{path}"],
-               ["transform", "--scheme", "{path}"],
-               ["simulate", "--scheme", "{path}", "--seed", "1"]],
+    "scheme": _SCHEME_COMMANDS,
+    "scheme_v2": _SCHEME_COMMANDS,
     "transform": [["simulate", "--scheme", "{path}", "--seed", "1"],
                   ["simulate", "--scheme", "{path}", "--seed", "1",
                    "--trials", "20"]],
@@ -151,22 +163,191 @@ def _analysis_accepts(doc):
     return analyze(scheme)[0].ok
 
 
+def _layouts(doc):
+    """`doc`, and its v2 rendering when it loads."""
+    try:
+        scheme = DeterministicScheme.from_json(doc)
+    except ParameterError:
+        return [doc]
+    return [doc, json.loads(canonical_json(scheme.to_json()))]
+
+
 @pytest.mark.parametrize("n,count", [(3, 100), (4, 40)])
 def test_mutated_schemes_pass_only_if_analysis_accepts(tmp_path, n, count):
-    base = json.loads(canonical_json(build_scheme(n, 0).to_json()))
+    base = json.loads(canonical_json(v1_document(build_scheme(n, 0))))
     rng = random.Random(n)
     path = tmp_path / "doc.json"
     for _ in range(count):
-        doc = _meaning_mutation(base, rng)
-        path.write_text(json.dumps(doc))
-        accepted = _analysis_accepts(doc)
-        for argv in _COMMANDS["scheme"]:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                rc = main([a.format(path=path) for a in argv])
-            assert rc in (0, 2, 3), (argv, doc)
-            assert accepted or '"ok":true' not in out.getvalue(), (argv, doc)
+        mutated = _meaning_mutation(base, rng)
+        accepted = _analysis_accepts(mutated)
+        for doc in _layouts(mutated):
+            path.write_text(json.dumps(doc))
+            for argv in _SCHEME_COMMANDS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = main([a.format(path=path) for a in argv])
+                assert rc in (0, 2, 3), (argv, doc)
+                assert accepted or '"ok":true' not in out.getvalue(), \
+                    (argv, doc)
+
+
+# ============================================================
+# targeted mutations of the v2 columns
+# ============================================================
+
+def _server(doc, data):
+    srv = data.draw(st.sampled_from(sorted(doc["queries"])), label="server")
+    return srv, doc["queries"][srv]
+
+
+def _ends_message(srv, cols):
+    return (f"row ends of server {srv} must rise from 0 to "
+            f"{len(cols['file'])}, the length of its columns")
+
+
+def _unequal_columns(doc, data):
+    srv, cols = _server(doc, data)
+    name = data.draw(st.sampled_from(["file", "subfile", "sign"]),
+                     label="column")
+    cols[name].append(1) if data.draw(st.booleans(), label="longer") \
+        else cols[name].pop()
+    first = "subfile" if name == "file" else name
+    return (f"the {first} column of server {srv} has {len(cols[first])} "
+            f"entries, not {len(cols['file'])}")
+
+
+def _unequal_side_info(doc, data):
+    name = data.draw(st.sampled_from(["server", "index"]), label="column")
+    doc["side_info"][name].append(1)
+    side = doc["side_info"]
+    return (f"the side_info index column has {len(side['index'])} entries, "
+            f"not {len(side['server'])}")
+
+
+def _falling_ends(doc, data):
+    srv, cols = _server(doc, data)
+    i = data.draw(st.integers(0, len(cols["ends"]) - 2), label="row")
+    ends = cols["ends"]
+    ends[i], ends[i + 1] = ends[i + 1], ends[i]
+    return _ends_message(srv, cols)
+
+
+def _ends_off_the_columns(doc, data):
+    srv, cols = _server(doc, data)
+    ends = cols["ends"]
+    edit = data.draw(st.sampled_from(["short", "past", "drop"]), label="edit")
+    if edit == "drop":
+        ends.pop()
+    else:
+        ends[-1] += -1 if edit == "short" else 1
+    return _ends_message(srv, cols)
+
+
+def _bad_entry(doc, data):
+    """A bool, a float or a negative number in an integer column."""
+    kind = data.draw(st.sampled_from(["bool", "float", "negative"]),
+                     label="kind")
+    where = data.draw(st.sampled_from(
+        ["file", "subfile", "sign", "ends", "target", "selections",
+         "side_info server", "side_info index"]), label="where")
+
+    def bad(old):
+        return {"bool": True, "float": float(old),
+                "negative": -2 if where == "sign" else -1}[kind]
+
+    if where in ("file", "subfile", "sign", "ends"):
+        srv, cols = _server(doc, data)
+        i = data.draw(st.integers(0, len(cols[where]) - 1), label="entry")
+        cols[where][i] = new = bad(cols[where][i])
+        if where == "ends":
+            return _ends_message(srv, cols) if kind == "negative" \
+                else f"row end must be an integer, got {new!r}"
+        term = tuple(cols[name][i] for name in ("file", "subfile", "sign"))
+        what = {"file": "file id", "subfile": "subfile index",
+                "sign": "sign"}[where]
+        return f"bad {what} in term {term}"
+    pats = doc["patterns"]
+    if where == "target":
+        i = data.draw(st.integers(0, len(pats["target"]) - 1), label="entry")
+        pats["target"][i] = new = bad(pats["target"][i])
+        return (f"pattern target {new} is outside 1..{doc['L']}"
+                if kind == "negative"
+                else f"pattern target must be an integer, got {new!r}")
+    if where == "selections":
+        srv = data.draw(st.sampled_from(sorted(pats["selections"])),
+                        label="server")
+        column = pats["selections"][srv]
+        i = data.draw(st.integers(0, len(column) - 1), label="entry")
+        column[i] = new = bad(column[i] if column[i] is not None else 0)
+        return (f"pattern {pats['target'][i]} references missing row -1 at "
+                f"server {srv}" if kind == "negative"
+                else f"pattern selection must be an integer, got {new!r}")
+    side = doc["side_info"]
+    side["server"].append(1)
+    side["index"].append(0)
+    name = where.split()[1]
+    side[name][-1] = new = bad(side[name][-1])
+    if kind != "negative":
+        return f"side info {name} must be an integer, got {new!r}"
+    srv, idx = side["server"][-1], side["index"][-1]
+    return f"side info references missing row {idx} at server {srv}"
+
+
+def _selection_column_length(doc, data):
+    pats = doc["patterns"]
+    srv = data.draw(st.sampled_from(sorted(pats["selections"])),
+                    label="server")
+    column = pats["selections"][srv]
+    column.append(None) if data.draw(st.booleans(), label="longer") \
+        else column.pop()
+    return (f"the selections column of server {srv} has {len(column)} "
+            f"entries, not {len(pats['target'])}")
+
+
+def _class_not_a_string(doc, data):
+    classes = doc["patterns"]["class"]
+    i = data.draw(st.integers(0, len(classes) - 1), label="entry")
+    classes[i] = new = data.draw(st.sampled_from([3, True, 0.5, [], {}, None]),
+                                 label="value")
+    if new is None:
+        return "some patterns have a class and some do not"
+    return f"pattern class must be a string, got {new!r}"
+
+
+def _selection_edited(doc, data):
+    pats = doc["patterns"]
+    srv = data.draw(st.sampled_from(sorted(pats["selections"])),
+                    label="server")
+    column = pats["selections"][srv]
+    i = data.draw(st.integers(0, len(column) - 1), label="entry")
+    rows = len(doc["queries"][srv]["ends"])
+    column[i] = data.draw(st.sampled_from(
+        [idx for idx in [None, *range(rows)] if idx != column[i]]),
+        label="row")
+    return "patterns do not follow from the rows"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_v2_column_mutations_exit_2(tmp_path, data):
+    mutation = data.draw(st.sampled_from([
+        _unequal_columns, _unequal_side_info, _falling_ends,
+        _ends_off_the_columns, _bad_entry, _selection_column_length,
+        _class_not_a_string, _selection_edited]), label="mutation")
+    doc = copy.deepcopy(_DOCS["scheme_v2"])
+    message = mutation(doc, data)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in _SCHEME_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([a.format(path=path) for a in argv])
+        assert (rc, out.getvalue()) == (2, ""), (argv, message)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().splitlines()[1:] == [f"error: {message}"], \
+            argv
 
 
 # per subcommand: its argv, and each numeric flag with a value too large

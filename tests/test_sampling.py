@@ -40,6 +40,7 @@ from reference_general import (
     reference_sample_trials,
     reference_statistical_audit,
 )
+from reference_scheme import v1_build_text
 from reference_transform import reference_transform
 
 # the graph mix of the benchmark's statistical audits
@@ -380,9 +381,9 @@ def test_distributional_audit_bytes_unchanged(capsys):
 
 
 def _simulate_k4(capsys, tmp_path, theta, seed):
+    # the pins were recorded on transforms of v1 build documents
     det, prob = tmp_path / "k4.json", tmp_path / "k4_prob.json"
-    assert cli.main(["build", "--n", "4", "--theta", str(theta),
-                     "--out", str(det)]) == 0
+    det.write_text(v1_build_text(4, theta))
     assert cli.main(["transform", "--scheme", str(det),
                      "--out", str(prob)]) == 0
     capsys.readouterr()

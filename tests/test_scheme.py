@@ -1,6 +1,8 @@
-"""Scheme data model: term validation and probabilistic row checks."""
+"""Scheme data model: term validation, both deterministic document
+layouts, and probabilistic row checks."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,11 +11,14 @@ from pirlab.builder import build_scheme
 from pirlab.errors import ParameterError, check_int
 from pirlab.general import GeneralScheme
 from pirlab.graphs import Graph, make_graph
+from pirlab.render import canonical_json
 from pirlab.scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
                            RecoveryPattern, Summation)
+from pirlab.patterns import extract_patterns
 from pirlab.transform import transform
 
 from conftest import load_json
+from reference_scheme import v1_document
 from relabel import relabel
 
 
@@ -124,6 +129,62 @@ def test_probabilistic_rows_reject(second, message):
         graph, rows = _k3_rows(**second)
         ProbabilisticScheme(graph, 0, rows, 2)
     assert str(exc.value) == message
+
+
+# ============================================================
+# deterministic documents: the v2 columns and the v1 rows
+# ============================================================
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_both_layouts_read_as_the_built_scheme(n):
+    for theta in range(n * (n - 1) // 2):
+        scheme = build_scheme(n, theta)
+        v1 = canonical_json(v1_document(scheme))
+        v2 = canonical_json(scheme.to_json())
+        from_v1 = DeterministicScheme.from_json(json.loads(v1))
+        from_v2 = DeterministicScheme.from_json(json.loads(v2))
+        assert from_v1 == from_v2 == scheme, theta
+        assert canonical_json(from_v2.to_json()) == v2
+        assert canonical_json(v1_document(from_v1)) == v1
+
+
+def test_v2_columns_hold_no_array_per_term_or_row():
+    doc = json.loads(canonical_json(build_scheme(4, 2).to_json()))
+    columns = [*doc["queries"].values(), doc["patterns"],
+               doc["patterns"]["selections"], doc["side_info"]]
+    for cols in columns:
+        for name, column in cols.items():
+            if name != "selections":
+                assert all(type(v) in (int, str, type(None))
+                           for v in column), name
+
+
+@pytest.mark.parametrize("layout", [v1_document,
+                                    DeterministicScheme.to_json])
+def test_schemes_without_pattern_annotations_round_trip(layout, k3_scheme,
+                                                        star4_scheme):
+    # extracted patterns carry no step or class, so neither layout writes
+    # one; a scheme without patterns reads back without them
+    for scheme in (k3_scheme, star4_scheme):
+        from_rows = scheme.replace(
+            patterns=extract_patterns(scheme).patterns)
+        for s in (scheme, from_rows):
+            doc = json.loads(canonical_json(layout(s)))
+            assert DeterministicScheme.from_json(doc) == s
+    doc = json.loads(canonical_json(k3_scheme.replace(
+        patterns=extract_patterns(k3_scheme).patterns).to_json()))
+    assert set(doc["patterns"]) == {"target", "selections"}
+
+
+@pytest.mark.parametrize("field,label", [("step", "step"),
+                                         ("pattern_class", "class")])
+def test_pattern_annotations_are_given_for_all_or_none(field, label):
+    scheme = build_scheme(3)
+    first, *rest = scheme.patterns
+    with pytest.raises(ParameterError) as exc:
+        scheme.replace(patterns=(dataclasses.replace(first, **{field: None}),
+                                 *rest))
+    assert str(exc.value) == f"some patterns have a {label} and some do not"
 
 
 def _k3_prob_doc():

@@ -15,13 +15,14 @@ from pirlab.sequences import (
     SequenceLedger,
     answer_count,
     build_sequences,
-    closed_form_x,
     rate,
     scaling_M,
     step_ledger,
     subpacketization,
 )
 from pirlab.errors import ParameterError
+
+from reference_sequences import closed_form_x
 
 
 # ============================================================
