@@ -22,8 +22,9 @@ from .general import (GeneralScheme, answer_distribution, answers,
 from .graphs import Graph, make_graph, matching_number
 from .patterns import (IndependenceError, analyze, check_independence,
                        check_srp, extract_patterns)
+from .rows import Rows, Summation
 from .scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
-                     RecoveryPattern, Summation)
+                     RecoveryPattern)
 from .sequences import (answer_count, build_sequences, rate, step_ledger,
                         subpacketization)
 from .sim import (Storage, privacy_audit, random_permutations,
@@ -46,7 +47,7 @@ __all__ = [
     "IndependenceError", "analyze", "check_independence", "check_srp",
     "extract_patterns",
     "DeterministicScheme", "ProbabilisticScheme", "ProbRow",
-    "RecoveryPattern", "Summation",
+    "RecoveryPattern", "Rows", "Summation",
     "answer_count", "build_sequences", "rate", "step_ledger",
     "subpacketization",
     "Storage", "privacy_audit", "random_permutations", "random_storage",

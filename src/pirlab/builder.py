@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from .errors import (InternalConsistencyError, ParameterError,
                      UnsupportedSizeError, check_theta)
 from .graphs import make_graph
-from .scheme import (DeterministicScheme, RecoveryPattern, Summation,
-                     gc_paused, row_shapes)
+from .rows import Rows, row_shapes
+from .scheme import DeterministicScheme, RecoveryPattern, gc_paused
 from .sequences import BUILDER_CAP, build_sequences, check_n, step_ledger
 
 
@@ -223,29 +223,32 @@ def build_scheme(n, theta=0):
     big_l = led.subpacketization
     variants, pool = class_plan(graph, theta, led)
 
-    queries = {v: [] for v in graph.servers}
+    # each server's file and subfile columns and row ends; every sign is +1
+    files = {v: [] for v in graph.servers}
+    subs = {v: [] for v in graph.servers}
+    ends = {v: [] for v in graph.servers}
     patterns = []
     sub = defaultdict(int)          # per-file pattern counter
     top = defaultdict(int)          # (server, file) -> last subscript written
     for step, cls, copies, new_rows, old_rows in variants:
-        files = set().union(*new_rows.values(), *old_rows.values())
-        rows = [*new_rows.items(), *old_rows.items()]
+        touched = set().union(*new_rows.values(), *old_rows.values())
+        rows = [(server, fileset, files[server], subs[server], ends[server])
+                for server, fileset in (*new_rows.items(), *old_rows.items())]
         for copy in range(copies):
-            # the pattern's term of each file, shared by all its rows
-            term = {}
-            for f in files:
+            # the pattern's subscript of each file, shared by all its rows
+            for f in touched:
                 sub[f] += 1
-                term[f] = (f, sub[f], 1)
             selections = {}
-            for server, fileset in rows:
-                queries[server].append(
-                    Summation(tuple(map(term.__getitem__, fileset))))
-                selections[server] = len(queries[server]) - 1
+            for server, fileset, fcol, scol, ecol in rows:
+                fcol += fileset
+                scol += map(sub.__getitem__, fileset)
+                selections[server] = len(ecol)
+                ecol.append(len(fcol))
             patterns.append(RecoveryPattern(target=sub[theta],
                                             selections=selections,
                                             step=step, pattern_class=cls))
         # counters only grow, so the last copy wrote the top subscripts
-        for server, fileset in rows:
+        for server, fileset, *_ in rows:
             for f in fileset:
                 top[server, f] = sub[f]
 
@@ -253,12 +256,12 @@ def build_scheme(n, theta=0):
     side_info = []
     for (v, fileset), count in sorted(pool.items()):
         for copy in range(count):
-            terms = []
             for f in fileset:
                 top[v, f] += 1
-                terms.append((f, top[v, f], 1))
-            queries[v].append(Summation(tuple(terms)))
-            side_info.append((v, len(queries[v]) - 1))
+                files[v].append(f)
+                subs[v].append(top[v, f])
+            side_info.append((v, len(ends[v])))
+            ends[v].append(len(files[v]))
 
     # ---- final shape checks ---------------------------------------------
     if len(patterns) != big_l or sub[theta] != big_l:
@@ -267,7 +270,9 @@ def build_scheme(n, theta=0):
 
     return DeterministicScheme(
         graph=graph, theta=theta, L=big_l,
-        queries={v: tuple(rows) for v, rows in queries.items()},
+        queries={v: Rows(tuple(files[v]), tuple(subs[v]),
+                         (1,) * len(files[v]), tuple(ends[v]))
+                 for v in graph.servers},
         patterns=tuple(patterns), side_info=tuple(side_info))
 
 

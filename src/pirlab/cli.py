@@ -11,6 +11,7 @@ table document to stdout (or --out), and exits with:
 """
 
 import argparse
+import hashlib
 import json
 import random
 import re
@@ -27,7 +28,8 @@ from .graphs import Graph, make_graph
 from .patterns import (IndependenceError, carried_mismatches, check_srp,
                        extract_patterns)
 from .render import canonical_json, frac_str, meta_header
-from .scheme import DeterministicScheme, ProbabilisticScheme, gc_paused
+from .scheme import (DeterministicScheme, ProbabilisticScheme, columnar,
+                     gc_paused)
 from .sequences import build_sequences, rate
 from .sim import (check_audit_member, privacy_audit, random_permutations,
                   random_storage, run_deterministic_trial,
@@ -58,20 +60,34 @@ def _emit_doc(doc, out_path):
     _emit(canonical_json(doc) + "\n", out_path)
 
 
-@gc_paused
-def _load_doc(path):
-    """The JSON object in a file; every pirlab document is one."""
+def _read_doc(path):
+    """The JSON object in a UTF-8 file, and the sha256 of the file's bytes;
+    every pirlab document is one object."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}")
     if type(doc) is not dict:
         raise ParameterError(f"{path} holds a JSON {type(doc).__name__}, "
                              f"not an object")
-    return doc
+    return doc, hashlib.sha256(data).hexdigest()
+
+
+def _scheme_source(doc, sha256):
+    """What stands for a deterministic scheme document in the input digest:
+    the sha256 of its bytes as read for a v2 document, so that nothing is
+    encoded again, and for a v1 document the document as parsed."""
+    return {"scheme_sha256": sha256} if columnar(doc) else {"scheme": doc}
+
+
+def _load_scheme(path):
+    """A deterministic scheme file as the scheme and its `_scheme_source`."""
+    doc, sha256 = _read_doc(path)
+    return DeterministicScheme.from_json(doc), _scheme_source(doc, sha256)
 
 
 def _parse_graph(spec):
@@ -92,7 +108,7 @@ def _parse_graph(spec):
         except ValueError:
             raise ParameterError(f"bad family parameters {params!r}")
         return make_graph(family, values)
-    return Graph.from_json(_load_doc(spec))
+    return Graph.from_json(_read_doc(spec)[0])
 
 
 def _parse_theta(text, graph):
@@ -158,8 +174,7 @@ def _cmd_build(args):
 
 
 def _cmd_extract(args):
-    source = _load_doc(args.scheme)
-    scheme = DeterministicScheme.from_json(source)
+    scheme, source = _load_scheme(args.scheme)
     ex = _extraction(scheme)
     srp = check_srp(scheme, ex)
     doc = {
@@ -168,19 +183,18 @@ def _cmd_extract(args):
                       for srv, idx in ex.side_info],
         "srp": {**{str(srv): cnt for srv, cnt in sorted(srp.counts.items())},
                 "ok": srp.ok},
-        "meta": meta_header("extract", {"scheme": source}),
+        "meta": meta_header("extract", source),
     }
     _emit_doc(doc, args.out)
     return 0
 
 
 def _cmd_transform(args):
-    source = _load_doc(args.scheme)
-    scheme = DeterministicScheme.from_json(source)
+    scheme, source = _load_scheme(args.scheme)
     prob = transform(scheme, _extraction(scheme))
     doc = prob.to_json()
     doc["rate"] = frac_str(prob_rate(prob))
-    doc["meta"] = meta_header("transform", {"scheme": source})
+    doc["meta"] = meta_header("transform", source)
     _emit_doc(doc, args.out)
     return 0
 
@@ -217,7 +231,7 @@ def _cmd_general(args):
 
 def _cmd_simulate(args):
     check_q(args.q)
-    source = _load_doc(args.scheme)
+    source, sha256 = _read_doc(args.scheme)
     rng = random.Random(args.seed)
     if "rows" in source:
         prob = ProbabilisticScheme.from_json(source)
@@ -239,6 +253,7 @@ def _cmd_simulate(args):
                              "with `pirlab audit --family general:...`")
     else:
         scheme = DeterministicScheme.from_json(source)
+        source = _scheme_source(source, sha256)
         storage = random_storage(scheme.graph, q=args.q, L=scheme.L, rng=rng)
         perms = random_permutations(scheme.graph, scheme.L, rng)
         report = run_deterministic_trial(scheme, storage, perms)
@@ -250,7 +265,7 @@ def _cmd_simulate(args):
             "ok": report.ok,
             "rate": frac_str(report.measured_rate),
             "downloaded_symbols": report.downloaded_symbols,
-            "meta": meta_header("simulate", {"scheme": source, "q": args.q},
+            "meta": meta_header("simulate", {**source, "q": args.q},
                                 seed=args.seed),
         }
     _emit_doc(doc, args.out)
@@ -412,7 +427,9 @@ def main(argv=None):
     version = SCHEMA_VERSION.get(args.command, 1)
     print(f"schema: pirlab/{args.command}/v{version}", file=sys.stderr)
     try:
-        return args.func(args)
+        # reference counting frees a command's data, which holds no cycles;
+        # the collector would only walk it again and again (gc_paused)
+        return gc_paused(args.func)(args)
     except (InfeasibleError, IndependenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

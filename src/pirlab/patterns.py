@@ -15,25 +15,31 @@ The independence conditions checked here:
   4. a component is neither a valid pattern nor pure side information.
 
 `analyze` produces the report and the extraction from one walk over the
-rows.  Rows get integer ids in (server, index) order, and union-find runs
-over a flat parent list.  Symbols are keyed by one integer each.  The walk
-checks conditions 1 and 2 against each server's set of stored files, and
-collects the desired subfiles for condition 3.  Afterwards each component
-is classified once, without reading its terms again: all occurrences of a
-non-desired symbol lie in one component, so the symbol's total count gives
-its parity there, and desired terms are bucketed by component.
-`check_independence` and `extract_patterns` are views of that one result.
+rows' columns (`rows.Rows`); it makes no object per row or term.  Rows
+get integer ids in (server, index) order, and union-find runs over a flat
+parent list.  Symbols are keyed by one integer each.  Each server's columns
+are checked in bulk for conditions 1 and 2 against its set of stored
+files, and only a server that breaks one is read row by row for the
+report; the desired subfiles are collected for condition 3.  Afterwards
+each component is classified once, without reading its terms again: all
+occurrences of a non-desired symbol lie in one component, so the symbol's
+total count gives its parity there, and desired terms are bucketed by
+component.  `check_independence` and `extract_patterns` are views of that
+one result.
 
 A scheme object is walked once: `analyze` keeps its result on the
 instance, outside the dataclass fields, and serves it again only while
-`scheme.queries` still maps every server to the very row tuple it walked.
+`scheme.queries` still maps every server to the very row block it walked.
 `replace()` gives a new object with no result kept.
 """
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat
+from operator import add, and_, eq, not_, sub
 
+from .rows import in_row
 from .scheme import RecoveryPattern, gc_paused
 
 
@@ -97,56 +103,53 @@ def _walk(scheme):
     nfiles = len(graph.edges)
     violations = []
     refs = []           # row id -> (server, index)
-    parent = []         # union-find over row ids; a root is its set's min
-    first = {}          # non-desired symbol key -> first row holding it
-    linked = []         # every non-desired symbol key, once per occurrence
+    keys = []           # every non-desired symbol key, once per occurrence
+    key_rows = []       # the row id of each of those occurrences
     desired = []        # (row id, subfile) for every desired term
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for srv, rows in sorted(scheme.queries.items()):
+        files, subs, ends = rows.file, rows.subfile, rows.ends
+        base = len(refs)
+        refs += zip(repeat(srv), range(len(ends)))
         stored = set(graph.incident(srv))
-        keys_here = []
-        for idx, row in enumerate(rows):
-            rid = len(parent)
-            parent.append(rid)
-            refs.append((srv, idx))
-            mark = len(violations)
-            prev = None
-            repeats_file = False
-            for f, s, _sign in row.terms:
-                repeats_file = repeats_file or f == prev  # terms are sorted
-                prev = f
-                if f not in stored:
-                    graph.endpoints(f)  # ParameterError for an unknown id
-                    violations.append(Violation(
-                        2, f"server {srv} asked for file {f} it does not "
-                           f"store (row {idx})"))
-                key = s * nfiles + f
-                keys_here.append(key)
-                if f == theta:
-                    desired.append((rid, s))
-                    continue
-                linked.append(key)
-                other = first.setdefault(key, rid)
-                if other != rid:
-                    ra, rb = find(other), find(rid)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-            if repeats_file:
-                files = Counter(f for f, _s, _sign in row.terms)
-                violations.insert(mark, Violation(
-                    1, f"row {idx} at server {srv} repeats files "
-                       f"{sorted(f for f, c in files.items() if c > 1)}"))
-        if len(set(keys_here)) != len(keys_here):
+        # terms are sorted, so a file twice in a row is there side by side
+        if not stored.issuperset(files) or any(in_row(eq, files, ends)):
+            violations += _row_violations(srv, rows, stored, graph)
+        here = list(map(add, map(nfiles.__mul__, subs), files))
+        if len(set(here)) != len(here):
             dups = sorted((key % nfiles, key // nfiles)
-                          for key, c in Counter(keys_here).items() if c > 1)
+                          for key, c in Counter(here).items() if c > 1)
             violations.append(Violation(
                 2, f"subfile symbols {dups} repeat at server {srv}"))
+        # the row id of each term
+        rids = [*chain.from_iterable(map(repeat, count(base),
+                                         map(sub, ends, rows.starts)))]
+        if theta in stored or theta in files:
+            is_desired = list(map(theta.__eq__, files))
+            desired += zip(compress(rids, is_desired),
+                           compress(subs, is_desired))
+            linked = list(map(not_, is_desired))
+            here, rids = compress(here, linked), compress(rids, linked)
+        keys += here
+        key_rows += rids
+
+    # union-find over row ids, each row joined to the first row holding a
+    # symbol it holds.  A root is its set's min, so parent[x] <= x, and one
+    # pass in increasing order then points every row at its root.
+    first = dict(zip(reversed(keys), reversed(key_rows)))
+    parent = list(range(len(refs)))
+    for a, b in zip(map(first.__getitem__, keys), key_rows):
+        if a != b:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]  # path halving
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    for x, up in enumerate(parent):
+        parent[x] = parent[up]
 
     theta_subs = Counter(s for _rid, s in desired)
     expected = set(range(1, scheme.L + 1))
@@ -159,15 +162,15 @@ def _walk(scheme):
                f"missing {missing}, repeated or out of range {extra}"))
 
     components = {}
-    for rid in range(len(parent)):
-        components.setdefault(find(rid), []).append(refs[rid])
+    for root, ref in zip(parent, refs):
+        components.setdefault(root, []).append(ref)
     desired_in = defaultdict(list)
     for rid, s in desired:
-        desired_in[find(rid)].append(s)
+        desired_in[parent[rid]].append(s)
     odd_in = defaultdict(list)
-    for key, c in Counter(linked).items():
-        if c % 2:
-            odd_in[find(first[key])].append((key % nfiles, key // nfiles))
+    counts = Counter(keys)
+    for key in compress(counts, map(and_, counts.values(), repeat(1))):
+        odd_in[parent[first[key]]].append((key % nfiles, key // nfiles))
 
     patterns = []
     side_info = []
@@ -189,6 +192,26 @@ def _walk(scheme):
     patterns.sort(key=lambda p: p.target)
     return report, Extraction(patterns=tuple(patterns),
                               side_info=tuple(sorted(side_info)))
+
+
+def _row_violations(srv, rows, stored, graph):
+    """Conditions 1 and 2 row by row: a row that repeats a file, then each
+    of its terms asking for a file the server does not store."""
+    out = []
+    for idx, (start, end) in enumerate(zip(rows.starts, rows.ends)):
+        files = rows.file[start:end]
+        mark = len(out)
+        for f in files:
+            if f not in stored:
+                graph.endpoints(f)  # ParameterError for an unknown id
+                out.append(Violation(
+                    2, f"server {srv} asked for file {f} it does not "
+                       f"store (row {idx})"))
+        repeated = sorted(f for f, c in Counter(files).items() if c > 1)
+        if repeated:
+            out.insert(mark, Violation(
+                1, f"row {idx} at server {srv} repeats files {repeated}"))
+    return out
 
 
 def _classify(component, desired, odd_other, theta, L):
@@ -272,13 +295,9 @@ def check_srp(scheme, extraction):
     counts = {}
     for srv in (t1, t2):
         rows = scheme.queries[srv]
-        count = 0
-        for p in extraction.patterns:
-            idx = p.selections.get(srv)
-            if idx is not None:
-                # terms are sorted, so a bisection finds file theta
-                terms = rows[idx].terms
-                i = bisect_left(terms, (theta,))
-                count += i < len(terms) and terms[i][0] == theta
-        counts[srv] = count
+        # the rows holding file theta, from the term indices where it is
+        holding = {bisect_right(rows.ends, i) for i in compress(
+            count(), map(theta.__eq__, rows.file))}
+        counts[srv] = sum(p.selections.get(srv) in holding
+                          for p in extraction.patterns)
     return SrpReport(counts=counts, ok=counts[t1] == counts[t2])

@@ -6,6 +6,10 @@ with.  Each summation term is a (file, subfile, sign) triple; subfiles are
 that the group cancels to a single desired subfile.  Side information rows
 are downloaded but not used by any pattern.
 
+A scheme holds each server's rows as one `rows.Rows` block of flat
+integer columns; its constructor takes a block or a sequence of Summations
+for a server and checks every block (`rows.checked_rows`).
+
 A deterministic scheme document (`pirlab/build/v2`) stores flat integer
 columns: per server the `file`, `subfile` and `sign` of every term, row
 after row, and the `ends` of the rows in those columns; the patterns as a
@@ -26,15 +30,17 @@ it again and again.
 import functools
 import gc
 import math
-from collections import Counter
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, replace as _dc_replace
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import repeat
 
 from .errors import (ParameterError, check_combo, check_frac, check_int,
                      check_theta, malformed, server_key)
 from .graphs import Graph
 from .render import frac_str
+# Summation is part of this module's interface too
+from .rows import (NO_ROWS, Rows, Summation, checked_rows, same_length,
+                   term_columns)
 
 
 def gc_paused(fn):
@@ -54,45 +60,8 @@ def gc_paused(fn):
 
 
 # ============================================================
-# summations and recovery patterns
+# recovery patterns
 # ============================================================
-
-@dataclass(frozen=True, slots=True)
-class Summation:
-    terms: tuple
-
-    def __post_init__(self):
-        # a checked term that is already a tuple is kept, not copied
-        norm = []
-        for term in self.terms:
-            if len(term) != 3:
-                raise ParameterError(f"term {list(term)} is not "
-                                     f"[file, subfile, sign]")
-            f, s, sign = term
-            if not (type(f) is int and f >= 0):
-                raise ParameterError(f"bad file id in term {term}")
-            if not (type(s) is int and s >= 1):
-                raise ParameterError(f"bad subfile index in term {term}")
-            if not (type(sign) is int and sign in (1, -1)):
-                raise ParameterError(f"bad sign in term {term}")
-            norm.append(term if type(term) is tuple else (f, s, sign))
-        norm.sort()
-        object.__setattr__(self, "terms", tuple(norm))
-
-    @property
-    def files(self):
-        return tuple(f for f, _, _ in self.terms)
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(tuple(map(tuple, doc["terms"])))
-
-
-def row_shapes(rows):
-    """How many rows have each shape: the sorted tuple of the files a row
-    sums (a file twice in a row is there twice)."""
-    return Counter(row.files for row in rows)
-
 
 @dataclass(frozen=True, slots=True)
 class RecoveryPattern:
@@ -150,17 +119,15 @@ class DeterministicScheme:
         check_theta(self.theta, self.graph)
         if check_int(self.L, "L") < 1:
             raise ParameterError(f"subpacketization must be >= 1, got {self.L}")
-        queries = {check_int(srv, "server"): tuple(rows)
+        queries = {check_int(srv, "server"): checked_rows(rows, srv)
                    for srv, rows in dict(self.queries).items()}
         for srv in self.graph.servers:
-            queries.setdefault(srv, ())
-        for srv, rows in queries.items():
+            queries.setdefault(srv, NO_ROWS)
+        for srv in queries:
             if srv not in self.graph.servers:
                 raise ParameterError(f"no server {srv} in the graph")
-            for row in rows:
-                if not isinstance(row, Summation):
-                    raise ParameterError("queries must contain Summation rows")
         object.__setattr__(self, "queries", queries)
+        sizes = {srv: len(rows) for srv, rows in queries.items()}
         if self.patterns is not None:
             object.__setattr__(self, "patterns", tuple(self.patterns))
             for p in self.patterns:
@@ -168,7 +135,7 @@ class DeterministicScheme:
                     raise ParameterError(f"pattern target {p.target} is "
                                          f"outside 1..{self.L}")
                 for srv, idx in p.selections.items():
-                    if not 0 <= idx < len(queries.get(srv, ())):
+                    if not 0 <= idx < sizes.get(srv, 0):
                         raise ParameterError(
                             f"pattern {p.target} references missing row "
                             f"{idx} at server {srv}")
@@ -181,7 +148,7 @@ class DeterministicScheme:
             (check_int(s, "side info server"), check_int(i, "side info index"))
             for s, i in self.side_info)
         for srv, idx in side:
-            if not 0 <= idx < len(queries.get(srv, ())):
+            if not 0 <= idx < sizes.get(srv, 0):
                 raise ParameterError(
                     f"side info references missing row {idx} at server {srv}")
         object.__setattr__(self, "side_info", side)
@@ -196,7 +163,10 @@ class DeterministicScheme:
             "graph": self.graph.to_json(),
             "theta": self.theta,
             "L": self.L,
-            "queries": {str(srv): _row_columns(rows)
+            "queries": {str(srv): {"file": list(rows.file),
+                                   "subfile": list(rows.subfile),
+                                   "sign": list(rows.sign),
+                                   "ends": list(rows.ends)}
                         for srv, rows in sorted(self.queries.items())},
         }
         patterns = self.patterns
@@ -221,25 +191,19 @@ class DeterministicScheme:
         with malformed("scheme"):
             graph = Graph.from_json(doc["graph"])
             theta, L, queries = doc["theta"], doc["L"], doc["queries"].items()
-            v2 = any(type(rows) is dict for _, rows in queries)
-            fields = (_v2_fields if v2 else _v1_fields)(doc, queries)
-            return cls(graph=graph, theta=theta, L=L, **fields)
+            read = _v2_fields if columnar(doc) else _v1_fields
+            return cls(graph=graph, theta=theta, L=L, **read(doc, queries))
 
 
-def _row_columns(rows):
-    """One server's rows as the v2 term columns and row ends."""
-    terms = [row.terms for row in rows]
-    # zip(*...) of no terms gives no columns at all
-    files, subs, signs = [*map(list, zip(*chain.from_iterable(terms)))] \
-        or ([], [], [])
-    return {"file": files, "subfile": subs, "sign": signs,
-            "ends": list(accumulate(map(len, terms)))}
+def columnar(doc):
+    """Whether a scheme document holds the v2 columns: an object of columns
+    per server, where a v1 document holds an array of rows."""
+    return any(type(rows) is dict for rows in doc["queries"].values())
 
 
 def _v1_fields(doc, queries):
     return {
-        "queries": {server_key(s): map(Summation.from_json, rows)
-                    for s, rows in queries},
+        "queries": {server_key(s): _v1_rows(rows) for s, rows in queries},
         "patterns": tuple(map(RecoveryPattern.from_json, doc["patterns"]))
         if "patterns" in doc else None,
         "side_info": tuple((e["server"], e["index"])
@@ -247,40 +211,29 @@ def _v1_fields(doc, queries):
     }
 
 
+def _v1_rows(rows):
+    """A server's v1 rows, one `{"terms": [...]}` object each, as a block;
+    each term is checked as it is put into the columns."""
+    terms, ends = [], []
+    for row in rows:
+        terms += map(tuple, row["terms"])
+        ends.append(len(terms))
+    return Rows(*term_columns(terms), tuple(ends))
+
+
 def _v2_fields(doc, queries):
     fields = {
-        "queries": {server_key(s): _v2_rows(s, cols) for s, cols in queries},
+        "queries": {server_key(s): Rows(cols["file"], cols["subfile"],
+                                        cols["sign"], cols["ends"])
+                    for s, cols in queries},
         "patterns": _v2_patterns(doc["patterns"])
         if "patterns" in doc else None,
     }
     side = doc.get("side_info", {"server": (), "index": ()})
     servers, indices = side["server"], side["index"]
-    _same_length("the side_info index column", indices, servers)
+    same_length("the side_info index column", indices, servers)
     fields["side_info"] = zip(servers, indices)
     return fields
-
-
-def _same_length(name, column, first):
-    if len(column) != len(first):
-        raise ParameterError(f"{name} has {len(column)} entries, "
-                             f"not {len(first)}")
-
-
-def _v2_rows(server, cols):
-    """A server's Summation rows from its v2 columns.  The ends must rise
-    from 0 to the columns' length; the terms are checked by Summation."""
-    files, ends = cols["file"], cols["ends"]
-    for name in ("subfile", "sign"):
-        _same_length(f"the {name} column of server {server}", cols[name],
-                     files)
-    for end in ends:
-        check_int(end, "row end")
-    cuts = [0, *ends]
-    if cuts != sorted(cuts) or cuts[-1] != len(files):
-        raise ParameterError(f"row ends of server {server} must rise from 0 "
-                             f"to {len(files)}, the length of its columns")
-    terms = list(zip(files, cols["subfile"], cols["sign"]))
-    return [Summation(terms[start:end]) for start, end in zip(cuts, ends)]
 
 
 def _v2_patterns(cols):
@@ -295,7 +248,7 @@ def _v2_patterns(cols):
                for srv, col in selections.items())]
     for name, col in named:
         if col is not None:
-            _same_length(name, col, targets)
+            same_length(name, col, targets)
     servers = tuple(selections)
     picks = zip(*selections.values()) if servers else repeat(())
     return tuple(

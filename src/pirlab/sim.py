@@ -34,14 +34,15 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import getitem, xor
 
 from .errors import ParameterError, check_q
 from .general import (GeneralScheme, answer_counts, random_bits,
                       sample_combo_counts)
 from .graphs import Graph
 from .patterns import extract_patterns
-from .scheme import (DeterministicScheme, ProbabilisticScheme, gc_paused,
-                     row_shapes)
+from .rows import row_shapes
+from .scheme import DeterministicScheme, ProbabilisticScheme, gc_paused
 from .transform import prob_rate
 
 # sampled trials compare draws with row edges on this grid: random()
@@ -146,18 +147,19 @@ def run_deterministic_trial(scheme, storage, perms=None):
                    for f, perm in perms.items() if f in symbols}
 
     answered = {}
-    try:
-        for srv, rows in scheme.queries.items():
-            answers = []
-            for row in rows:
-                value = 0
-                for f, s, _sign in row.terms:
-                    value ^= symbols[f][s]
-                answers.append(value)
-            answered[srv] = answers
-    except (KeyError, IndexError):
-        raise ParameterError(f"a row asks for subfile {s} of file {f}, "
-                             f"which storage does not hold") from None
+    for srv, rows in scheme.queries.items():
+        try:
+            values = list(map(getitem, map(symbols.__getitem__, rows.file),
+                              rows.subfile))
+        except (KeyError, IndexError):
+            f, s = next((f, s) for f, s in zip(rows.file, rows.subfile)
+                        if f not in symbols or s >= len(symbols[f]))
+            raise ParameterError(f"a row asks for subfile {s} of file {f}, "
+                                 f"which storage does not hold") from None
+        # a row's answer is the XOR of two prefix XORs of its values
+        prefix = list(accumulate(values, xor, initial=0))
+        answered[srv] = list(map(xor, map(prefix.__getitem__, rows.starts),
+                                 map(prefix.__getitem__, rows.ends)))
     # storage shorter than the scheme's L is named above, by the first row
     # that reads past it; recovery places L subfiles, so storage of any
     # other length is refused here

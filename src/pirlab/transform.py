@@ -13,15 +13,12 @@ the denominator L.
 
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
+from operator import lt
 
 from .errors import (InfeasibleError, InternalConsistencyError,
                      ParameterError)
 from .patterns import analyze, extract_patterns
 from .scheme import ProbabilisticScheme, ProbRow, gc_paused
-
-
-_file_sign = itemgetter(0, 2)   # a term's (file, sign)
 
 
 @gc_paused
@@ -47,7 +44,9 @@ def transform(scheme, extraction=None):
     combo_ids = {}      # combo -> id
     ids = {}            # server -> the combo id of each of its rows
     for srv, rows in scheme.queries.items():
-        keys = [tuple(map(_file_sign, row.terms)) for row in rows]
+        pairs = tuple(zip(rows.file, rows.sign))
+        keys = list(map(pairs.__getitem__,
+                        map(slice, rows.starts, rows.ends)))
         key_ids = {key: combo_ids.setdefault(tuple(sorted(key)),
                                              len(combo_ids) + 1)
                    for key in dict.fromkeys(keys)}
@@ -108,9 +107,9 @@ def entropy_proxy_ok(scheme):
         ok = analyze(scheme)[0].ok
     except ParameterError:  # a file id outside the graph
         ok = False
-    if ok:
-        return all(row.terms for rows in scheme.queries.values()
-                   for row in rows)
+    if ok:  # no empty row: every row ends past its start
+        return all(all(map(lt, rows.starts, rows.ends))
+                   for rows in scheme.queries.values())
     return all(_gf2_independent(scheme.queries[srv])
                for srv in scheme.graph.servers)
 
@@ -118,10 +117,11 @@ def entropy_proxy_ok(scheme):
 def _gf2_independent(rows):
     bit_of = {}
     basis = {}  # leading bit -> reduced vector
-    for row in rows:
+    symbols = tuple(zip(rows.file, rows.subfile))
+    for start, end in zip(rows.starts, rows.ends):
         vec = 0
-        for f, s, _sign in row.terms:
-            vec ^= 1 << bit_of.setdefault((f, s), len(bit_of))
+        for symbol in symbols[start:end]:
+            vec ^= 1 << bit_of.setdefault(symbol, len(bit_of))
         while vec:
             lead = vec.bit_length() - 1
             if lead not in basis:

@@ -483,24 +483,24 @@ def test_swapped_row_tuple_changes_the_verdict(walks):
     assert len(walks) == 1
 
     good = s.queries[2]
-    s.queries[2] = _duplicate_first_row(s, 2)
-    assert not verify_scheme(s).ok
-    assert 2 in {v.condition for v in check_independence(s).violations}
+    bad = s.replace(queries={**s.queries, 2: _duplicate_first_row(s, 2)})
+    assert not verify_scheme(bad).ok
+    assert 2 in {v.condition for v in check_independence(bad).violations}
     with pytest.raises(IndependenceError):
-        extract_patterns(s)
-    assert not entropy_proxy_ok(s)
+        extract_patterns(bad)
+    assert not entropy_proxy_ok(bad)
     assert len(walks) == 2
 
-    # an equal tuple that is not the one walked is walked again
-    s.queries[2] = good[:1] + good[1:]
-    assert s.queries[2] == good and s.queries[2] is not good
-    assert verify_scheme(s).ok
+    # an equal row block that is not the one walked is walked again
+    again = s.replace(queries={**s.queries, 2: tuple(good)})
+    assert again.queries[2] == good and again.queries[2] is not good
+    assert verify_scheme(again).ok
     assert len(walks) == 3
 
-    # so is a queries map that gained a server
-    s.queries[9] = good
-    assert not check_independence(s).ok
-    assert len(walks) == 4
+    # a queries map that gained a server is refused
+    with pytest.raises(ParameterError):
+        s.replace(queries={**s.queries, 9: good})
+    assert len(walks) == 3
 
 
 # ============================================================

@@ -3,10 +3,16 @@ layouts, and probabilistic row checks."""
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pirlab
 from pirlab.builder import build_scheme
 from pirlab.errors import ParameterError, check_int
 from pirlab.general import GeneralScheme
@@ -66,6 +72,117 @@ def test_summation_matches_term_by_term_checks(terms):
         got = Summation(tuple(terms)).terms
         assert got == want
         assert all(type(t) is tuple for t in got)
+
+
+# each row is one server's row; a value is mostly valid, and the rows
+# come in any order, so a row's terms are often out of order
+_rows_term = st.tuples(st.sampled_from([0, 2, 5, 5, 1, -1, True, 1.5, "0"]),
+                       st.sampled_from([1, 3, 3, 2, 0, 2.0, True]),
+                       st.sampled_from([1, -1, -1, 1, 0, 2, True, -1.0]))
+_rows = st.lists(st.lists(_rows_term | st.lists(st.integers(0, 6),
+                                                max_size=4).map(tuple),
+                          max_size=4), max_size=3)
+
+
+def _per_row(rows):
+    """Each row's terms through Summation, or the first refusal's text."""
+    try:
+        return [Summation(tuple(row)).terms for row in rows]
+    except ParameterError as exc:
+        return str(exc)
+
+
+def _read_rows(doc):
+    try:
+        scheme = DeterministicScheme.from_json(doc)
+    except ParameterError as exc:
+        return str(exc)
+    return [row.terms for row in scheme.queries[1]]
+
+
+def _k3_doc(queries):
+    return {"graph": make_graph("complete", [3]).to_json(), "theta": 0,
+            "L": 1, "queries": {"1": queries}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows)
+@example([[(2, 1, 1), (0, 1, 1)], [(0, 2, 1), (0, 1, True)]])
+@example([[(5, 1, 1)], [(0, 0, 1), (1.5, 1, 1)]])
+@example([[(0, 1, 1), (0, 1)]])
+def test_block_and_summation_share_one_term_check(rows):
+    # the v1 rows and, when every term has three entries, the v2 columns of
+    # the same rows read as the rows through Summation do: the same terms
+    # in order, or the same first refusal
+    want = _per_row(rows)
+    v1 = _k3_doc([{"terms": [list(t) for t in row]} for row in rows])
+    assert _read_rows(v1) == want
+    if all(len(t) == 3 for row in rows for t in row):
+        terms = [t for row in rows for t in row]
+        v2 = _k3_doc({"file": [t[0] for t in terms],
+                      "subfile": [t[1] for t in terms],
+                      "sign": [t[2] for t in terms],
+                      "ends": [*accumulate(map(len, rows))]})
+        assert _read_rows(v2) == want
+
+
+_NO_SUMMATION_PROBE = """
+import json, random, sys
+from pirlab import cli, scheme
+from pirlab.builder import build_scheme, verify_scheme
+from pirlab.patterns import check_srp, extract_patterns
+from pirlab.render import canonical_json
+from pirlab.sim import random_storage, run_deterministic_trial
+from pirlab.transform import entropy_proxy_ok, transform
+
+made = []
+def counting_new(cls, *args, **kwargs):
+    made.append(cls)
+    return object.__new__(cls)
+scheme.Summation.__new__ = staticmethod(counting_new)
+
+def count(step):
+    before = len(made)
+    step()
+    return len(made) - before
+
+def library_pass():
+    s = build_scheme(5, 3)
+    assert verify_scheme(s).ok
+    ex = extract_patterns(s)
+    assert check_srp(s, ex).ok and entropy_proxy_ok(s)
+    transform(s, ex)
+    doc = json.loads(canonical_json(s.to_json()))
+    assert scheme.DeterministicScheme.from_json(doc) == s
+    storage = random_storage(s.graph, 2, s.L, random.Random(1))
+    assert run_deterministic_trial(s, storage).ok
+
+path = sys.argv[1]
+counts = {"library": count(library_pass),
+          "build": count(lambda: cli.main(["build", "--n", "5", "--theta",
+                                           "3", "--out", path]))}
+for argv in (["extract"], ["transform"], ["simulate", "--seed", "1"]):
+    counts[argv[0]] = count(lambda: cli.main(
+        [argv[0], "--scheme", path, *argv[1:], "--out", path + ".out"]))
+# the probe sees both ways a Summation is made
+counts["probe"] = count(lambda: (scheme.Summation(((0, 1, 1),)),
+                                 build_scheme(3).queries[1][0]))
+print(json.dumps(counts))
+"""
+
+
+def test_k5_pass_and_v2_commands_make_no_summation(tmp_path):
+    # Summation.__new__ is replaced in a child process, which cannot leave
+    # it replaced for other tests
+    src = pathlib.Path(pirlab.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SUMMATION_PROBE, str(tmp_path / "k5.json")],
+        capture_output=True, text=True, env={**os.environ,
+                                             "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "library": 0, "build": 0, "extract": 0, "transform": 0,
+        "simulate": 0, "probe": 2}
 
 
 def _reference_selections(selections):

@@ -160,7 +160,8 @@ def test_side_info_fills_earliest_idle_rows_in_order(k3_scheme):
     # its only idle slots; two unshared rows b4 and c4 become side
     # information and must land there, in side-info order.
     queries = dict(k3_scheme.queries)
-    queries[3] += (Summation(((1, 4, 1),)), Summation(((2, 4, 1),)))
+    queries[3] = (*queries[3], Summation(((1, 4, 1),)),
+                  Summation(((2, 4, 1),)))
     s = k3_scheme.replace(queries=queries, patterns=None, side_info=())
     assert extract_patterns(s).side_info == ((3, 4), (3, 5))
     p = transform(s)
@@ -237,7 +238,7 @@ def test_entropy_proxy_matches_plain_elimination(k3_scheme, rows):
 def test_entropy_proxy_empty_side_info_row(k3_scheme):
     # an empty row is side information, so the analysis is ok
     queries = dict(k3_scheme.queries)
-    queries[1] += (Summation(()),)
+    queries[1] = (*queries[1], Summation(()))
     s = k3_scheme.replace(queries=queries, patterns=None, side_info=())
     assert extract_patterns(s).side_info == ((1, 4),)
     assert not entropy_proxy_ok(s)
