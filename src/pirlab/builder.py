@@ -290,11 +290,11 @@ class VerifyReport:
 def verify_scheme(scheme):
     """Structural verification of a built scheme.
 
-    Checks the independence conditions, that extraction recovers a full
-    pattern partition equal to the carried patterns and side information,
-    the per-type multiplicity invariant, and the even split of desired
-    rows across the two endpoints.  The last two are K_n ledgers, so a
-    graph that is not complete raises ParameterError.
+    Checks the independence conditions, any stored patterns and side
+    information against the rows (`carried_mismatches`), the per-type
+    multiplicity invariant, and the even split of desired rows across the
+    two endpoints.  The last two are K_n ledgers, so a graph that is not
+    complete raises ParameterError.
     """
     from .patterns import analyze, carried_mismatches
 
@@ -304,20 +304,12 @@ def verify_scheme(scheme):
         raise ParameterError(f"verify_scheme checks schemes on complete "
                              f"graphs; this graph has {len(edges)} files on "
                              f"{n} servers, K{n} has {n * (n - 1) // 2}")
-    problems = []
     led = build_sequences(n) if n <= BUILDER_CAP else None
 
-    if not scheme.patterns:
-        problems.append("scheme carries no recovery patterns")
-    else:
-        targets = sorted(p.target for p in scheme.patterns)
-        if targets != list(range(1, scheme.L + 1)):
-            problems.append("pattern targets do not cover 1..L exactly once")
-
     rep, extraction = analyze(scheme)
-    problems += [f"condition {v.condition}: {v.detail}"
-                 for v in rep.violations]
-    if extraction is not None and scheme.patterns:
+    problems = [f"condition {v.condition}: {v.detail}"
+                for v in rep.violations]
+    if extraction is not None:
         problems += carried_mismatches(scheme, extraction)
 
     theta = scheme.theta

@@ -26,7 +26,7 @@ from .errors import (InfeasibleError, InternalConsistencyError,
 from .general import general_rate, random_general_scheme
 from .graphs import Graph, make_graph
 from .patterns import (IndependenceError, carried_mismatches, check_srp,
-                       extract_patterns)
+                       extract_patterns, rows_short_of_l)
 from .render import canonical_json, frac_str, meta_header
 from .scheme import (DeterministicScheme, ProbabilisticScheme, columnar,
                      gc_paused)
@@ -126,9 +126,8 @@ def _parse_theta(text, graph):
 
 
 def _extraction(scheme):
-    """The patterns `scheme`'s rows give.  A scheme that stores patterns
-    must store these and the side information they leave; one that stores
-    none has nothing to compare."""
+    """The patterns `scheme`'s rows give; a stored copy that differs is
+    refused, and a scheme that stores none has nothing to compare."""
     ex = extract_patterns(scheme)
     if carried_mismatches(scheme, ex):
         raise ParameterError("patterns do not follow from the rows")
@@ -254,13 +253,12 @@ def _cmd_simulate(args):
     else:
         scheme = DeterministicScheme.from_json(source)
         source = _scheme_source(source, sha256)
+        if rows_short_of_l(scheme):
+            extract_patterns(scheme)  # exit 3 before storage that long
         storage = random_storage(scheme.graph, q=args.q, L=scheme.L, rng=rng)
         perms = random_permutations(scheme.graph, scheme.L, rng)
         report = run_deterministic_trial(scheme, storage, perms)
-        # by luck of the storage, a trial can pass through dependent rows,
-        # or fail through stored patterns that do not follow from the
-        # rows; checked after it, so that a subfile past L still exits 2
-        _extraction(scheme)
+        _extraction(scheme)  # after the trial: a subfile past L exits 2 first
         doc = {
             "ok": report.ok,
             "rate": frac_str(report.measured_rate),

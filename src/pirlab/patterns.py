@@ -151,13 +151,14 @@ def _walk(scheme):
     for x, up in enumerate(parent):
         parent[x] = parent[up]
 
+    short = rows_short_of_l(scheme)
     theta_subs = Counter(s for _rid, s in desired)
-    expected = set(range(1, scheme.L + 1))
+    expected = set() if short else set(range(1, scheme.L + 1))
     missing = sorted(expected - set(theta_subs))
     extra = sorted(s for s, c in theta_subs.items()
                    if c > 1 or s not in expected)
-    if missing or extra:
-        violations.append(Violation(
+    if short or missing or extra:
+        violations.append(short or Violation(
             3, f"desired subfiles must appear exactly once each: "
                f"missing {missing}, repeated or out of range {extra}"))
 
@@ -192,6 +193,14 @@ def _walk(scheme):
     patterns.sort(key=lambda p: p.target)
     return report, Extraction(patterns=tuple(patterns),
                               side_info=tuple(sorted(side_info)))
+
+
+def rows_short_of_l(scheme):
+    """Condition 3 for an L above the rows' term count, found without
+    building 1..L; None when L is not above it."""
+    terms = sum(len(rows.file) for rows in scheme.queries.values())
+    if scheme.L > terms:
+        return Violation(3, f"L = {scheme.L} exceeds the rows' {terms} terms")
 
 
 def _row_violations(srv, rows, stored, graph):
@@ -258,7 +267,6 @@ def extract_patterns(scheme):
     return extraction
 
 
-@gc_paused
 def carried_mismatches(scheme, extraction):
     """How the patterns and side information `scheme` stores differ from
     those of `extraction`, which its rows give, as problem texts.  The

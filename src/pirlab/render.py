@@ -1,6 +1,5 @@
 """Exact-value rendering helpers: decimals, fractions, JSON metadata."""
 
-import decimal
 import hashlib
 import json
 from fractions import Fraction
@@ -18,12 +17,10 @@ def decimal_str(value):
     84/305 print as 0.27541 rather than a truncated 0.27540.
     """
     frac = Fraction(value)
-    with decimal.localcontext() as ctx:
-        ctx.prec = PLACES + 30
-        ctx.rounding = decimal.ROUND_HALF_EVEN
-        d = decimal.Decimal(frac.numerator) / decimal.Decimal(frac.denominator)
-        quantum = decimal.Decimal(1).scaleb(-PLACES)
-        return str(d.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
+    # one rounding, of the exact fraction; a Fraction rounds half to even
+    units, rest = divmod(round(abs(frac) * 10 ** PLACES), 10 ** PLACES)
+    sign = "-" if frac < 0 else ""
+    return f"{sign}{units}.{rest:0{PLACES}d}"
 
 
 def frac_str(value):

@@ -4,7 +4,8 @@ A deterministic scheme lists, per server, the summations the server answers
 with.  Each summation term is a (file, subfile, sign) triple; subfiles are
 1-based.  Recovery patterns group one summation per involved server such
 that the group cancels to a single desired subfile.  Side information rows
-are downloaded but not used by any pattern.
+are downloaded but not used by any pattern.  Both follow from the rows; a
+stored copy is only written (`to_json`) and checked (`carried_mismatches`).
 
 A scheme holds each server's rows as one `rows.Rows` block of flat
 integer columns; its constructor takes a block or a sequence of Summations
@@ -154,6 +155,11 @@ class DeterministicScheme:
         object.__setattr__(self, "side_info", side)
 
     def replace(self, **overrides):
+        """A copy with `overrides`; new `queries` drop the stored patterns
+        and side information, which describe the old rows, unless given."""
+        if "queries" in overrides:
+            overrides.setdefault("patterns", None)
+            overrides.setdefault("side_info", ())
         return _dc_replace(self, **overrides)
 
     @gc_paused

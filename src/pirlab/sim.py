@@ -130,7 +130,8 @@ def run_deterministic_trial(scheme, storage, perms=None):
     Subscripts address subfiles through the (optional) per-file
     permutations of 1..storage.L, mirroring the privacy mechanism; recovery
     must return the desired file's full contents for the trial to pass.
-    Storage must split each file into the scheme's L subfiles.
+    Storage must split each file into the scheme's L subfiles.  Recovery
+    goes through `extract_patterns`: dependent rows raise IndependenceError.
     """
     # file -> its symbols in subscript order, read once; index 0 pads, so
     # a 1-based subscript indexes it directly
@@ -167,12 +168,9 @@ def run_deterministic_trial(scheme, storage, perms=None):
         raise ParameterError(f"storage splits each file into {storage.L} "
                              f"subfiles, the scheme into {scheme.L}")
 
-    patterns = scheme.patterns
-    if patterns is None:
-        patterns = extract_patterns(scheme).patterns
     place = range(1, scheme.L + 1) if perms is None else perms[scheme.theta]
     recovered = [None] * scheme.L
-    for p in patterns:
+    for p in extract_patterns(scheme).patterns:
         value = 0
         for srv, idx in p.selections.items():
             value ^= answered[srv][idx]

@@ -203,6 +203,19 @@ def test_table_lower_column_decimals():
     assert got == expected
 
 
+def test_decimals_round_the_exact_fraction_once():
+    # within 10^-45 of a rounding edge, a 35-digit quotient rounded again
+    # would land on the wrong side of it
+    assert decimal_str(F(1, 200000) + F(1, 10 ** 45)) == "0.00001"
+    assert decimal_str(F(3, 200000) - F(1, 10 ** 45)) == "0.00001"
+    # ties go to even, and a tiny negative value keeps its sign
+    assert decimal_str(F(1, 200000)) == "0.00000"
+    assert decimal_str(F(3, 200000)) == "0.00002"
+    assert decimal_str(-F(1, 10 ** 45)) == "-0.00000"
+    assert decimal_str(F(-84, 305)) == "-0.27541"
+    assert decimal_str(F(123456789, 7)) == "17636684.14286"
+
+
 def test_table_exact_lowers_small_n():
     reports = {r.n: r for r in bounds_table(3, 6)}
     assert reports[3].lower == F(1, 2)

@@ -221,7 +221,8 @@ def test_verify_compares_carried_patterns_with_the_rows():
     patterns[0] = dataclasses.replace(first, selections=sixth.selections)
     patterns[5] = dataclasses.replace(sixth, selections=first.selections)
     swapped = s.replace(patterns=tuple(patterns))
-    assert not run_deterministic_trial(
+    # the trial recovers through the rows, whatever the scheme stores
+    assert run_deterministic_trial(
         swapped, random_storage(s.graph, 2, s.L, random.Random(1))).ok
     report = _verify_rejects(swapped, "carried patterns differ")
     assert report.violations == ("carried patterns differ from the ones "
@@ -235,8 +236,12 @@ def test_verify_compares_carried_side_info_with_the_rows():
 
 
 def test_verify_needs_patterns():
-    _verify_rejects(build_scheme(3).replace(patterns=()),
-                    "scheme carries no recovery patterns")
+    # an empty stored copy differs from the rows' patterns; a scheme that
+    # stores none has nothing to compare
+    s = build_scheme(3)
+    _verify_rejects(s.replace(patterns=()),
+                    "carried patterns differ from the ones the rows give")
+    assert verify_scheme(s.replace(patterns=None, side_info=())).ok
 
 
 def test_verify_needs_targets_one_to_l():
@@ -244,7 +249,7 @@ def test_verify_needs_targets_one_to_l():
     patterns = list(s.patterns)
     patterns[1] = dataclasses.replace(patterns[1], target=1)
     _verify_rejects(s.replace(patterns=tuple(patterns)),
-                    "pattern targets do not cover 1..L exactly once")
+                    "carried patterns differ from the ones the rows give")
 
 
 def test_verify_needs_even_endpoint_split():

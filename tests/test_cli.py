@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pirlab.errors import InternalConsistencyError
 
 from pirlab.builder import build_scheme
 from pirlab.render import canonical_json
+from pirlab.scheme import DeterministicScheme
 
 from conftest import FIXTURES, load_json
 from reference_scheme import v1_document
@@ -174,12 +176,14 @@ def test_extract_on_fixture(capsys):
 def test_stored_patterns_must_follow_from_the_rows(capsys, tmp_path, command,
                                                    layout):
     # with rows 0 and 1 swapped at server 1 the rows are still independent,
-    # but the stored patterns, which the trial recovers through, point at
-    # the wrong rows
+    # but the stored patterns, kept through the swap, point at the wrong
+    # rows
     scheme = build_scheme(3, 0)
     rows = list(scheme.queries[1])
     rows[0], rows[1] = rows[1], rows[0]
-    swapped = scheme.replace(queries={**scheme.queries, 1: tuple(rows)})
+    swapped = scheme.replace(queries={**scheme.queries, 1: tuple(rows)},
+                             patterns=scheme.patterns,
+                             side_info=scheme.side_info)
     path = tmp_path / "k3.json"
     path.write_text(canonical_json(
         v1_document(swapped) if layout == "v1" else swapped.to_json()))
@@ -187,6 +191,75 @@ def test_stored_patterns_must_follow_from_the_rows(capsys, tmp_path, command,
     assert (rc, out) == (2, "")
     assert _one_line_error(err) == \
         "error: patterns do not follow from the rows"
+
+
+def test_new_rows_drop_the_stored_patterns(capsys, tmp_path):
+    # stored patterns and side information describe the rows they came
+    # with, so new rows drop them unless they are given too; the document
+    # then stores none, and nothing in it can disagree with its rows
+    scheme = build_scheme(3, 0)
+    rows = list(scheme.queries[1])
+    rows[0], rows[1] = rows[1], rows[0]
+    queries = {**scheme.queries, 1: tuple(rows)}
+    swapped = scheme.replace(queries=queries)
+    assert (swapped.patterns, swapped.side_info) == (None, ())
+    kept = scheme.replace(queries=queries, patterns=scheme.patterns,
+                          side_info=scheme.side_info)
+    assert (kept.patterns, kept.side_info) == \
+        (scheme.patterns, scheme.side_info)
+    assert scheme.replace(side_info=()).patterns == scheme.patterns
+    path = tmp_path / "k3.json"
+    path.write_text(canonical_json(swapped.to_json()))
+    assert DeterministicScheme.from_json(json.loads(path.read_text())) \
+        == swapped
+    rc, out, _ = run_cli(capsys, "extract", "--scheme", str(path))
+    assert rc == 0
+    assert len(json.loads(out)["patterns"]) == scheme.L
+
+
+# each command runs in a child process under an address-space cap, so
+# that building 1..L or drawing storage of L subfiles fails there with
+# MemoryError instead of taking the machine's memory
+_LONG_L_PROBE = r"""
+import contextlib, io, json, resource, sys
+from pirlab.cli import main
+
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+results = []
+for path in sys.argv[1:]:
+    for command in ("extract", "transform", "simulate"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, "--scheme", path])
+        results.append([rc, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_l_past_the_term_count_is_one_condition_3_line(tmp_path):
+    # K3 has 18 terms: L = 18 still lists the missing subfiles, and any L
+    # past that is named in one line, however large
+    doc = build_scheme(3, 0).to_json()
+    assert sum(len(cols["file"]) for cols in doc["queries"].values()) == 18
+    paths = []
+    for L in (18, 19, 10 ** 30):
+        paths.append(tmp_path / f"k3_{L}.json")
+        paths[-1].write_text(canonical_json({**doc, "L": L}))
+    src = pathlib.Path(pirlab.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LONG_L_PROBE, *map(str, paths)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    lines = [_one_line_error(err) for rc, err in json.loads(proc.stdout)
+             if rc == 3]
+    prefix = "error: scheme rows are not independent: [3] "
+    assert lines == [
+        *[f"{prefix}desired subfiles must appear exactly once each: missing "
+          f"{list(range(7, 19))}, repeated or out of range []"] * 3,
+        *[f"{prefix}L = {L} exceeds the rows' 18 terms"
+          for L in (19, 10 ** 30) for _ in range(3)]]
 
 
 def test_extract_rejects_dependent_scheme(capsys):

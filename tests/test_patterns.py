@@ -161,5 +161,5 @@ def test_extraction_order_independent(rng):
         rows = list(rows)
         rng.shuffle(rows)
         qs[srv] = tuple(rows)
-    shuffled = base.replace(queries=qs, patterns=None, side_info=None)
+    shuffled = base.replace(queries=qs)
     assert _pattern_sets(shuffled, extract_patterns(shuffled).patterns) == canonical

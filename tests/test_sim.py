@@ -10,6 +10,7 @@ from pirlab.builder import build_scheme
 from pirlab.errors import ParameterError
 from pirlab.general import build_general_query
 from pirlab.graphs import Graph, make_graph
+from pirlab.patterns import IndependenceError
 from pirlab.scheme import Summation
 from pirlab.sequences import rate
 from pirlab.sim import (
@@ -52,6 +53,21 @@ def test_k4_trials_with_permutations(theta):
     assert report.recovered == storage.contents[theta]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_trial_recovers_through_the_rows_alone(n):
+    # a scheme that stores no patterns gives the same report for the same
+    # storage and permutations
+    for theta in range(n * (n - 1) // 2):
+        s = build_scheme(n, theta)
+        rng = random.Random(theta)
+        storage = random_storage(s.graph, q=3, L=s.L, rng=rng)
+        perms = random_permutations(s.graph, s.L, rng)
+        report = run_deterministic_trial(s, storage, perms)
+        assert report.ok
+        bare = s.replace(patterns=None, side_info=())
+        assert run_deterministic_trial(bare, storage, perms) == report
+
+
 def test_trial_detects_corruption():
     s = build_scheme(3)
     rng = random.Random(3)
@@ -60,8 +76,8 @@ def test_trial_detects_corruption():
     rows = list(bad[3])
     rows[0] = Summation(((1, 2, 1),))  # wrong subfile at server 3
     bad[3] = tuple(rows)
-    report = run_deterministic_trial(s.replace(queries=bad), storage)
-    assert not report.ok
+    with pytest.raises(IndependenceError):
+        run_deterministic_trial(s.replace(queries=bad), storage)
 
 
 @pytest.mark.parametrize("symbol,shown", [
@@ -272,7 +288,7 @@ def test_structural_audit_catches_missing_row():
     s = schemes[0]
     bad = dict(s.queries)
     bad[1] = bad[1][:-1]
-    schemes[0] = s.replace(queries=bad, patterns=None, side_info=None)
+    schemes[0] = s.replace(queries=bad)
     report = privacy_audit(schemes, mode="structural")
     assert not report.ok
 

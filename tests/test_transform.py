@@ -162,7 +162,7 @@ def test_side_info_fills_earliest_idle_rows_in_order(k3_scheme):
     queries = dict(k3_scheme.queries)
     queries[3] = (*queries[3], Summation(((1, 4, 1),)),
                   Summation(((2, 4, 1),)))
-    s = k3_scheme.replace(queries=queries, patterns=None, side_info=())
+    s = k3_scheme.replace(queries=queries)
     assert extract_patterns(s).side_info == ((3, 4), (3, 5))
     p = transform(s)
     assert [row.q[3] for row in p.rows] == [
@@ -183,7 +183,7 @@ def test_entropy_proxy_on_fixtures(k3_scheme, star4_scheme):
 def _with_server_rows(scheme, server, rows):
     queries = dict(scheme.queries)
     queries[server] = tuple(Summation(terms) for terms in rows)
-    return scheme.replace(queries=queries, patterns=None, side_info=())
+    return scheme.replace(queries=queries)
 
 
 def test_entropy_proxy_repeated_symbol_dependent_rows(k3_scheme):
@@ -239,7 +239,7 @@ def test_entropy_proxy_empty_side_info_row(k3_scheme):
     # an empty row is side information, so the analysis is ok
     queries = dict(k3_scheme.queries)
     queries[1] = (*queries[1], Summation(()))
-    s = k3_scheme.replace(queries=queries, patterns=None, side_info=())
+    s = k3_scheme.replace(queries=queries)
     assert extract_patterns(s).side_info == ((1, 4),)
     assert not entropy_proxy_ok(s)
     assert not _gf2_reference(s)
