@@ -14,8 +14,8 @@ the matching and the matching; zeta: the overlap server) and gives the
 rows one variant creates and consumes.  The plan returns the variants
 `(step, cls, copies, new_rows, old_rows)` in emission order (class order
 alpha, beta, gamma, zeta) with the ledger's copy count, and the pool of
-rows no pattern consumed.  `build_scheme` only writes: the rows and
-pattern of every copy, then the pool as side information.
+rows no pattern consumed.  `build_scheme` only writes rows: those of
+every copy, then the pool, which is left over as side information.
 
 Bookkeeping invariant: after step k, every k-subset of the non-desired
 files stored at a server accounts for exactly x_k * M summations of that
@@ -39,7 +39,7 @@ from .errors import (InternalConsistencyError, ParameterError,
                      UnsupportedSizeError, check_theta)
 from .graphs import make_graph
 from .rows import Rows, row_shapes
-from .scheme import DeterministicScheme, RecoveryPattern, gc_paused
+from .scheme import DeterministicScheme, gc_paused
 from .sequences import BUILDER_CAP, build_sequences, check_n, step_ledger
 
 
@@ -227,10 +227,10 @@ def build_scheme(n, theta=0):
     files = {v: [] for v in graph.servers}
     subs = {v: [] for v in graph.servers}
     ends = {v: [] for v in graph.servers}
-    patterns = []
+    emitted = 0                     # pattern copies written
     sub = defaultdict(int)          # per-file pattern counter
     top = defaultdict(int)          # (server, file) -> last subscript written
-    for step, cls, copies, new_rows, old_rows in variants:
+    for _step, _cls, copies, new_rows, old_rows in variants:
         touched = set().union(*new_rows.values(), *old_rows.values())
         rows = [(server, fileset, files[server], subs[server], ends[server])
                 for server, fileset in (*new_rows.items(), *old_rows.items())]
@@ -238,42 +238,35 @@ def build_scheme(n, theta=0):
             # the pattern's subscript of each file, shared by all its rows
             for f in touched:
                 sub[f] += 1
-            selections = {}
             for server, fileset, fcol, scol, ecol in rows:
                 fcol += fileset
                 scol += map(sub.__getitem__, fileset)
-                selections[server] = len(ecol)
                 ecol.append(len(fcol))
-            patterns.append(RecoveryPattern(target=sub[theta],
-                                            selections=selections,
-                                            step=step, pattern_class=cls))
+        emitted += copies
         # counters only grow, so the last copy wrote the top subscripts
         for server, fileset, *_ in rows:
             for f in fileset:
                 top[server, f] = sub[f]
 
     # ---- leftovers become side information -----------------------------
-    side_info = []
     for (v, fileset), count in sorted(pool.items()):
         for copy in range(count):
             for f in fileset:
                 top[v, f] += 1
                 files[v].append(f)
                 subs[v].append(top[v, f])
-            side_info.append((v, len(ends[v])))
             ends[v].append(len(files[v]))
 
     # ---- final shape checks ---------------------------------------------
-    if len(patterns) != big_l or sub[theta] != big_l:
+    if emitted != big_l or sub[theta] != big_l:
         raise InternalConsistencyError(
-            f"expected {big_l} patterns, emitted {len(patterns)}")
+            f"expected {big_l} patterns, emitted {emitted}")
 
     return DeterministicScheme(
         graph=graph, theta=theta, L=big_l,
         queries={v: Rows(tuple(files[v]), tuple(subs[v]),
                          (1,) * len(files[v]), tuple(ends[v]))
-                 for v in graph.servers},
-        patterns=tuple(patterns), side_info=tuple(side_info))
+                 for v in graph.servers})
 
 
 # ============================================================
@@ -290,13 +283,12 @@ class VerifyReport:
 def verify_scheme(scheme):
     """Structural verification of a built scheme.
 
-    Checks the independence conditions, any stored patterns and side
-    information against the rows (`carried_mismatches`), the per-type
-    multiplicity invariant, and the even split of desired rows across the
+    Checks the independence conditions, the per-type multiplicity
+    invariant, and the even split of desired rows across the
     two endpoints.  The last two are K_n ledgers, so a graph that is not
     complete raises ParameterError.
     """
-    from .patterns import analyze, carried_mismatches
+    from .patterns import check_independence
 
     n = scheme.graph.n
     edges = scheme.graph.edges
@@ -306,11 +298,8 @@ def verify_scheme(scheme):
                              f"{n} servers, K{n} has {n * (n - 1) // 2}")
     led = build_sequences(n) if n <= BUILDER_CAP else None
 
-    rep, extraction = analyze(scheme)
     problems = [f"condition {v.condition}: {v.detail}"
-                for v in rep.violations]
-    if extraction is not None:
-        problems += carried_mismatches(scheme, extraction)
+                for v in check_independence(scheme).violations]
 
     theta = scheme.theta
     shapes = {v: row_shapes(rows) for v, rows in scheme.queries.items()}

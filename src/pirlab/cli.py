@@ -25,7 +25,7 @@ from .errors import (InfeasibleError, InternalConsistencyError,
                      ParameterError, UnsupportedSizeError, check_q)
 from .general import general_rate, random_general_scheme
 from .graphs import Graph, make_graph
-from .patterns import (IndependenceError, carried_mismatches, check_srp,
+from .patterns import (IndependenceError, check_carried, check_srp,
                        extract_patterns, rows_short_of_l)
 from .render import canonical_json, frac_str, meta_header
 from .scheme import (DeterministicScheme, ProbabilisticScheme, columnar,
@@ -85,9 +85,11 @@ def _scheme_source(doc, sha256):
 
 
 def _load_scheme(path):
-    """A deterministic scheme file as the scheme and its `_scheme_source`."""
+    """A deterministic scheme file as the scheme, the patterns its rows
+    give (`_extraction`) and its `_scheme_source`."""
     doc, sha256 = _read_doc(path)
-    return DeterministicScheme.from_json(doc), _scheme_source(doc, sha256)
+    scheme = DeterministicScheme.from_json(doc)
+    return scheme, _extraction(doc, scheme), _scheme_source(doc, sha256)
 
 
 def _parse_graph(spec):
@@ -125,12 +127,11 @@ def _parse_theta(text, graph):
         raise ParameterError(f"bad theta {text!r}")
 
 
-def _extraction(scheme):
-    """The patterns `scheme`'s rows give; a stored copy that differs is
-    refused, and a scheme that stores none has nothing to compare."""
+def _extraction(doc, scheme):
+    """The patterns `scheme`'s rows give; the patterns and side information
+    its document `doc` stores, if any, must be those (`check_carried`)."""
     ex = extract_patterns(scheme)
-    if carried_mismatches(scheme, ex):
-        raise ParameterError("patterns do not follow from the rows")
+    check_carried(doc, ex)
     return ex
 
 
@@ -173,8 +174,7 @@ def _cmd_build(args):
 
 
 def _cmd_extract(args):
-    scheme, source = _load_scheme(args.scheme)
-    ex = _extraction(scheme)
+    scheme, ex, source = _load_scheme(args.scheme)
     srp = check_srp(scheme, ex)
     doc = {
         "patterns": [p.to_json() for p in ex.patterns],
@@ -189,8 +189,8 @@ def _cmd_extract(args):
 
 
 def _cmd_transform(args):
-    scheme, source = _load_scheme(args.scheme)
-    prob = transform(scheme, _extraction(scheme))
+    scheme, ex, source = _load_scheme(args.scheme)
+    prob = transform(scheme, ex)
     doc = prob.to_json()
     doc["rate"] = frac_str(prob_rate(prob))
     doc["meta"] = meta_header("transform", source)
@@ -252,19 +252,20 @@ def _cmd_simulate(args):
                              "with `pirlab audit --family general:...`")
     else:
         scheme = DeterministicScheme.from_json(source)
-        source = _scheme_source(source, sha256)
         if rows_short_of_l(scheme):
             extract_patterns(scheme)  # exit 3 before storage that long
         storage = random_storage(scheme.graph, q=args.q, L=scheme.L, rng=rng)
         perms = random_permutations(scheme.graph, scheme.L, rng)
         report = run_deterministic_trial(scheme, storage, perms)
-        _extraction(scheme)  # after the trial: a subfile past L exits 2 first
+        # after the trial: a subfile past L exits 2 first
+        _extraction(source, scheme)
         doc = {
             "ok": report.ok,
             "rate": frac_str(report.measured_rate),
             "downloaded_symbols": report.downloaded_symbols,
-            "meta": meta_header("simulate", {**source, "q": args.q},
-                                seed=args.seed),
+            "meta": meta_header("simulate", {
+                **_scheme_source(source, sha256), "q": args.q},
+                seed=args.seed),
         }
     _emit_doc(doc, args.out)
     return 0

@@ -31,6 +31,10 @@ A scheme object is walked once: `analyze` keeps its result on the
 instance, outside the dataclass fields, and serves it again only while
 `scheme.queries` still maps every server to the very row block it walked.
 `replace()` gives a new object with no result kept.
+
+A scheme document may store patterns and side information beside its
+rows; `check_carried` refuses a document whose stored copy is not the one
+the analysis gives.
 """
 
 from bisect import bisect_right
@@ -39,8 +43,9 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import add, and_, eq, not_, sub
 
-from .rows import in_row
-from .scheme import RecoveryPattern, gc_paused
+from .errors import ParameterError, check_int, malformed, server_key
+from .rows import in_row, same_length
+from .scheme import RecoveryPattern, columnar, gc_paused
 
 
 @dataclass(frozen=True)
@@ -159,8 +164,9 @@ def _walk(scheme):
                    if c > 1 or s not in expected)
     if short or missing or extra:
         violations.append(short or Violation(
-            3, f"desired subfiles must appear exactly once each: "
-               f"missing {missing}, repeated or out of range {extra}"))
+            3, f"desired subfiles must appear exactly once each: missing "
+               f"{_listed(missing)}, repeated or out of range "
+               f"{_listed(extra)}"))
 
     components = {}
     for root, ref in zip(parent, refs):
@@ -193,6 +199,14 @@ def _walk(scheme):
     patterns.sort(key=lambda p: p.target)
     return report, Extraction(patterns=tuple(patterns),
                               side_info=tuple(sorted(side_info)))
+
+
+def _listed(items, most=12, head=3):
+    """A list of up to `most` items as it is, a longer one as its first
+    `head` items and its length, so that a message stays one short line."""
+    if len(items) <= most:
+        return str(items)
+    return f"[{', '.join(map(str, items[:head]))}, ... {len(items)} in all]"
 
 
 def rows_short_of_l(scheme):
@@ -267,22 +281,46 @@ def extract_patterns(scheme):
     return extraction
 
 
-def carried_mismatches(scheme, extraction):
-    """How the patterns and side information `scheme` stores differ from
-    those of `extraction`, which its rows give, as problem texts.  The
-    comparison ignores order.  A scheme that stores no patterns has
-    nothing to compare."""
-    if scheme.patterns is None:
-        return []
-    problems = []
-    carried = sorted(scheme.patterns, key=lambda p: p.target)
-    if ([(p.target, p.selections) for p in carried]
-            != [(p.target, p.selections) for p in extraction.patterns]):
-        problems.append("carried patterns differ from the ones the rows give")
-    if sorted(scheme.side_info) != list(extraction.side_info):
-        problems.append("carried side information differs from the one the "
-                        "rows give")
-    return problems
+def check_carried(doc, extraction):
+    """Refuse a scheme document (v1 or v2 layout) whose stored patterns or
+    side information are malformed or differ from `extraction`, which its
+    rows give.  Each stored part is compared without regard to order, the
+    patterns on their targets and selections alone; a part the document
+    does not store has nothing to compare."""
+    with malformed("scheme"):
+        v2 = columnar(doc)
+        if "patterns" in doc:
+            stored = _v2_patterns(doc["patterns"]) if v2 else \
+                list(map(RecoveryPattern.from_json, doc["patterns"]))
+            stored.sort(key=lambda p: p.target)
+            if stored != list(extraction.patterns):
+                raise ParameterError("patterns do not follow from the rows")
+        if "side_info" in doc:
+            side = doc["side_info"]
+            if v2:
+                same_length("the side_info index column", side["index"],
+                            side["server"])
+                side = zip(side["server"], side["index"])
+            else:
+                side = ((e["server"], e["index"]) for e in side)
+            side = sorted((check_int(s, "side info server"),
+                           check_int(i, "side info index")) for s, i in side)
+            if side != list(extraction.side_info):
+                raise ParameterError("patterns do not follow from the rows")
+
+
+def _v2_patterns(cols):
+    """RecoveryPatterns from the v2 pattern columns: a `target` column and
+    a `selections` column per server, where null leaves the server out."""
+    targets = cols["target"]
+    selections = {server_key(s): col for s, col in cols["selections"].items()}
+    for srv, col in selections.items():
+        same_length(f"the selections column of server {srv}", col, targets)
+    picks = zip(*selections.values()) if selections else repeat(())
+    return [RecoveryPattern(target, {srv: idx for srv, idx
+                                     in zip(selections, pick)
+                                     if idx is not None})
+            for target, pick in zip(targets, picks)]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 A deterministic scheme lists, per server, the summations the server answers
 with.  Each summation term is a (file, subfile, sign) triple; subfiles are
-1-based.  Recovery patterns group one summation per involved server such
-that the group cancels to a single desired subfile.  Side information rows
-are downloaded but not used by any pattern.  Both follow from the rows; a
-stored copy is only written (`to_json`) and checked (`carried_mismatches`).
+1-based.  The scheme is its rows: its recovery patterns (one summation per
+involved server, cancelling to a single desired subfile) and its side
+information (rows no pattern uses) are read off them by
+`patterns.extract_patterns`, and `scheme.patterns` and `scheme.side_info`
+are views of that analysis.
 
 A scheme holds each server's rows as one `rows.Rows` block of flat
 integer columns; its constructor takes a block or a sequence of Summations
@@ -13,13 +14,12 @@ for a server and checks every block (`rows.checked_rows`).
 
 A deterministic scheme document (`pirlab/build/v2`) stores flat integer
 columns: per server the `file`, `subfile` and `sign` of every term, row
-after row, and the `ends` of the rows in those columns; the patterns as a
-`target`, `step` and `class` column and one `selections` column per server
-(null where the server is not in the pattern); and the side information as
-a `server` and an `index` column.  `from_json` also reads the v1 layout,
-one `{"terms": [[file, subfile, sign], ...]}` object per row, and tells
-the two apart by the shape of `queries`: a v2 document holds an object of
-columns per server, a v1 document an array of rows.
+after row, and the `ends` of the rows in those columns.  `from_json` also
+reads the v1 layout, one `{"terms": [[file, subfile, sign], ...]}` object
+per row, and tells the two apart by the shape of `queries`: a v2 document
+holds an object of columns per server, a v1 document an array of rows.
+Either may also store patterns and side information, which `from_json`
+does not read; `patterns.check_carried` checks them against the rows.
 
 `gc_paused` runs the functions that allocate scheme data in bulk with
 CPython's cyclic collector paused.  That is safe because the data holds no
@@ -33,15 +33,13 @@ import gc
 import math
 from dataclasses import dataclass, replace as _dc_replace
 from fractions import Fraction
-from itertools import repeat
 
 from .errors import (ParameterError, check_combo, check_frac, check_int,
                      check_theta, malformed, server_key)
 from .graphs import Graph
 from .render import frac_str
 # Summation is part of this module's interface too
-from .rows import (NO_ROWS, Rows, Summation, checked_rows, same_length,
-                   term_columns)
+from .rows import NO_ROWS, Rows, Summation, checked_rows, term_columns
 
 
 def gc_paused(fn):
@@ -68,8 +66,6 @@ def gc_paused(fn):
 class RecoveryPattern:
     target: int
     selections: dict
-    step: int = None
-    pattern_class: str = None
 
     def __post_init__(self):
         check_int(self.target, "pattern target")
@@ -79,28 +75,17 @@ class RecoveryPattern:
                 check_int(srv, "server")
                 check_int(idx, "pattern selection")
         object.__setattr__(self, "selections", sel)
-        if self.step is not None:
-            check_int(self.step, "pattern step")
-        if not (self.pattern_class is None or type(self.pattern_class) is str):
-            raise ParameterError(f"pattern class must be a string, "
-                                 f"got {self.pattern_class!r}")
 
     def to_json(self):
-        doc = {"target": self.target,
-               "selections": {str(srv): idx
-                              for srv, idx in sorted(self.selections.items())}}
-        if self.step is not None:
-            doc["step"] = self.step
-        if self.pattern_class is not None:
-            doc["class"] = self.pattern_class
-        return doc
+        return {"target": self.target,
+                "selections": {str(srv): idx
+                               for srv, idx in sorted(self.selections.items())}}
 
     @classmethod
     def from_json(cls, doc):
         return cls(target=doc["target"],
                    selections={server_key(s): i
-                               for s, i in doc["selections"].items()},
-                   step=doc.get("step"), pattern_class=doc.get("class"))
+                               for s, i in doc["selections"].items()})
 
 
 # ============================================================
@@ -113,8 +98,6 @@ class DeterministicScheme:
     theta: int
     L: int
     queries: dict
-    patterns: tuple = None
-    side_info: tuple = ()
 
     def __post_init__(self):
         check_theta(self.theta, self.graph)
@@ -128,44 +111,27 @@ class DeterministicScheme:
             if srv not in self.graph.servers:
                 raise ParameterError(f"no server {srv} in the graph")
         object.__setattr__(self, "queries", queries)
-        sizes = {srv: len(rows) for srv, rows in queries.items()}
-        if self.patterns is not None:
-            object.__setattr__(self, "patterns", tuple(self.patterns))
-            for p in self.patterns:
-                if not 1 <= p.target <= self.L:
-                    raise ParameterError(f"pattern target {p.target} is "
-                                         f"outside 1..{self.L}")
-                for srv, idx in p.selections.items():
-                    if not 0 <= idx < sizes.get(srv, 0):
-                        raise ParameterError(
-                            f"pattern {p.target} references missing row "
-                            f"{idx} at server {srv}")
-            # a v2 document writes a step or class column whole or not at all
-            for name, label in (("step", "step"), ("pattern_class", "class")):
-                if len({getattr(p, name) is None for p in self.patterns}) > 1:
-                    raise ParameterError(f"some patterns have a {label} and "
-                                         f"some do not")
-        side = () if self.side_info is None else tuple(
-            (check_int(s, "side info server"), check_int(i, "side info index"))
-            for s, i in self.side_info)
-        for srv, idx in side:
-            if not 0 <= idx < sizes.get(srv, 0):
-                raise ParameterError(
-                    f"side info references missing row {idx} at server {srv}")
-        object.__setattr__(self, "side_info", side)
+
+    @property
+    def patterns(self):
+        """The recovery patterns the rows give (`extract_patterns`)."""
+        from .patterns import extract_patterns
+        return extract_patterns(self).patterns
+
+    @property
+    def side_info(self):
+        """The side-information rows the rows give (`extract_patterns`)."""
+        from .patterns import extract_patterns
+        return extract_patterns(self).side_info
 
     def replace(self, **overrides):
-        """A copy with `overrides`; new `queries` drop the stored patterns
-        and side information, which describe the old rows, unless given."""
-        if "queries" in overrides:
-            overrides.setdefault("patterns", None)
-            overrides.setdefault("side_info", ())
+        """A copy with `overrides`; it is analyzed afresh."""
         return _dc_replace(self, **overrides)
 
     @gc_paused
     def to_json(self):
         """The `pirlab/build/v2` document: flat integer columns."""
-        doc = {
+        return {
             "graph": self.graph.to_json(),
             "theta": self.theta,
             "L": self.L,
@@ -175,46 +141,25 @@ class DeterministicScheme:
                                    "ends": list(rows.ends)}
                         for srv, rows in sorted(self.queries.items())},
         }
-        patterns = self.patterns
-        if patterns is not None:
-            cols = {"target": [p.target for p in patterns]}
-            if patterns and patterns[0].step is not None:
-                cols["step"] = [p.step for p in patterns]
-            if patterns and patterns[0].pattern_class is not None:
-                cols["class"] = [p.pattern_class for p in patterns]
-            cols["selections"] = {
-                str(srv): [p.selections.get(srv) for p in patterns]
-                for srv in sorted(self.queries)}
-            doc["patterns"] = cols
-        doc["side_info"] = {"server": [s for s, _ in self.side_info],
-                            "index": [i for _, i in self.side_info]}
-        return doc
 
     @classmethod
     @gc_paused
     def from_json(cls, doc):
-        """A scheme from a v2 document or from a v1 one (module doc)."""
+        """A scheme from the rows of a v2 or a v1 document (module doc);
+        stored patterns and side information are not read here."""
         with malformed("scheme"):
             graph = Graph.from_json(doc["graph"])
             theta, L, queries = doc["theta"], doc["L"], doc["queries"].items()
-            read = _v2_fields if columnar(doc) else _v1_fields
-            return cls(graph=graph, theta=theta, L=L, **read(doc, queries))
+            read = _v2_rows if columnar(doc) else _v1_rows
+            return cls(graph=graph, theta=theta, L=L,
+                       queries={server_key(s): read(rows)
+                                for s, rows in queries})
 
 
 def columnar(doc):
     """Whether a scheme document holds the v2 columns: an object of columns
     per server, where a v1 document holds an array of rows."""
     return any(type(rows) is dict for rows in doc["queries"].values())
-
-
-def _v1_fields(doc, queries):
-    return {
-        "queries": {server_key(s): _v1_rows(rows) for s, rows in queries},
-        "patterns": tuple(map(RecoveryPattern.from_json, doc["patterns"]))
-        if "patterns" in doc else None,
-        "side_info": tuple((e["server"], e["index"])
-                           for e in doc.get("side_info", ())),
-    }
 
 
 def _v1_rows(rows):
@@ -227,41 +172,8 @@ def _v1_rows(rows):
     return Rows(*term_columns(terms), tuple(ends))
 
 
-def _v2_fields(doc, queries):
-    fields = {
-        "queries": {server_key(s): Rows(cols["file"], cols["subfile"],
-                                        cols["sign"], cols["ends"])
-                    for s, cols in queries},
-        "patterns": _v2_patterns(doc["patterns"])
-        if "patterns" in doc else None,
-    }
-    side = doc.get("side_info", {"server": (), "index": ()})
-    servers, indices = side["server"], side["index"]
-    same_length("the side_info index column", indices, servers)
-    fields["side_info"] = zip(servers, indices)
-    return fields
-
-
-def _v2_patterns(cols):
-    """RecoveryPatterns from the v2 pattern columns; a null selection leaves
-    its server out of the pattern."""
-    targets = cols["target"]
-    steps, classes = cols.get("step"), cols.get("class")
-    selections = {server_key(s): col for s, col in cols["selections"].items()}
-    named = [("the pattern step column", steps),
-             ("the pattern class column", classes),
-             *((f"the selections column of server {srv}", col)
-               for srv, col in selections.items())]
-    for name, col in named:
-        if col is not None:
-            same_length(name, col, targets)
-    servers = tuple(selections)
-    picks = zip(*selections.values()) if servers else repeat(())
-    return tuple(
-        RecoveryPattern(target, {srv: idx for srv, idx in zip(servers, pick)
-                                 if idx is not None}, step, cls)
-        for target, pick, step, cls in zip(
-            targets, picks, steps or repeat(None), classes or repeat(None)))
+def _v2_rows(cols):
+    return Rows(cols["file"], cols["subfile"], cols["sign"], cols["ends"])
 
 
 # ============================================================

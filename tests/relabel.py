@@ -6,8 +6,7 @@ increasing order.  It maps edge (1, 2), file 0, to theta, so relabeling the
 theta = 0 scheme by pi_theta gives a scheme for theta.
 """
 
-from pirlab.scheme import (DeterministicScheme, RecoveryPattern, Summation,
-                           gc_paused)
+from pirlab.scheme import DeterministicScheme, Summation, gc_paused
 
 
 @gc_paused
@@ -15,8 +14,7 @@ def relabel(scheme, theta):
     """`scheme` with each server v renamed pi_theta(v).
 
     File ids follow their edges and each row's terms are re-sorted; the
-    order of each server's rows, of the patterns and of the side
-    information is kept.
+    order of each server's rows is kept.
     """
     graph = scheme.graph
     a, b = graph.endpoints(theta)
@@ -28,16 +26,7 @@ def relabel(scheme, theta):
         return Summation(tuple((files[f], s, sign)
                                for f, s, sign in summation.terms))
 
-    patterns = scheme.patterns
-    if patterns is not None:
-        patterns = tuple(
-            RecoveryPattern(p.target,
-                            {perm[v]: i for v, i in p.selections.items()},
-                            p.step, p.pattern_class)
-            for p in patterns)
     return DeterministicScheme(
         graph=graph, theta=files[scheme.theta], L=scheme.L,
         queries={perm[v]: tuple(map(row, rows))
-                 for v, rows in scheme.queries.items()},
-        patterns=patterns,
-        side_info=tuple((perm[v], i) for v, i in scheme.side_info))
+                 for v, rows in scheme.queries.items()})

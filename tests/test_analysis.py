@@ -14,10 +14,12 @@ per pattern, so they are checked on documents written by that reference
 (`reference_transform`); MERGED_TRANSFORM_SHA256 pins the stdout of
 today's transform, one row per distinct joint query.  All of these were
 recorded on v1 scheme documents (`pirlab/build/v1`), so they are checked
-on the reference v1 writer's output (`reference_scheme.v1_build_text`);
-BUILD_V2_SHA256 pins `pirlab build` stdout as it writes it today, flat
-integer columns, and the commands must print the same result from either
-layout.
+on the reference v1 writer's output (`reference_scheme.v1_build_text`).
+ANNOTATED_V2_SHA256 pins `pirlab build` stdout as written in flat integer
+columns while a scheme stored its patterns and side information, checked
+on the reference v2 writer's output (`reference_scheme.v2_build_text`);
+BUILD_V2_SHA256 pins it as written today, the rows alone.  The commands
+must print the same result from each of the three documents.
 """
 
 import json
@@ -46,7 +48,7 @@ from pirlab.transform import entropy_proxy_ok, transform
 
 from conftest import indented_sha256, load_json
 from reference_patterns import reference_check, reference_extract
-from reference_scheme import v1_build_text, v1_document
+from reference_scheme import v1_build_text, v1_document, v2_build_text
 from reference_transform import reference_transform
 from test_patterns import _mutate
 from test_transform import _gf2_reference
@@ -203,9 +205,10 @@ MERGED_TRANSFORM_SHA256 = {
         "3297a5620fbae9c6c12a729afc17a525a95039125bd7893c308d91938b92f4a5",
 }
 
-# sha256 of `pirlab build` stdout as written, flat integer columns (schema
-# pirlab/build/v2)
-BUILD_V2_SHA256 = {
+# sha256 of `pirlab build` stdout as written while a scheme stored its
+# patterns and side information, flat integer columns with those columns
+# after the rows (schema pirlab/build/v2)
+ANNOTATED_V2_SHA256 = {
     (3, 0): "4d7f24590e16644bb24092d4ad98c912f245cbf92d7ba7ef595809b8ab8ad4a1",
     (3, 1): "f35018e32e209b0941fa362b84ddd135c71251637335eb7cf1961ba945fa4072",
     (3, 2): "38d2203bcba89505e3374ff662ea16d230fb2027837b9bc42e35b3983b16fc2b",
@@ -227,6 +230,32 @@ BUILD_V2_SHA256 = {
     (5, 9): "76750171fb43ab660d44e33876b64df695584ad4c33e42c1ed306a94a68516c0",
     (6, 0): "fc07204d2c7c5cd01532279db47d8b7ba353eddb5e954ba0c571078fc6d1d3cc",
     (6, 1): "4c2d180497988fefdf55cb7f35a676c72e0fc9fe1d2f5ba41a32103d2402ce7e",
+}
+
+# sha256 of `pirlab build` stdout as written, the rows' flat integer
+# columns alone (schema pirlab/build/v2)
+BUILD_V2_SHA256 = {
+    (3, 0): "e7dedb33ff26cea9e766b0cd610662331ffc2e9ab79ac9f850e9ba54ff25bd35",
+    (3, 1): "edab018203bfe5d85d2c9dcb4c36abcbe048d5859d7812d59faf070fa88045c8",
+    (3, 2): "c7907262b8a3d4fcd337c0d38333363abd3c7a85539ecc5d4a8b310a4b35b318",
+    (4, 0): "fd84ac9ce8ee6277c215f972250a5d62a7568b7842947fb08d103e84b48cdbd0",
+    (4, 1): "9fab3c31305b3ef1819dc2b8136d4ae00a993c59bb67cb8f6939f033583468cd",
+    (4, 2): "ed7753f379be5fdb36e2b042fdbd35b73ac69475106613170ba0a76d61e83641",
+    (4, 3): "a22d4a1709543d1d17ea6293d135b2a2fbfa0b6d4ed9eadf660d1e7739a1abaf",
+    (4, 4): "567826cb5fe2805d519a585572d56193e9e405192deb28e1b333d750bed0abe5",
+    (4, 5): "ef8b1ad88a5a30e7a44c3ef5708d2b2ba048ffa27e425779916cf7982650c658",
+    (5, 0): "6d8d19095175fea083d93dc2eeaf875dabe02d15eeecb97480e37492e536500c",
+    (5, 1): "9389c56ace1da81360af844f9467484030e96a979fd96164c353508f6bd28b91",
+    (5, 2): "2058233aca9db430180ab657a6ea3d21d93c0205dd47c8a39c81d60629c06cd5",
+    (5, 3): "d96bb7f0ce328e656bc0ec3b7bdcf20388ea764796b08391215ceabde6db486f",
+    (5, 4): "9ba9fc5839bf2379581ed8d49c76f1c8dcabe416c679de3dc27dfba188f2f111",
+    (5, 5): "fb1c154a63c5e733910c325854d1b270ba475c82fae9469045e8cfa8647aaa09",
+    (5, 6): "f542296fda975c130189cc70c71ac9b6767fa6d228399946e882cce98a3a39c0",
+    (5, 7): "c88f0bdf7af9efc39a0a9263b30ad7575edb0234480ee1fea163bfed769efa96",
+    (5, 8): "ad8818623a19e2ebdc8cb1c4d4370924fb375a847220590821778db066efbe2b",
+    (5, 9): "4038579fcc03615b3d387b36430b834ab73910b469bbdd9750dea292acfd00fc",
+    (6, 0): "aa3f5af7d7ffea1938fc90e37037444cfdbebef4d599cc09e7366f79d3a3463c",
+    (6, 1): "b09e26285c1204ac82cc584f12132eb6e072886bb32aa8ad60171adf07978260",
 }
 
 CASES = sorted({(n, theta) for _cmd, n, theta in CLI_SHA256})
@@ -276,22 +305,26 @@ def _run(capsys, argv):
 @pytest.mark.parametrize("n,theta", CASES)
 def test_v2_build_bytes_and_results(n, theta, tmp_path, capsys):
     # extract, transform and simulate print the same result from the v1
-    # and the v2 document of one scheme; only their input digest differs
+    # document, the v2 document with patterns and the v2 document of rows
+    # alone of one scheme; only their input digest differs
     out, err = _run(capsys, ["build", "--n", str(n), "--theta", str(theta)])
     assert err == "schema: pirlab/build/v2\n"
     assert hashlib.sha256(out.encode()).hexdigest() == \
         BUILD_V2_SHA256[(n, theta)]
-    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    v1.write_text(v1_build_text(n, theta))
-    v2.write_text(out)
+    annotated = v2_build_text(n, theta)
+    assert hashlib.sha256(annotated.encode()).hexdigest() == \
+        ANNOTATED_V2_SHA256[(n, theta)]
+    paths = [tmp_path / f"{name}.json" for name in ("v1", "annotated", "v2")]
+    for path, text in zip(paths, (v1_build_text(n, theta), annotated, out)):
+        path.write_text(text)
     for cmd, *flags in (["extract"], ["transform"],
                         ["simulate", "--seed", "1"]):
         docs = [json.loads(_run(capsys, [cmd, "--scheme", str(path),
                                          *flags]).out)
-                for path in (v1, v2)]
+                for path in paths]
         digests = {doc["meta"].pop("input_sha256") for doc in docs}
-        assert len(digests) == 2, cmd
-        assert docs[0] == docs[1], cmd
+        assert len(digests) == 3, cmd
+        assert docs[0] == docs[1] == docs[2], cmd
 
 
 def _all_conditions_broken():
@@ -454,17 +487,18 @@ def test_analyze_walks_each_scheme_object_once(walks):
     assert ex is first[1]
     assert transform(s) == transform(s, ex)
     assert entropy_proxy_ok(s)
-    bare = s.replace(patterns=None)
+    assert s.patterns is first[1].patterns
+    assert s.side_info is first[1].side_info
     storage = random_storage(s.graph, 2, s.L, random.Random(1))
-    assert run_deterministic_trial(bare, storage).ok
-    assert len(walks) == 2 and walks[1] is bare
-    assert extract_patterns(bare) is analyze(bare)[1]
-    assert len(walks) == 2
+    assert run_deterministic_trial(s, storage).ok
+    assert len(walks) == 1
 
     # replace() gives a new object, which is walked again
     fresh = s.replace()
+    assert run_deterministic_trial(fresh, storage).ok
+    assert len(walks) == 2 and walks[1] is fresh
     assert analyze(fresh) == first and analyze(fresh) is not first
-    assert len(walks) == 3
+    assert len(walks) == 2
     # the kept result is not a field
     assert fresh == s and repr(fresh) == repr(s)
     assert "_analysis" not in fresh.to_json()

@@ -6,7 +6,6 @@ hand from the subscript rules before implementation.
 """
 
 import dataclasses
-import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -14,14 +13,13 @@ import pytest
 
 from pirlab.builder import build_scheme, class_plan, verify_scheme
 from pirlab.scheme import Summation
-from pirlab.sim import random_storage, run_deterministic_trial
 from pirlab.sequences import (answer_count, build_sequences, step_ledger,
                               subpacketization)
 from pirlab.errors import (InternalConsistencyError, ParameterError,
                            UnsupportedSizeError)
 from pirlab.graphs import make_graph
 
-from reference_scheme import class_counts
+from reference_scheme import class_counts, v1_document
 from relabel import relabel
 
 
@@ -43,10 +41,12 @@ def test_k3_matches_fixture(k3_scheme):
 
 def test_k3_pattern_grouping():
     s = build_scheme(3)
-    # patterns 1..6; steps 1,1,2,2,2,2; classes direct/alpha/gamma
+    # patterns 1..6; steps 1,1,2,2,2,2; classes direct/alpha/gamma, as the
+    # class plan gives them in target order
     assert [p.target for p in s.patterns] == [1, 2, 3, 4, 5, 6]
-    assert [p.step for p in s.patterns] == [1, 1, 2, 2, 2, 2]
-    assert [p.pattern_class for p in s.patterns] == [
+    patterns = v1_document(s)["patterns"]
+    assert [p["step"] for p in patterns] == [1, 1, 2, 2, 2, 2]
+    assert [p["class"] for p in patterns] == [
         "direct", "direct", "alpha", "alpha", "gamma", "gamma"]
     # pattern 5 selects S1: a5+b2, S2: c2, S3: b2+c2
     sel = s.patterns[4]
@@ -160,8 +160,8 @@ def test_k6_builds_and_verifies():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_every_theta_is_theta_zero_relabeled(n):
-    # the whole scheme: each server's rows in order, the patterns in order
-    # and the side information (the K7 case is in the slow tier)
+    # the whole scheme: each server's rows in order, which give the
+    # patterns and the side information (the K7 case is in the slow tier)
     base = build_scheme(n, 0)
     for theta in base.graph.files:
         assert relabel(base, theta) == build_scheme(n, theta), theta
@@ -214,42 +214,24 @@ def test_verify_refuses_graphs_that_are_not_complete(star4_scheme):
         verify_scheme(star4_scheme)
 
 
-def test_verify_compares_carried_patterns_with_the_rows():
-    s = build_scheme(4, 0)
-    patterns = list(s.patterns)
-    first, sixth = patterns[0], patterns[5]
-    patterns[0] = dataclasses.replace(first, selections=sixth.selections)
-    patterns[5] = dataclasses.replace(sixth, selections=first.selections)
-    swapped = s.replace(patterns=tuple(patterns))
-    # the trial recovers through the rows, whatever the scheme stores
-    assert run_deterministic_trial(
-        swapped, random_storage(s.graph, 2, s.L, random.Random(1))).ok
-    report = _verify_rejects(swapped, "carried patterns differ")
-    assert report.violations == ("carried patterns differ from the ones "
-                                 "the rows give",)
-
-
-def test_verify_compares_carried_side_info_with_the_rows():
-    s = build_scheme(4, 0)
-    _verify_rejects(s.replace(side_info=((1, 0),)),
-                    "carried side information differs")
-
-
 def test_verify_needs_patterns():
-    # an empty stored copy differs from the rows' patterns; a scheme that
-    # stores none has nothing to compare
+    # rows that give no pattern recover nothing
     s = build_scheme(3)
-    _verify_rejects(s.replace(patterns=()),
-                    "carried patterns differ from the ones the rows give")
-    assert verify_scheme(s.replace(patterns=None, side_info=())).ok
+    report = _verify_rejects(s.replace(queries={}), "condition 3: ")
+    assert report.violations[0] == \
+        "condition 3: L = 6 exceeds the rows' 0 terms"
 
 
 def test_verify_needs_targets_one_to_l():
+    # K3, theta = 0: S2 row 0 is the direct request a2; asking it for a1
+    # gives two patterns with target 1 and none with target 2
     s = build_scheme(3)
-    patterns = list(s.patterns)
-    patterns[1] = dataclasses.replace(patterns[1], target=1)
-    _verify_rejects(s.replace(patterns=tuple(patterns)),
-                    "carried patterns differ from the ones the rows give")
+    assert s.queries[2][0].terms == ((0, 2, 1),)
+    report = _verify_rejects(_with_row(s, 2, 0, ((0, 1, 1),)),
+                             "condition 3: ")
+    assert report.violations[0] == (
+        "condition 3: desired subfiles must appear exactly once each: "
+        "missing [2], repeated or out of range [1]")
 
 
 def test_verify_needs_even_endpoint_split():

@@ -16,11 +16,12 @@ from pirlab.cli import main
 from pirlab.errors import InternalConsistencyError
 
 from pirlab.builder import build_scheme
+from pirlab.patterns import extract_patterns
 from pirlab.render import canonical_json
 from pirlab.scheme import DeterministicScheme
 
 from conftest import FIXTURES, load_json
-from reference_scheme import v1_document
+from reference_scheme import v1_document, v2_document
 
 
 def run_cli(capsys, *args):
@@ -125,7 +126,9 @@ def test_build_writes_scheme(capsys, tmp_path):
     doc = json.loads(out_file.read_text())
     assert doc["L"] == 84
     assert doc["theta"] == 0
-    assert len(doc["patterns"]["target"]) == 84
+    # the rows alone: 60 per server
+    assert list(doc) == ["graph", "theta", "L", "queries", "meta"]
+    assert [len(cols["ends"]) for cols in doc["queries"].values()] == [60] * 4
 
 
 def test_build_theta_edge_form_matches_file_id(capsys):
@@ -171,47 +174,66 @@ def test_extract_on_fixture(capsys):
     assert "pirlab/extract/v1" in err
 
 
+def _swapped_k3():
+    """K3 at theta = 0, and the same scheme with rows 0 and 1 of server 1
+    swapped: still independent, but its patterns select other rows."""
+    scheme = build_scheme(3, 0)
+    rows = list(scheme.queries[1])
+    rows[0], rows[1] = rows[1], rows[0]
+    return scheme, scheme.replace(queries={**scheme.queries, 1: tuple(rows)})
+
+
+_WRITERS = {"v1": v1_document, "v2": v2_document}
+
+
 @pytest.mark.parametrize("layout", ["v1", "v2"])
 @pytest.mark.parametrize("command", ["extract", "transform", "simulate"])
 def test_stored_patterns_must_follow_from_the_rows(capsys, tmp_path, command,
                                                    layout):
-    # with rows 0 and 1 swapped at server 1 the rows are still independent,
-    # but the stored patterns, kept through the swap, point at the wrong
-    # rows
-    scheme = build_scheme(3, 0)
-    rows = list(scheme.queries[1])
-    rows[0], rows[1] = rows[1], rows[0]
-    swapped = scheme.replace(queries={**scheme.queries, 1: tuple(rows)},
-                             patterns=scheme.patterns,
-                             side_info=scheme.side_info)
+    # the document stores the patterns of the rows before the swap, which
+    # point at the wrong rows
+    scheme, swapped = _swapped_k3()
+    write = _WRITERS[layout]
     path = tmp_path / "k3.json"
     path.write_text(canonical_json(
-        v1_document(swapped) if layout == "v1" else swapped.to_json()))
+        {**write(scheme), "queries": write(swapped)["queries"]}))
     rc, out, err = run_cli(capsys, command, "--scheme", str(path))
     assert (rc, out) == (2, "")
     assert _one_line_error(err) == \
         "error: patterns do not follow from the rows"
 
 
+@pytest.mark.parametrize("layout", ["v1", "v2"])
+@pytest.mark.parametrize("command", ["extract", "transform", "simulate"])
+def test_stored_side_info_must_follow_from_the_rows(capsys, tmp_path, command,
+                                                    layout):
+    # K3 has no side information; a document that names row 0 of server 1
+    # as side information is refused, with or without stored patterns
+    doc = _WRITERS[layout](build_scheme(3, 0))
+    doc["side_info"] = {"server": [1], "index": [0]} if layout == "v2" \
+        else [{"server": 1, "index": 0}]
+    path = tmp_path / "k3.json"
+    for stored in (doc, {k: v for k, v in doc.items() if k != "patterns"}):
+        path.write_text(canonical_json(stored))
+        rc, out, err = run_cli(capsys, command, "--scheme", str(path))
+        assert (rc, out) == (2, "")
+        assert _one_line_error(err) == \
+            "error: patterns do not follow from the rows"
+
+
 def test_new_rows_drop_the_stored_patterns(capsys, tmp_path):
-    # stored patterns and side information describe the rows they came
-    # with, so new rows drop them unless they are given too; the document
-    # then stores none, and nothing in it can disagree with its rows
-    scheme = build_scheme(3, 0)
-    rows = list(scheme.queries[1])
-    rows[0], rows[1] = rows[1], rows[0]
-    queries = {**scheme.queries, 1: tuple(rows)}
-    swapped = scheme.replace(queries=queries)
-    assert (swapped.patterns, swapped.side_info) == (None, ())
-    kept = scheme.replace(queries=queries, patterns=scheme.patterns,
-                          side_info=scheme.side_info)
-    assert (kept.patterns, kept.side_info) == \
-        (scheme.patterns, scheme.side_info)
-    assert scheme.replace(side_info=()).patterns == scheme.patterns
+    # patterns and side information are views of the rows, so new rows
+    # give their own; a document stores rows alone, and nothing in it can
+    # disagree with them
+    scheme, swapped = _swapped_k3()
+    assert swapped.patterns == extract_patterns(swapped).patterns
+    assert swapped.patterns != scheme.patterns
+    assert swapped.side_info == scheme.side_info == ()
     path = tmp_path / "k3.json"
     path.write_text(canonical_json(swapped.to_json()))
-    assert DeterministicScheme.from_json(json.loads(path.read_text())) \
-        == swapped
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["graph", "theta", "L", "queries"]
+    assert DeterministicScheme.from_json(doc) == swapped
     rc, out, _ = run_cli(capsys, "extract", "--scheme", str(path))
     assert rc == 0
     assert len(json.loads(out)["patterns"]) == scheme.L
@@ -260,6 +282,24 @@ def test_l_past_the_term_count_is_one_condition_3_line(tmp_path):
           f"{list(range(7, 19))}, repeated or out of range []"] * 3,
         *[f"{prefix}L = {L} exceeds the rows' 18 terms"
           for L in (19, 10 ** 30) for _ in range(3)]]
+
+
+def test_condition_3_line_stays_short_at_k6(capsys, tmp_path):
+    # L at the K6 rows' 45,360 terms leaves 42,336 desired subfiles
+    # missing: the line gives their count and the first few
+    doc = build_scheme(6, 0).to_json()
+    terms = sum(len(cols["file"]) for cols in doc["queries"].values())
+    assert terms == 45_360
+    path = tmp_path / "k6.json"
+    path.write_text(canonical_json({**doc, "L": terms}))
+    rc, out, err = run_cli(capsys, "extract", "--scheme", str(path))
+    assert (rc, out) == (3, "")
+    line = _one_line_error(err)
+    assert len(line.encode()) < 200
+    assert line == (
+        "error: scheme rows are not independent: [3] desired subfiles must "
+        "appear exactly once each: missing [3025, 3026, 3027, ... 42336 in "
+        "all], repeated or out of range []")
 
 
 def test_extract_rejects_dependent_scheme(capsys):
@@ -558,15 +598,16 @@ def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
      "attribute 'items'"),
     ("extract", lambda doc: doc.update(
         patterns=[{"target": 7, "selections": {}}]),
-     "error: pattern target 7 is outside 1..6"),
+     "error: patterns do not follow from the rows"),
     # exact probabilities: a float or bool p is refused, though these sum to 1
     ("simulate", lambda doc: _two_rows(doc, 0.5, 0.5),
      "error: p must be a fraction string or an integer, got 0.5"),
     ("simulate", lambda doc: _two_rows(doc, True, 0),
      "error: p must be a fraction string or an integer, got True"),
+    # a pattern's class is not read, but its target and selections differ
     ("extract", lambda doc: doc.update(
         patterns=[{"target": 1, "selections": {}, "class": [1]}]),
-     "error: pattern class must be a string, got [1]"),
+     "error: patterns do not follow from the rows"),
     # a second spelling of a server key never replaces the first
     ("extract", lambda doc: _shadow(doc["queries"], [{"terms": []}]),
      "error: server key '01' is not a plain decimal"),

@@ -20,7 +20,6 @@ from pirlab.graphs import Graph, make_graph
 from pirlab.render import canonical_json
 from pirlab.scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
                            RecoveryPattern, Summation)
-from pirlab.patterns import extract_patterns
 from pirlab.transform import transform
 
 from conftest import load_json
@@ -185,6 +184,42 @@ def test_k5_pass_and_v2_commands_make_no_summation(tmp_path):
         "simulate": 0, "probe": 2}
 
 
+_NO_PATTERN_PROBE = """
+import json
+from pirlab import scheme
+from pirlab.builder import build_scheme
+from pirlab.patterns import extract_patterns
+
+made = []
+def counting_new(cls, *args, **kwargs):
+    made.append(cls)
+    return object.__new__(cls)
+scheme.RecoveryPattern.__new__ = staticmethod(counting_new)
+
+def count(step):
+    before = len(made)
+    step()
+    return len(made) - before
+
+counts = {f"k6 theta={theta}": count(lambda: build_scheme(6, theta))
+          for theta in (0, 14)}
+# the probe sees the patterns the analysis makes
+counts["probe"] = count(lambda: extract_patterns(build_scheme(3)))
+print(json.dumps(counts))
+"""
+
+
+def test_k6_build_makes_no_recovery_pattern():
+    # a scheme is its rows: patterns are made only by the analysis
+    src = pathlib.Path(pirlab.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_PATTERN_PROBE], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"k6 theta=0": 0, "k6 theta=14": 0,
+                                       "probe": 6}
+
+
 def _reference_selections(selections):
     """The selection checks through `check_int`, key before value."""
     return {check_int(srv, "server"): check_int(idx, "pattern selection")
@@ -267,41 +302,24 @@ def test_both_layouts_read_as_the_built_scheme(n):
 
 def test_v2_columns_hold_no_array_per_term_or_row():
     doc = json.loads(canonical_json(build_scheme(4, 2).to_json()))
-    columns = [*doc["queries"].values(), doc["patterns"],
-               doc["patterns"]["selections"], doc["side_info"]]
-    for cols in columns:
+    assert list(doc) == ["graph", "theta", "L", "queries"]
+    for cols in doc["queries"].values():
         for name, column in cols.items():
-            if name != "selections":
-                assert all(type(v) in (int, str, type(None))
-                           for v in column), name
+            assert all(type(v) is int for v in column), name
 
 
 @pytest.mark.parametrize("layout", [v1_document,
                                     DeterministicScheme.to_json])
 def test_schemes_without_pattern_annotations_round_trip(layout, k3_scheme,
                                                         star4_scheme):
-    # extracted patterns carry no step or class, so neither layout writes
-    # one; a scheme without patterns reads back without them
+    # schemes build_scheme does not give: the v1 writer stores their
+    # extracted patterns without a step or class, to_json stores none, and
+    # either document reads back as the scheme
     for scheme in (k3_scheme, star4_scheme):
-        from_rows = scheme.replace(
-            patterns=extract_patterns(scheme).patterns)
-        for s in (scheme, from_rows):
-            doc = json.loads(canonical_json(layout(s)))
-            assert DeterministicScheme.from_json(doc) == s
-    doc = json.loads(canonical_json(k3_scheme.replace(
-        patterns=extract_patterns(k3_scheme).patterns).to_json()))
-    assert set(doc["patterns"]) == {"target", "selections"}
-
-
-@pytest.mark.parametrize("field,label", [("step", "step"),
-                                         ("pattern_class", "class")])
-def test_pattern_annotations_are_given_for_all_or_none(field, label):
-    scheme = build_scheme(3)
-    first, *rest = scheme.patterns
-    with pytest.raises(ParameterError) as exc:
-        scheme.replace(patterns=(dataclasses.replace(first, **{field: None}),
-                                 *rest))
-    assert str(exc.value) == f"some patterns have a {label} and some do not"
+        doc = json.loads(canonical_json(layout(scheme)))
+        assert DeterministicScheme.from_json(doc) == scheme
+        assert all(set(p) == {"target", "selections"}
+                   for p in doc.get("patterns", ()))
 
 
 def _k3_prob_doc():
@@ -415,15 +433,11 @@ def _k3(**fields):
     (lambda: GeneralScheme(make_graph("complete", [3]), theta=0, q=2,
                            mu=(True, 0, 0), lam=(0, 0, 0)),
      "mu bit must be an integer, got True"),
-    (lambda: RecoveryPattern(target=1, selections={}, pattern_class=[1]),
-     "pattern class must be a string, got [1]"),
     (lambda: _k3(queries={9: ()}), "no server 9 in the graph"),
     (lambda: _k3(queries={1: ((0, 1, 1),)}),
      "queries must contain Summation rows"),
-    (lambda: _k3(side_info=((1, 5),)),
-     "side info references missing row 5 at server 1"),
 ], ids=["edge-float", "selection-float", "p-float", "p-bool", "mu-bool",
-        "class-list", "queries-server", "queries-row", "side-info-index"])
+        "queries-server", "queries-row"])
 def test_constructors_refuse_what_documents_refuse(build, message):
     # from_json hands document values to these constructors, so a
     # document gets the same text (test_cli.py)
