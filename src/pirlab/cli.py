@@ -25,11 +25,10 @@ from .errors import (InfeasibleError, InternalConsistencyError,
                      ParameterError, UnsupportedSizeError, check_q)
 from .general import general_rate, random_general_scheme
 from .graphs import Graph, make_graph
-from .patterns import (IndependenceError, check_carried, check_srp,
-                       extract_patterns, rows_short_of_l)
+from .patterns import (IndependenceError, check_srp, extract_patterns,
+                       rows_short_of_l)
 from .render import canonical_json, frac_str, meta_header
-from .scheme import (DeterministicScheme, ProbabilisticScheme, columnar,
-                     gc_paused)
+from .scheme import DeterministicScheme, ProbabilisticScheme, gc_paused
 from .sequences import build_sequences, rate
 from .sim import (check_audit_member, privacy_audit, random_permutations,
                   random_storage, run_deterministic_trial,
@@ -77,19 +76,13 @@ def _read_doc(path):
     return doc, hashlib.sha256(data).hexdigest()
 
 
-def _scheme_source(doc, sha256):
-    """What stands for a deterministic scheme document in the input digest:
-    the sha256 of its bytes as read for a v2 document, so that nothing is
-    encoded again, and for a v1 document the document as parsed."""
-    return {"scheme_sha256": sha256} if columnar(doc) else {"scheme": doc}
-
-
 def _load_scheme(path):
     """A deterministic scheme file as the scheme, the patterns its rows
-    give (`_extraction`) and its `_scheme_source`."""
+    give, and what stands for it in the input digest: the sha256 of its
+    bytes as read, so that nothing is encoded again."""
     doc, sha256 = _read_doc(path)
     scheme = DeterministicScheme.from_json(doc)
-    return scheme, _extraction(doc, scheme), _scheme_source(doc, sha256)
+    return scheme, extract_patterns(scheme), {"scheme_sha256": sha256}
 
 
 def _parse_graph(spec):
@@ -125,14 +118,6 @@ def _parse_theta(text, graph):
         return int(text)
     except ValueError:
         raise ParameterError(f"bad theta {text!r}")
-
-
-def _extraction(doc, scheme):
-    """The patterns `scheme`'s rows give; the patterns and side information
-    its document `doc` stores, if any, must be those (`check_carried`)."""
-    ex = extract_patterns(scheme)
-    check_carried(doc, ex)
-    return ex
 
 
 # ============================================================
@@ -257,15 +242,12 @@ def _cmd_simulate(args):
         storage = random_storage(scheme.graph, q=args.q, L=scheme.L, rng=rng)
         perms = random_permutations(scheme.graph, scheme.L, rng)
         report = run_deterministic_trial(scheme, storage, perms)
-        # after the trial: a subfile past L exits 2 first
-        _extraction(source, scheme)
         doc = {
             "ok": report.ok,
             "rate": frac_str(report.measured_rate),
             "downloaded_symbols": report.downloaded_symbols,
             "meta": meta_header("simulate", {
-                **_scheme_source(source, sha256), "q": args.q},
-                seed=args.seed),
+                "scheme_sha256": sha256, "q": args.q}, seed=args.seed),
         }
     _emit_doc(doc, args.out)
     return 0

@@ -32,9 +32,10 @@ instance, outside the dataclass fields, and serves it again only while
 `scheme.queries` still maps every server to the very row block it walked.
 `replace()` gives a new object with no result kept.
 
-A scheme document may store patterns and side information beside its
-rows; `check_carried` refuses a document whose stored copy is not the one
-the analysis gives.
+Every list a violation names is cut short by `_listed`, and past as many
+violations `IndependenceError` names the first and a count per condition,
+so a refusal's line does not grow with the scheme; the full report stays
+on the error and on `check_independence`.
 """
 
 from bisect import bisect_right
@@ -43,9 +44,11 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import add, and_, eq, not_, sub
 
-from .errors import ParameterError, check_int, malformed, server_key
-from .rows import in_row, same_length
-from .scheme import RecoveryPattern, columnar, gc_paused
+from .rows import in_row
+from .scheme import RecoveryPattern, gc_paused
+
+# a message cuts a list of more than _MOST items short (`_listed`)
+_MOST = 12
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,10 @@ class IndependenceError(RuntimeError):
 
     def __init__(self, report):
         lines = [f"[{v.condition}] {v.detail}" for v in report.violations]
+        if len(lines) > _MOST:  # the first one and a count per condition
+            counts = Counter(v.condition for v in report.violations)
+            lines[1:] = [f"... {len(lines)} in all: " + ", ".join(
+                f"{c} of condition {k}" for k, c in sorted(counts.items()))]
         super().__init__("scheme rows are not independent: " +
                          "; ".join(lines))
         self.report = report
@@ -125,7 +132,7 @@ def _walk(scheme):
             dups = sorted((key % nfiles, key // nfiles)
                           for key, c in Counter(here).items() if c > 1)
             violations.append(Violation(
-                2, f"subfile symbols {dups} repeat at server {srv}"))
+                2, f"subfile symbols {_listed(dups)} repeat at server {srv}"))
         # the row id of each term
         rids = [*chain.from_iterable(map(repeat, count(base),
                                          map(sub, ends, rows.starts)))]
@@ -201,7 +208,7 @@ def _walk(scheme):
                               side_info=tuple(sorted(side_info)))
 
 
-def _listed(items, most=12, head=3):
+def _listed(items, most=_MOST, head=3):
     """A list of up to `most` items as it is, a longer one as its first
     `head` items and its length, so that a message stays one short line."""
     if len(items) <= most:
@@ -233,7 +240,8 @@ def _row_violations(srv, rows, stored, graph):
         repeated = sorted(f for f, c in Counter(files).items() if c > 1)
         if repeated:
             out.insert(mark, Violation(
-                1, f"row {idx} at server {srv} repeats files {repeated}"))
+                1, f"row {idx} at server {srv} repeats files "
+                   f"{_listed(repeated)}"))
     return out
 
 
@@ -249,15 +257,16 @@ def _classify(component, desired, odd_other, theta, L):
     servers = [srv for srv, _idx in component]
     if len(set(servers)) != len(servers):
         crowded = sorted(srv for srv, c in Counter(servers).items() if c > 1)
-        return ("bad", f"servers {crowded} each contribute several rows "
-                       f"to one component")
+        return ("bad", f"servers {_listed(crowded)} each contribute "
+                       f"several rows to one component")
     if len(desired) > 1:
         desired = [s for s, c in Counter(desired).items() if c % 2]
     if len(desired) == 1 and not odd_other:
         return ("pattern", desired[0])
     leftover = sorted(odd_other + [(theta, s) for s in desired
                                    if not 1 <= s <= L])
-    return ("bad", f"rows {component} leave uncancelled symbols {leftover}")
+    return ("bad", f"rows {_listed(component)} leave uncancelled symbols "
+                   f"{_listed(leftover)}")
 
 
 # ============================================================
@@ -279,48 +288,6 @@ def extract_patterns(scheme):
     if not report.ok:
         raise IndependenceError(report)
     return extraction
-
-
-def check_carried(doc, extraction):
-    """Refuse a scheme document (v1 or v2 layout) whose stored patterns or
-    side information are malformed or differ from `extraction`, which its
-    rows give.  Each stored part is compared without regard to order, the
-    patterns on their targets and selections alone; a part the document
-    does not store has nothing to compare."""
-    with malformed("scheme"):
-        v2 = columnar(doc)
-        if "patterns" in doc:
-            stored = _v2_patterns(doc["patterns"]) if v2 else \
-                list(map(RecoveryPattern.from_json, doc["patterns"]))
-            stored.sort(key=lambda p: p.target)
-            if stored != list(extraction.patterns):
-                raise ParameterError("patterns do not follow from the rows")
-        if "side_info" in doc:
-            side = doc["side_info"]
-            if v2:
-                same_length("the side_info index column", side["index"],
-                            side["server"])
-                side = zip(side["server"], side["index"])
-            else:
-                side = ((e["server"], e["index"]) for e in side)
-            side = sorted((check_int(s, "side info server"),
-                           check_int(i, "side info index")) for s, i in side)
-            if side != list(extraction.side_info):
-                raise ParameterError("patterns do not follow from the rows")
-
-
-def _v2_patterns(cols):
-    """RecoveryPatterns from the v2 pattern columns: a `target` column and
-    a `selections` column per server, where null leaves the server out."""
-    targets = cols["target"]
-    selections = {server_key(s): col for s, col in cols["selections"].items()}
-    for srv, col in selections.items():
-        same_length(f"the selections column of server {srv}", col, targets)
-    picks = zip(*selections.values()) if selections else repeat(())
-    return [RecoveryPattern(target, {srv: idx for srv, idx
-                                     in zip(selections, pick)
-                                     if idx is not None})
-            for target, pick in zip(targets, picks)]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ A `Rows` block holds one server's rows: the `file`, `subfile` and `sign`
 of every term, row after row, and the `ends` of the rows in those
 columns, the layout of a `pirlab/build/v2` document.  A scheme holds one
 block per server, and the library reads the columns, so it makes no
-object per row or term.  The block is still a sequence of the server's
-rows: indexing or iterating it makes each row as a `Summation` on access.
+object per row or term.  Iterating a block makes each row as a
+`Summation` on access.
 
 `checked_rows` is the one place a block's terms are checked, with bulk
 passes over the columns; only a row whose terms are out of order is
@@ -16,7 +16,6 @@ gets the same text wherever it comes from.
 import math
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count
 from operator import ge, le
@@ -47,23 +46,17 @@ def _refuse_first_term(terms):
             raise ParameterError(f"bad sign in term {term}")
 
 
-def term_columns(terms):
-    """The file, subfile and sign columns of a list of terms, checked as a
-    block's columns are."""
-    if set(map(len, terms)) <= {3}:
-        columns = tuple(zip(*terms)) or ((), (), ())
-        if _terms_valid(*columns):
-            return columns
-    _refuse_first_term(terms)
-
-
 @dataclass(frozen=True, slots=True)
 class Summation:
     terms: tuple
 
     def __post_init__(self):
-        columns = term_columns(tuple(self.terms))
-        object.__setattr__(self, "terms", tuple(sorted(zip(*columns))))
+        """Check the terms as a block's columns are, and sort them."""
+        terms = tuple(self.terms)
+        if not (set(map(len, terms)) <= {3}
+                and _terms_valid(*(tuple(zip(*terms)) or ((), (), ())))):
+            _refuse_first_term(terms)
+        object.__setattr__(self, "terms", tuple(sorted(map(tuple, terms))))
 
     @property
     def files(self):
@@ -78,12 +71,12 @@ def _summation(terms):
     return row
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Rows(Sequence):
+@dataclass(frozen=True, slots=True)
+class Rows:
     """One server's rows as flat columns: the `file`, `subfile` and `sign`
     of every term, row after row, and the `ends` of the rows in them, the
-    layout of a v2 document.  Indexing or iterating gives each row as a
-    Summation, made on access; equality compares the columns.
+    layout of a v2 document.  Iterating gives each row as a Summation, made
+    on access; equality compares the columns.
 
     A block is checked when a DeterministicScheme is made from it
     (`checked_rows`), which also gives every row its terms in order."""
@@ -99,22 +92,10 @@ class Rows(Sequence):
     def __len__(self):
         return len(self.ends)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        index = range(len(self))[index]
-        start, end = self.ends[index - 1] if index else 0, self.ends[index]
-        return _summation(tuple(zip(self.file[start:end],
-                                    self.subfile[start:end],
-                                    self.sign[start:end])))
-
     def __iter__(self):
         terms = tuple(zip(self.file, self.subfile, self.sign))
         return map(_summation, map(terms.__getitem__,
                                    map(slice, self.starts, self.ends)))
-
-    def __repr__(self):
-        return repr(tuple(self))
 
 
 NO_ROWS = Rows((), (), (), ())

@@ -12,14 +12,11 @@ A scheme holds each server's rows as one `rows.Rows` block of flat
 integer columns; its constructor takes a block or a sequence of Summations
 for a server and checks every block (`rows.checked_rows`).
 
-A deterministic scheme document (`pirlab/build/v2`) stores flat integer
-columns: per server the `file`, `subfile` and `sign` of every term, row
-after row, and the `ends` of the rows in those columns.  `from_json` also
-reads the v1 layout, one `{"terms": [[file, subfile, sign], ...]}` object
-per row, and tells the two apart by the shape of `queries`: a v2 document
-holds an object of columns per server, a v1 document an array of rows.
-Either may also store patterns and side information, which `from_json`
-does not read; `patterns.check_carried` checks them against the rows.
+A deterministic scheme document (`pirlab/build/v2`) is its rows: per
+server the `file`, `subfile` and `sign` of every term, row after row, and
+the `ends` of the rows in those columns.  `from_json` refuses the v1
+layout (an array of row objects per server) and a document that stores
+patterns or side information, each with one line that names it.
 
 `gc_paused` runs the functions that allocate scheme data in bulk with
 CPython's cyclic collector paused.  That is safe because the data holds no
@@ -39,7 +36,7 @@ from .errors import (ParameterError, check_combo, check_frac, check_int,
 from .graphs import Graph
 from .render import frac_str
 # Summation is part of this module's interface too
-from .rows import NO_ROWS, Rows, Summation, checked_rows, term_columns
+from .rows import NO_ROWS, Rows, Summation, checked_rows
 
 
 def gc_paused(fn):
@@ -80,12 +77,6 @@ class RecoveryPattern:
         return {"target": self.target,
                 "selections": {str(srv): idx
                                for srv, idx in sorted(self.selections.items())}}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(target=doc["target"],
-                   selections={server_key(s): i
-                               for s, i in doc["selections"].items()})
 
 
 # ============================================================
@@ -145,35 +136,23 @@ class DeterministicScheme:
     @classmethod
     @gc_paused
     def from_json(cls, doc):
-        """A scheme from the rows of a v2 or a v1 document (module doc);
-        stored patterns and side information are not read here."""
+        """A scheme from the rows of a `pirlab/build/v2` document."""
         with malformed("scheme"):
             graph = Graph.from_json(doc["graph"])
             theta, L, queries = doc["theta"], doc["L"], doc["queries"].items()
-            read = _v2_rows if columnar(doc) else _v1_rows
-            return cls(graph=graph, theta=theta, L=L,
-                       queries={server_key(s): read(rows)
-                                for s, rows in queries})
-
-
-def columnar(doc):
-    """Whether a scheme document holds the v2 columns: an object of columns
-    per server, where a v1 document holds an array of rows."""
-    return any(type(rows) is dict for rows in doc["queries"].values())
-
-
-def _v1_rows(rows):
-    """A server's v1 rows, one `{"terms": [...]}` object each, as a block;
-    each term is checked as it is put into the columns."""
-    terms, ends = [], []
-    for row in rows:
-        terms += map(tuple, row["terms"])
-        ends.append(len(terms))
-    return Rows(*term_columns(terms), tuple(ends))
-
-
-def _v2_rows(cols):
-    return Rows(cols["file"], cols["subfile"], cols["sign"], cols["ends"])
+            if any(type(rows) is list for _s, rows in queries):
+                raise ParameterError(
+                    "scheme document holds the v1 layout, an array of rows "
+                    "per server; pirlab reads pirlab/build/v2 columns")
+            stored = [key for key in ("patterns", "side_info") if key in doc]
+            if stored:
+                raise ParameterError(
+                    f"scheme document stores {' and '.join(stored)}; a "
+                    f"pirlab/build/v2 document holds its rows alone")
+            return cls(graph=graph, theta=theta, L=L, queries={
+                server_key(s): Rows(cols["file"], cols["subfile"],
+                                    cols["sign"], cols["ends"])
+                for s, cols in queries})
 
 
 # ============================================================

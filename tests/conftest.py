@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 from pirlab.graphs import Graph
-from pirlab.scheme import DeterministicScheme
+from pirlab.scheme import DeterministicScheme, Summation
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -24,6 +24,15 @@ def indented_sha256(text):
 
 def load_scheme(name):
     return DeterministicScheme.from_json(load_json(name))
+
+
+def row_at(rows, index):
+    """Row `index` of a `rows.Rows` block as a Summation, read from its
+    columns; a block is not indexed itself."""
+    index = range(len(rows))[index]
+    start, end = rows.ends[index - 1] if index else 0, rows.ends[index]
+    return Summation(tuple(zip(rows.file[start:end], rows.subfile[start:end],
+                               rows.sign[start:end])))
 
 
 @pytest.fixture

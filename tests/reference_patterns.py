@@ -12,6 +12,8 @@ from collections import Counter, defaultdict
 from pirlab.patterns import Extraction, IndependenceReport, Violation
 from pirlab.scheme import RecoveryPattern
 
+from conftest import row_at
+
 
 def _components(scheme):
     """Union rows sharing a non-desired symbol; return component lists."""
@@ -33,7 +35,7 @@ def _components(scheme):
 
     occurrences = defaultdict(list)
     for srv, idx in nodes:
-        for f, s, _sign in scheme.queries[srv][idx].terms:
+        for f, s, _sign in row_at(scheme.queries[srv], idx).terms:
             if f != scheme.theta:
                 occurrences[(f, s)].append((srv, idx))
     for places in occurrences.values():
@@ -53,7 +55,7 @@ def _classify(scheme, component):
     theta_hits = 0
     for srv, idx in component:
         per_server[srv] += 1
-        for f, s, _sign in scheme.queries[srv][idx].terms:
+        for f, s, _sign in row_at(scheme.queries[srv], idx).terms:
             residue[(f, s)] += 1
             if f == scheme.theta:
                 theta_hits += 1

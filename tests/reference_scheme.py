@@ -6,9 +6,9 @@ row, a list of pattern objects and a list of side-information objects.
 `v2_document` is the v2 document `build` wrote while a scheme stored its
 patterns: `to_json`'s columns, then a pattern `target`, `step`, `class`
 and per-server `selections` column and a side-information `server` and
-`index` column.  `from_json` reads both, and `check_carried` checks the
-stored patterns and side information against the rows, so the pins
-recorded from such documents are checked on documents written here.
+`index` column.  `from_json` refuses both, so they stand for the
+documents pirlab no longer reads; `v1_rows_as_columns` puts a v1
+document's rows into the v2 columns, as the v1 reader did.
 
 Neither writer reads a stored copy: the targets, selections and side
 information come from `extract_patterns`, and each pattern's step and
@@ -20,7 +20,7 @@ tallies the plan the same way.
 """
 
 from collections import Counter
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from pirlab.builder import build_scheme, class_plan
 from pirlab.errors import ParameterError
@@ -63,6 +63,23 @@ def v1_document(scheme):
         doc["patterns"].append(pattern)
     doc["side_info"] = [{"server": s, "index": i} for s, i in ex.side_info]
     return doc
+
+
+def v1_rows_as_columns(doc):
+    """The v2 document of a v1 document's rows: each server's rows in
+    order, their terms as they stand, and nothing else of `doc` but its
+    graph, theta and L.  Nothing is checked; `from_json` checks the
+    columns."""
+    queries = {}
+    for srv, rows in doc["queries"].items():
+        terms = [term for row in rows for term in row["terms"]]
+        queries[srv] = {"file": [t[0] for t in terms],
+                        "subfile": [t[1] for t in terms],
+                        "sign": [t[2] for t in terms],
+                        "ends": [*accumulate(len(row["terms"])
+                                             for row in rows)]}
+    return {"graph": doc["graph"], "theta": doc["theta"], "L": doc["L"],
+            "queries": queries}
 
 
 def v2_document(scheme):

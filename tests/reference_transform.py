@@ -12,6 +12,8 @@ from pirlab.errors import InfeasibleError, InternalConsistencyError
 from pirlab.patterns import extract_patterns
 from pirlab.scheme import ProbabilisticScheme, ProbRow
 
+from conftest import row_at
+
 
 def _combo(summation):
     return tuple(sorted((f, sign) for f, _s, sign in summation.terms))
@@ -38,14 +40,14 @@ def reference_transform(scheme, extraction=None):
     for pattern in ex.patterns:
         row = slots[pattern.target - 1]
         for srv, idx in pattern.selections.items():
-            row[srv] = _combo(scheme.queries[srv][idx])
+            row[srv] = _combo(row_at(scheme.queries[srv], idx))
         servers_of[pattern.target - 1] = tuple(sorted(pattern.selections))
 
     # Slots only ever fill, so each server's search for an idle row can
     # resume where its previous one stopped.
     cursor = dict.fromkeys(scheme.graph.servers, 0)
     for srv, idx in ex.side_info:
-        combo = _combo(scheme.queries[srv][idx])
+        combo = _combo(row_at(scheme.queries[srv], idx))
         at = cursor[srv]
         while at < scheme.L and slots[at][srv] is not None:
             at += 1

@@ -26,7 +26,7 @@ from pirlab.general import (
 )
 from pirlab.graphs import Graph, make_graph
 from pirlab.patterns import IndependenceError, check_independence, extract_patterns
-from pirlab.scheme import DeterministicScheme
+from pirlab.scheme import Summation
 from pirlab.sequences import build_sequences, rate
 from pirlab.sim import (
     privacy_audit,
@@ -37,7 +37,7 @@ from pirlab.sim import (
 )
 from pirlab.transform import prob_rate, transform
 
-from conftest import FIXTURES, load_json, load_scheme
+from conftest import FIXTURES, load_json, load_scheme, row_at
 from reference_scheme import class_counts
 from reference_sequences import closed_form_x
 
@@ -137,11 +137,10 @@ def test_criterion_04_closed_form():
 # 5. pattern extraction and independence checking
 # ------------------------------------------------------------
 
-def _mutated(doc, server, index, new_terms):
-    import copy
-    doc = copy.deepcopy(doc)
-    doc["queries"][str(server)][index]["terms"] = new_terms
-    return DeterministicScheme.from_json(doc)
+def _mutated(scheme, server, index, new_terms):
+    rows = list(scheme.queries[server])
+    rows[index] = Summation(new_terms)
+    return scheme.replace(queries={**scheme.queries, server: rows})
 
 
 def test_criterion_05_patterns():
@@ -150,7 +149,7 @@ def test_criterion_05_patterns():
         k3 = load_scheme("k3_scheme.json")
         ex = extract_patterns(k3)
         assert len(ex.patterns) == 6 and ex.side_info == ()
-        grouping = {p.target: {srv: k3.queries[srv][i].terms
+        grouping = {p.target: {srv: row_at(k3.queries[srv], i).terms
                                for srv, i in p.selections.items()}
                     for p in ex.patterns}
         assert grouping[5] == {1: ((0, 5, 1), (1, 2, 1)),
@@ -160,16 +159,15 @@ def test_criterion_05_patterns():
         exs = extract_patterns(star)
         assert len(exs.patterns) == 5
         srv, idx = exs.side_info[0]
-        assert star.queries[srv][idx].terms == ((1, 3, 1), (2, 3, 1), (3, 3, 1))
+        assert row_at(star.queries[srv], idx).terms == \
+            ((1, 3, 1), (2, 3, 1), (3, 3, 1))
         assert check_independence(k3).ok and check_independence(star).ok
 
-        k3_doc = load_json("k3_scheme.json")
-        star_doc = load_json("star4_scheme.json")
         cases = [
-            (_mutated(k3_doc, 3, 2, [[1, 1, 1], [2, 2, 1]]), 2),
-            (_mutated(k3_doc, 1, 3, [[0, 3, 1], [1, 2, 1]]), 3),
+            (_mutated(k3, 3, 2, [[1, 1, 1], [2, 2, 1]]), 2),
+            (_mutated(k3, 1, 3, [[0, 3, 1], [1, 2, 1]]), 3),
             (load_scheme("two_per_server.json"), 4),
-            (_mutated(star_doc, 1, 3, [[1, 3, 1], [1, 4, 1], [3, 3, 1]]), 1),
+            (_mutated(star, 1, 3, [[1, 3, 1], [1, 4, 1], [3, 3, 1]]), 1),
         ]
         for bad, condition in cases:
             rep = check_independence(bad)
@@ -266,10 +264,10 @@ def test_criterion_09_round_trip():
         for n in (3, 4, 5):
             s = build_scheme(n)
             ex = extract_patterns(s)
-            builder_sets = {frozenset((srv, s.queries[srv][i].terms)
+            builder_sets = {frozenset((srv, row_at(s.queries[srv], i).terms)
                                       for srv, i in p.selections.items())
                             for p in s.patterns}
-            extract_sets = {frozenset((srv, s.queries[srv][i].terms)
+            extract_sets = {frozenset((srv, row_at(s.queries[srv], i).terms)
                                       for srv, i in p.selections.items())
                             for p in ex.patterns}
             assert builder_sets == extract_sets

@@ -12,17 +12,20 @@ hashed, and a pin holds exactly when the content, key order included, is
 unchanged.  The transform pins were recorded when transform wrote one row
 per pattern, so they are checked on documents written by that reference
 (`reference_transform`); MERGED_TRANSFORM_SHA256 pins the stdout of
-today's transform, one row per distinct joint query.  All of these were
-recorded on v1 scheme documents (`pirlab/build/v1`), so they are checked
-on the reference v1 writer's output (`reference_scheme.v1_build_text`).
-ANNOTATED_V2_SHA256 pins `pirlab build` stdout as written in flat integer
-columns while a scheme stored its patterns and side information, checked
-on the reference v2 writer's output (`reference_scheme.v2_build_text`);
-BUILD_V2_SHA256 pins it as written today, the rows alone.  The commands
-must print the same result from each of the three documents.
-"""
+today's transform, one row per distinct joint query.
 
-import json
+BUILD_SHA256 was recorded on v1 scheme documents (`pirlab/build/v1`), so
+it pins the reference v1 writer (`reference_scheme.v1_build_text`).
+ANNOTATED_V2_SHA256 pins `pirlab build` stdout as written in flat integer
+columns while a scheme stored its patterns and side information, and so
+the reference v2 writer (`reference_scheme.v2_build_text`);
+BUILD_V2_SHA256 pins it as written today, the rows alone.  Both older
+documents are refused now.  CLI_SHA256 and MERGED_TRANSFORM_SHA256 were
+first recorded on the v1 documents; their stdout includes the input
+digest, so they were recorded again on the rows-only `build` output,
+before the v1 reader was removed, where the results (all but
+`meta.input_sha256`) were the same from all three documents.
+"""
 
 import hashlib
 import random
@@ -42,102 +45,102 @@ from pirlab.patterns import (
     check_srp,
     extract_patterns,
 )
-from pirlab.scheme import DeterministicScheme
+from pirlab.scheme import Summation
 from pirlab.sim import random_storage, run_deterministic_trial
 from pirlab.transform import entropy_proxy_ok, transform
 
-from conftest import indented_sha256, load_json
+from conftest import indented_sha256, load_scheme, row_at
 from reference_patterns import reference_check, reference_extract
-from reference_scheme import v1_build_text, v1_document, v2_build_text
+from reference_scheme import v1_build_text, v2_build_text
 from reference_transform import reference_transform
 from test_patterns import _mutate
 from test_transform import _gf2_reference
 
 CLI_SHA256 = {
     ("extract", 3, 0):
-        "8962c38418a52b6c61fa13012df418a17ec44d77c607048c7259fa59ccc0a3f9",
+        "aa26d6f389c8ed13684d3184f7076c217a5fe14acb791c54af1ca7d50766643d",
     ("transform", 3, 0):
-        "1ca47c2dc0b0a1fffead84979702249cc27e971c2177d1db686102816f95f9da",
+        "a9c929f0c251768fb65560bb1827640456af68d52f471a4f371a5f64885cf6c5",
     ("extract", 3, 1):
-        "4de470d330c4b4cf3414bd356c5920f3ee3c0e0645dcce2e0677714ad720465d",
+        "4a65f017984ac4ac636d9e20a2300e373d93dd83723287ff9096a147e3a86f0a",
     ("transform", 3, 1):
-        "aca8c19493bf7bda911a13e8a2e61c0f704514e773c7da9955224fe283563ee3",
+        "0baa20bfdedb439bad87059d2ecee8dab49eaf2fe6356f06ab07a05076156a7f",
     ("extract", 3, 2):
-        "e12684439ae9bedd792d59951e8098db5dfca19cfed8bf0228e8fbad956cea27",
+        "c177e1ca7627c2c3f3fc138d56f224542065d36c00de8a7bc82757f25c4abca7",
     ("transform", 3, 2):
-        "4a2d21da73abf22f7dddc26fa5e1156ff7ce848883ea92141807f466c77ce390",
+        "18f27f9fc1d69da2819d0341cbb908f420bab54d65d0f59521c6cb6d03bc1b8c",
     ("extract", 4, 0):
-        "5019f3f31be6341280b1d4b92906f5e3f6210fdb1a65c408833e3d9dd9f7d4ca",
+        "e04b46993fae4c55742080a640289394b6881eab3bc69e3fcba2b91491b986fd",
     ("transform", 4, 0):
-        "73cb81c342337a8151fb2a4dee3c0cbac7cc3ae1678729cb22fc19a83295e012",
+        "999a3f1a0cd898482b284fa44797847f665eff090aa9215e359c2ede072fd71b",
     ("extract", 4, 1):
-        "d882bc7ec68279d684ce5fe6714058852716cbbc1a46d67ad5f1af845f9d22c9",
+        "6ed7ca2fd11f012ea31bd313e12f1039fc9c092c0f20a01bb1287c59a670f1e7",
     ("transform", 4, 1):
-        "22ced59a33d5c36d9b4208e557cfd35ea3849ed229a1feaa7ee81939f8650402",
+        "c6b47bf4ab54f76d4f928e98271c745b8819dd6bfef4c2704fb016b679887e22",
     ("extract", 4, 2):
-        "bce584f8bcac3caec8156caaf5bfdaadfae0d4a1c9b20d55f381e369d053b0e3",
+        "0e3bbabefe436ade35d65f29c42f9f192860cce0177933ec0e0121dac500c4c5",
     ("transform", 4, 2):
-        "282912d240743f0636dc9b06f1352902392a72eb5330dad690beb58d289bce6d",
+        "c1026d9f8311b2dcb1a44a3e70ebf622236c130d5816e6346da95031da284e11",
     ("extract", 4, 3):
-        "4b339639fd998d3ed708a068f12d91e557114fcc43955bebd4164f35c1b1266c",
+        "5e3a9d97510a3766ebb327066f43c457184d6d8773321bfa62037ba2cd14a126",
     ("transform", 4, 3):
-        "44606449217a04d76f6e9542d0d4d1ef2a6e35cefba167bb07484c01e8fb81b9",
+        "9746d5d8a2da858ea046edf18ea9d623698adcec8ec3128e28eb90e0b83dcd7b",
     ("extract", 4, 4):
-        "5a08c38ddb1c0384707d628247a7de24ab75687a8a622db57e430223590d2047",
+        "8f2fcaf559661209eadb82210d5a5f3e1d9f2d60fd101301bdefb12383cad034",
     ("transform", 4, 4):
-        "f212af1fc8ec042d46199b288e946d1fa0f544e274eab7c37510a1bb19936ffa",
+        "29bf668f9024193be97540c100b4c58e8a78aee9d91d0e4ac8c16c520aef072c",
     ("extract", 4, 5):
-        "6ca01b5f7015bbef7443e6c6573cfbf8ddb89b8946c2b2097a7ddcbf2a07d36d",
+        "66edbfdd61a4a9089244e85a34321671b55d264e0d939d7f6baeac33f0bb861d",
     ("transform", 4, 5):
-        "3dc6672ea76134f9144e55634925f451598497aa39f6afffe4ef852021ed88cd",
+        "8fad92cc92f6a2507eb1ef1c607d1f343573ba70feedb7c0fb5b2ff2ce5db336",
     ("extract", 5, 0):
-        "8c6ba7cb24b868894fdc9db9a3da743b9ef0ad7335d7ac91e879b069634e5b25",
+        "f3f9794c0d1f0ec88e74f696fad242d685c3b34b8e0fff01f13578c656f3e4af",
     ("transform", 5, 0):
-        "402b2b2aaa384e703b3a9fa6a1d0d2e49e6806abeebf0fb2af2ceca4599e4854",
+        "cfedb0e005ee38930dfb40439b9e4b07710a653f8e4fdb5fea64d80ac7fba83d",
     ("extract", 5, 1):
-        "c3d254dbdbc028d54a0077502edaa54e83a14fcc4868d699cc87e24f2f52fec3",
+        "5e4b53efba0f5ca1791abc7f6834e95d09daf9256b24b3b4074ee30d2c0df0cd",
     ("transform", 5, 1):
-        "a8572184df7172482bb017f9f4b2f4f205cbf66024c5ec044554e7092016386c",
+        "3bcacc207899687a4601420d5904e3a7aeaeaeea1f2a3404779acd7c40460bea",
     ("extract", 5, 2):
-        "2281d9cb8a75f7968f6d83098867a3293f3109d8c77469b76c336a213be3cf56",
+        "b7b4a3dac71a43289b7030712404c220289274cc321f9d9838c058b1d4e2c09b",
     ("transform", 5, 2):
-        "5fe5f075ebf58cfa247ec27aed9b2801099f321234bd28c79d5d527bd4cb8c1c",
+        "546b090594decbc9d4eba221825e69fbf2677b0ac3bfd39bde58620e0a94f210",
     ("extract", 5, 3):
-        "ff217a765877593fd9b9067a94dd0289e684d2263b242a334036bb88b6e0f74d",
+        "1b3d69952766e15c9334a54215ce87d02a597fe7a32689f05a1620201738757b",
     ("transform", 5, 3):
-        "a0501b4300f1a62cce263c39af2451bbf5c99c55e153ec7bc6b6f8b3f16fa24d",
+        "a1dba18f4a8ee46152623fc6726fdc71422fffc84273396cb6d5d557c6eec67b",
     ("extract", 5, 4):
-        "f8c8386ca187db31a15f5170fcd3b9f9de550489dfe65293303eb831eea963d8",
+        "8ea48c15a7c409a06655e38964743a413cedd78a73209d2298ee6b1c800783ac",
     ("transform", 5, 4):
-        "a2920920f96e41218aa62c6d43143db1ad1da78c31a3c69906100f3a63159e14",
+        "4c11917a0979c8001b7be314ee735a1b59880bb304b65c484edd4bb518e8f95d",
     ("extract", 5, 5):
-        "7327c6c23330a15b51a4388222628adbee0265354a938c2f3d34e6c6af7a265a",
+        "85787e4ca0fbe289ca77a2f1ffa44690a38791e14cded5252b052d58e7ad1b33",
     ("transform", 5, 5):
-        "84f989056dfedb12c8206b503ba91d67ebf84c4267ad7aba36e11015d7688495",
+        "cf7b39a770c44bc022045a1807132953976f802c55be9e5e2a664b975a3b0f71",
     ("extract", 5, 6):
-        "6551489328385c767ceb75c5b5df41ac483f2b2d35c3dcad1a2a88d05835c108",
+        "9bea141d7d213598f8a66d5a60b14b7c888de39b11ea059f17d61921f3ebf0ff",
     ("transform", 5, 6):
-        "93570cdcef58dc4b6be212910eed6e90ab7199b50ef6e12442c6d97391ab8e70",
+        "d55074ce54380fa8458991d0e36b96de709edad833a4d19b4e4fd3c4cfdee073",
     ("extract", 5, 7):
-        "b59641d4b3bdc3234a0c72ae997d8594c47ea47bb75d6f06443d1fbec33a12a2",
+        "cb60ec76d81ffbfa606bc990cbba111a39ad1e01cc01d3b8f25182bf784f2d61",
     ("transform", 5, 7):
-        "6216b27c31faeaccfd7db375b1f25d50f9ec47196b18f78584fd85b49fa07bab",
+        "dec061d2793020847d0406c35a76426f0f9a4a18f7916854ee481752674e48cd",
     ("extract", 5, 8):
-        "a4680014158338adf536fec705f9471304c0c9595433e469c32e2a3c9dfe8a6b",
+        "ba9c76e90af16c7ea080288f483de50932f5693764efc271a8b22259b8fa55f8",
     ("transform", 5, 8):
-        "ab90e296fa19e92a5e313a99c1979af2b62212eef2bdb877a02d7eb424e68bb0",
+        "40ec9191f5b15dacf86d79611fb58e99d7dc3d76842d22a7a2cfc4142a640f73",
     ("extract", 5, 9):
-        "a5bd32edd9d61f26c24f6b8c8e48df52734e3c8b3fa252e79d23e64ac2d18635",
+        "77d4dea55e29d4c249b666f31a0730fb6db86c2a0854ae274bab0538b969e38e",
     ("transform", 5, 9):
-        "0b36b29df3f40655963f2351f13db1828e88cda6e2830437600ef6f44416a10d",
+        "86654897d66088cddf97ffa3bbcce9d9040cf789582097c25c97bbb359b33a2e",
     ("extract", 6, 0):
-        "4d364b4853aad033781a804d4c386118ac39fe6b159a6dead55a9ef40272c63f",
+        "13e6b65b723f16c0ec106c376c7219dc8f7c90a3810da992c26bbfd141daec5d",
     ("transform", 6, 0):
-        "6029fb1d2472f7f262d88a5254b1b0103c3925b87a57cfb634b3b1b31b4eda77",
+        "81f62492f6fbee943d3c45eeb9495890c3617de23564824cff7ee2561d851d74",
     ("extract", 6, 1):
-        "7fe4926cc2777cb33d25b1363e20d324a87bc6e1e34d3663ebe98fe7fe5748a7",
+        "4946ec6e16212f18e025ed7aef34ee00f0d019ef1f367a920267d18873222fc7",
     ("transform", 6, 1):
-        "f1516ae444457ac111ce4a744de43eb5e0d55fcc85ad096cdb995faac7b31a6d",
+        "fffe8064adad53745223f50fafcf9c8c6d32a3a77360c3509c6e201274c476d6",
 }
 
 BUILD_SHA256 = {
@@ -168,41 +171,41 @@ BUILD_SHA256 = {
 # joint query (schema pirlab/transform/v2)
 MERGED_TRANSFORM_SHA256 = {
     (4, 0):
-        "ffd94a54b811f2a462c17c36e24199bbfd83beef61f77f3bd02de056292066ba",
+        "4472318b07cd1ce5237f61da1e043f9a1bf47cfdf865c724686aca750d7223f8",
     (4, 1):
-        "0c09c3914ae901ac395a6f8834654d4cae6ff7cc79b15d18fba5a72837fb8d37",
+        "70b47a6f65bb4b04617768a8a4efddcdd86387e03a8fa510b4b6f3b041ec5f2e",
     (4, 2):
-        "fbef59c63306170385094185442ee290806d8b99d81a35cdd1f006d1bc7dc6c5",
+        "c59bd69d3279ed60d04cd5d3873804cbbf18e684fc888e4e696e1b114f937e38",
     (4, 3):
-        "1cb61e0ff843443c3142e92f72cb12c7be0431d14d5e3680c1f097760f787956",
+        "bf9d942be5072485467c9a957d40f2e63e3328a995143caca7ec0f56dc4ce34d",
     (4, 4):
-        "b11d7c75e1aa95353609fa43ceecadf4657cea2592cb058a35a861ced382e1e5",
+        "991c29da996e3a8809d85b55f6fa038fa856780e53df18d3fde4aac3d4393670",
     (4, 5):
-        "a1eb7a17991a3754c297f01c8080eb15dd38122b786ba80c3493e7ea637b84cc",
+        "d12dcf09f8848613029797d164112ab863020ce623168c90d15134cd48cc711f",
     (5, 0):
-        "dfa1bf3a29487bfb3b0dfb1142d34f5400d03736bab0910f78809df3273a3d61",
+        "a735da68b8e9479ebb927fbce9157edccbd3cefbc7e52f581460513fe6fa06dc",
     (5, 1):
-        "5403bdfc5b3820e0aceb14a53488889741775d4ceb25e292d5d3d527ce5151f9",
+        "12b60d3ad2249b5c096e360a630817c12312275b3e37e05ee00731508de388f0",
     (5, 2):
-        "559f29e05596e41e8f3a044b12f07d06ff34827434552f40558504dfbb5c6058",
+        "5fc88309dd7c9e3cb88747db96361271506288e04a75ec5979312cc6b18f5dff",
     (5, 3):
-        "aa586cbbcf34b57d40ed03e1a49b674bf9088d40a6ec8a9d2e0060ffeb50bc61",
+        "43c9a7dedae3c27402b31bef05b1158f9efe442d2660682e3e44ba734c6b5fa4",
     (5, 4):
-        "aa0899e62c79981eff0d01eea6c6c39f2b796ebb79d39ba3a7d2ffadd78beb56",
+        "af4295610eda2018a1c8666e11e6d4c103a1f0b1521ae5b70bf68ff84b107a42",
     (5, 5):
-        "c8373491979ed87aecf189aabbcd91f343c5dd645f326af07a828c592396f356",
+        "a3944e36dc9f3da9b3f84232c276e6a07af669d6c3b48fb6960d7c90afe8e58a",
     (5, 6):
-        "8a611d3f46f6853a2dcafc71451ada041fcb8828177eff65c5a558203e282363",
+        "3041b991fca12034d44639512e1c150d299758aa41df04567b9c7abc4544a215",
     (5, 7):
-        "fc598bb965193aca05c7dfb2dcca62b25c0ca48a5a4f3973b1968412fdea5be4",
+        "3f10cc4719557b12e8efb3966a630dd28e336388a52c775706c21b3d44f6ec5a",
     (5, 8):
-        "298c0b93edb8e46b20c1b8bfb610142d9588c8d128a33dc7a6046a1f0f7b078a",
+        "aa3c5273d0a7e7029716ec7b97928bdf2c7d5a1115cbe185044573041b04a3d4",
     (5, 9):
-        "86cdc761a78ef89addfbb26d37d37c37b4efa036a85938f7ace1fd89ed7cc633",
+        "1364e1f2767b525aa261922e2bc91dab57f5e4fcf2fe9b647892f2b6c758bbe5",
     (6, 0):
-        "f47520f980ad794d48297c7bc7fe9685836dfeded1ebecbc9a62b291edf368fe",
+        "99247e41f44709f7a9c03afa5fcf4b2b50048474293c53f268de6596d4d57a3e",
     (6, 1):
-        "3297a5620fbae9c6c12a729afc17a525a95039125bd7893c308d91938b92f4a5",
+        "7a4abfc133ca998b7025b00086f131a52756be41080891dc0a1028a8f65790aa",
 }
 
 # sha256 of `pirlab build` stdout as written while a scheme stored its
@@ -261,17 +264,23 @@ BUILD_V2_SHA256 = {
 CASES = sorted({(n, theta) for _cmd, n, theta in CLI_SHA256})
 
 
+def _run(capsys, argv):
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    return capsys.readouterr()
+
+
 @pytest.mark.parametrize("n,theta", CASES)
 def test_cli_output_bytes_unchanged(n, theta, tmp_path, capsys, monkeypatch):
     # the transform pins were recorded when transform wrote one row per
     # pattern, so they hold on documents written by that reference; all
-    # of them read the v1 build document
+    # of them read the build document
     monkeypatch.setattr(cli, "transform", reference_transform)
-    out = v1_build_text(n, theta)
-    assert indented_sha256(out) == BUILD_SHA256[(n, theta)], \
-        ("build", n, theta)
+    assert indented_sha256(v1_build_text(n, theta)) == \
+        BUILD_SHA256[(n, theta)], ("build", n, theta)
     path = tmp_path / "scheme.json"
-    path.write_text(out)
+    path.write_text(_run(capsys, ["build", "--n", str(n), "--theta",
+                                  str(theta)]).out)
     for cmd in ("extract", "transform"):
         capsys.readouterr()
         assert cli.main([cmd, "--scheme", str(path)]) == 0
@@ -283,7 +292,8 @@ def test_cli_output_bytes_unchanged(n, theta, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("n,theta", CASES)
 def test_merged_transform_bytes(n, theta, tmp_path, capsys):
     path = tmp_path / "scheme.json"
-    path.write_text(v1_build_text(n, theta))
+    path.write_text(_run(capsys, ["build", "--n", str(n), "--theta",
+                                  str(theta)]).out)
     capsys.readouterr()
     assert cli.main(["transform", "--scheme", str(path)]) == 0
     out, err = capsys.readouterr()
@@ -296,17 +306,10 @@ def test_merged_transform_bytes(n, theta, tmp_path, capsys):
             MERGED_TRANSFORM_SHA256[(n, theta)]
 
 
-def _run(capsys, argv):
-    capsys.readouterr()
-    assert cli.main(argv) == 0
-    return capsys.readouterr()
-
-
 @pytest.mark.parametrize("n,theta", CASES)
 def test_v2_build_bytes_and_results(n, theta, tmp_path, capsys):
-    # extract, transform and simulate print the same result from the v1
-    # document, the v2 document with patterns and the v2 document of rows
-    # alone of one scheme; only their input digest differs
+    # build writes the rows alone; the v1 document and the v2 document
+    # with patterns of the same scheme are refused, each with one line
     out, err = _run(capsys, ["build", "--n", str(n), "--theta", str(theta)])
     assert err == "schema: pirlab/build/v2\n"
     assert hashlib.sha256(out.encode()).hexdigest() == \
@@ -314,17 +317,16 @@ def test_v2_build_bytes_and_results(n, theta, tmp_path, capsys):
     annotated = v2_build_text(n, theta)
     assert hashlib.sha256(annotated.encode()).hexdigest() == \
         ANNOTATED_V2_SHA256[(n, theta)]
-    paths = [tmp_path / f"{name}.json" for name in ("v1", "annotated", "v2")]
-    for path, text in zip(paths, (v1_build_text(n, theta), annotated, out)):
+    path = tmp_path / "scheme.json"
+    for text, layout in ((v1_build_text(n, theta), "the v1 layout"),
+                         (annotated, "stores patterns and side_info")):
         path.write_text(text)
-    for cmd, *flags in (["extract"], ["transform"],
-                        ["simulate", "--seed", "1"]):
-        docs = [json.loads(_run(capsys, [cmd, "--scheme", str(path),
-                                         *flags]).out)
-                for path in paths]
-        digests = {doc["meta"].pop("input_sha256") for doc in docs}
-        assert len(digests) == 3, cmd
-        assert docs[0] == docs[1] == docs[2], cmd
+        for cmd in ("extract", "transform", "simulate"):
+            capsys.readouterr()
+            assert cli.main([cmd, "--scheme", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 2
+            assert layout in err.splitlines()[1], (cmd, layout)
 
 
 def _all_conditions_broken():
@@ -363,14 +365,9 @@ def test_analyze_matches_public_wrappers(k3_scheme, star4_scheme):
     assert extraction is None
 
 
-def _source_docs():
-    docs = [load_json(name) for name in (
-        "k3_scheme.json", "star4_scheme.json", "two_per_server.json",
-        "star_center_heavy.json")]
-    return docs + [v1_document(build_scheme(3, theta)) for theta in (1, 2)]
-
-
-SOURCE_DOCS = _source_docs()
+SOURCE_SCHEMES = [load_scheme(name) for name in (
+    "k3_scheme.json", "star4_scheme.json", "two_per_server.json",
+    "star_center_heavy.json")] + [build_scheme(3, theta) for theta in (1, 2)]
 
 
 @st.composite
@@ -380,21 +377,20 @@ def mutated_schemes(draw):
     File ids are mostly valid; now and then one names a file the graph
     does not have, which both analyses must reject the same way.
     """
-    doc = draw(st.sampled_from(SOURCE_DOCS))
-    doc = {**doc, "queries": {srv: [dict(row) for row in rows]
-                              for srv, rows in doc["queries"].items()}}
-    nfiles = len(doc["graph"]["edges"])
+    scheme = draw(st.sampled_from(SOURCE_SCHEMES))
+    nfiles = len(scheme.graph.edges)
     term = st.tuples(st.sampled_from(list(range(nfiles)) * 8 + [nfiles]),
-                     st.integers(1, doc["L"] + 1), st.sampled_from((1, -1)))
-    edits = draw(st.lists(st.tuples(st.sampled_from(sorted(doc["queries"])),
+                     st.integers(1, scheme.L + 1), st.sampled_from((1, -1)))
+    edits = draw(st.lists(st.tuples(st.sampled_from(sorted(scheme.queries)),
                                     st.integers(0, 99),
                                     st.lists(term, max_size=3)),
                           max_size=3))
+    queries = {srv: list(rows) for srv, rows in scheme.queries.items()}
     for srv, pick, terms in edits:
-        rows = doc["queries"][srv]
+        rows = queries[srv]
         if rows:
-            rows[pick % len(rows)]["terms"] = [list(t) for t in terms]
-    return DeterministicScheme.from_json(doc)
+            rows[pick % len(rows)] = Summation(terms)
+    return scheme.replace(queries=queries)
 
 
 def _outcome(fn, scheme):
@@ -547,7 +543,7 @@ def _srp_counts_by_files(scheme, extraction):
     counts = {t1: 0, t2: 0}
     for p in extraction.patterns:
         for srv, idx in p.selections.items():
-            if scheme.theta in scheme.queries[srv][idx].files:
+            if scheme.theta in row_at(scheme.queries[srv], idx).files:
                 counts[srv] += 1
     return counts
 

@@ -19,6 +19,7 @@ from pirlab.errors import (InternalConsistencyError, ParameterError,
                            UnsupportedSizeError)
 from pirlab.graphs import make_graph
 
+from conftest import row_at
 from reference_scheme import class_counts, v1_document
 from relabel import relabel
 
@@ -50,9 +51,10 @@ def test_k3_pattern_grouping():
         "direct", "direct", "alpha", "alpha", "gamma", "gamma"]
     # pattern 5 selects S1: a5+b2, S2: c2, S3: b2+c2
     sel = s.patterns[4]
-    assert s.queries[1][sel.selections[1]].terms == ((0, 5, 1), (1, 2, 1))
-    assert s.queries[2][sel.selections[2]].terms == ((2, 2, 1),)
-    assert s.queries[3][sel.selections[3]].terms == ((1, 2, 1), (2, 2, 1))
+    terms = {srv: row_at(s.queries[srv], idx).terms
+             for srv, idx in sel.selections.items()}
+    assert terms == {1: ((0, 5, 1), (1, 2, 1)), 2: ((2, 2, 1),),
+                     3: ((1, 2, 1), (2, 2, 1))}
 
 
 # ============================================================
@@ -94,7 +96,8 @@ def test_k4_measured_rate(k4):
 def _pattern_terms(s, t):
     p = s.patterns[t - 1]
     assert p.target == t
-    return {srv: s.queries[srv][idx].terms for srv, idx in p.selections.items()}
+    return {srv: row_at(s.queries[srv], idx).terms
+            for srv, idx in p.selections.items()}
 
 
 def test_k4_subscript_anchors(k4):
@@ -130,7 +133,7 @@ def test_k4_every_theta_builds_and_verifies():
         via = {t1: 0, t2: 0}
         for p in s.patterns:
             holder = [srv for srv, idx in p.selections.items()
-                      if any(t[0] == theta for t in s.queries[srv][idx].terms)]
+                      if theta in row_at(s.queries[srv], idx).files]
             assert len(holder) == 1
             via[holder[0]] += 1
         assert via[t1] == via[t2] == 42
@@ -226,7 +229,7 @@ def test_verify_needs_targets_one_to_l():
     # K3, theta = 0: S2 row 0 is the direct request a2; asking it for a1
     # gives two patterns with target 1 and none with target 2
     s = build_scheme(3)
-    assert s.queries[2][0].terms == ((0, 2, 1),)
+    assert row_at(s.queries[2], 0).terms == ((0, 2, 1),)
     report = _verify_rejects(_with_row(s, 2, 0, ((0, 1, 1),)),
                              "condition 3: ")
     assert report.violations[0] == (
@@ -238,7 +241,7 @@ def test_verify_needs_even_endpoint_split():
     # K3, theta = 0: S1 row 0 is the direct request a1; ask S1 for b1
     # instead, so S1 keeps 2 desired rows against S2's 3
     s = build_scheme(3)
-    assert s.queries[1][0].terms == ((0, 1, 1),)
+    assert row_at(s.queries[1], 0).terms == ((0, 1, 1),)
     _verify_rejects(_with_row(s, 1, 0, ((1, 1, 1),)),
                     "desired rows split {1: 2, 2: 3}, expected 3 per endpoint")
 
@@ -268,7 +271,7 @@ def test_verify_rejects_desired_term_off_the_endpoints():
     # K3, theta = 0 lives on S1 and S2; S3 cannot answer it, and the
     # independence analysis says so as a condition-2 violation
     s = build_scheme(3)
-    f, sub, sign = s.queries[3][0].terms[0]
+    f, sub, sign = row_at(s.queries[3], 0).terms[0]
     _verify_rejects(_with_row(s, 3, 0, ((0, 1, 1), (f, sub, sign))),
                     "condition 2: server 3 asked for file 0")
 

@@ -184,6 +184,13 @@ def _swapped_k3():
 
 
 _WRITERS = {"v1": v1_document, "v2": v2_document}
+_V1_LINE = ("error: scheme document holds the v1 layout, an array of rows "
+            "per server; pirlab reads pirlab/build/v2 columns")
+
+
+def _stored_line(stored):
+    return (f"error: scheme document stores {stored}; a pirlab/build/v2 "
+            f"document holds its rows alone")
 
 
 @pytest.mark.parametrize("layout", ["v1", "v2"])
@@ -191,16 +198,19 @@ _WRITERS = {"v1": v1_document, "v2": v2_document}
 def test_stored_patterns_must_follow_from_the_rows(capsys, tmp_path, command,
                                                    layout):
     # the document stores the patterns of the rows before the swap, which
-    # point at the wrong rows
+    # point at the wrong rows; no stored copy is read, so the document is
+    # refused by its layout, as one whose patterns follow is
     scheme, swapped = _swapped_k3()
     write = _WRITERS[layout]
     path = tmp_path / "k3.json"
-    path.write_text(canonical_json(
-        {**write(scheme), "queries": write(swapped)["queries"]}))
-    rc, out, err = run_cli(capsys, command, "--scheme", str(path))
-    assert (rc, out) == (2, "")
-    assert _one_line_error(err) == \
-        "error: patterns do not follow from the rows"
+    for doc in ({**write(scheme), "queries": write(swapped)["queries"]},
+                write(swapped)):
+        path.write_text(canonical_json(doc))
+        rc, out, err = run_cli(capsys, command, "--scheme", str(path))
+        assert (rc, out) == (2, "")
+        assert _one_line_error(err) == (
+            _V1_LINE if layout == "v1"
+            else _stored_line("patterns and side_info"))
 
 
 @pytest.mark.parametrize("layout", ["v1", "v2"])
@@ -208,17 +218,21 @@ def test_stored_patterns_must_follow_from_the_rows(capsys, tmp_path, command,
 def test_stored_side_info_must_follow_from_the_rows(capsys, tmp_path, command,
                                                     layout):
     # K3 has no side information; a document that names row 0 of server 1
-    # as side information is refused, with or without stored patterns
+    # as side information is refused, with or without stored patterns, and
+    # so is one that stores the empty side information the rows give
     doc = _WRITERS[layout](build_scheme(3, 0))
-    doc["side_info"] = {"server": [1], "index": [0]} if layout == "v2" \
-        else [{"server": 1, "index": 0}]
     path = tmp_path / "k3.json"
-    for stored in (doc, {k: v for k, v in doc.items() if k != "patterns"}):
-        path.write_text(canonical_json(stored))
-        rc, out, err = run_cli(capsys, command, "--scheme", str(path))
-        assert (rc, out) == (2, "")
-        assert _one_line_error(err) == \
-            "error: patterns do not follow from the rows"
+    for side_info in (doc["side_info"], {"server": [1], "index": [0]}
+                      if layout == "v2" else [{"server": 1, "index": 0}]):
+        doc["side_info"] = side_info
+        for stored, names in ((doc, "patterns and side_info"), (
+                {k: v for k, v in doc.items() if k != "patterns"},
+                "side_info")):
+            path.write_text(canonical_json(stored))
+            rc, out, err = run_cli(capsys, command, "--scheme", str(path))
+            assert (rc, out) == (2, "")
+            assert _one_line_error(err) == (
+                _V1_LINE if layout == "v1" else _stored_line(names))
 
 
 def test_new_rows_drop_the_stored_patterns(capsys, tmp_path):
@@ -300,6 +314,26 @@ def test_condition_3_line_stays_short_at_k6(capsys, tmp_path):
         "error: scheme rows are not independent: [3] desired subfiles must "
         "appear exactly once each: missing [3025, 3026, 3027, ... 42336 in "
         "all], repeated or out of range []")
+
+
+def test_dependent_k6_line_stays_short(capsys, tmp_path):
+    # every subfile at server 2 set to 1 breaks 695 conditions, 693 of
+    # them condition 4: the line names the first and a count per condition
+    doc = build_scheme(6, 0).to_json()
+    cols = doc["queries"]["2"]
+    cols["subfile"] = [1] * len(cols["subfile"])
+    path = tmp_path / "k6.json"
+    path.write_text(canonical_json(doc))
+    for command in ("extract", "transform", "simulate"):
+        rc, out, err = run_cli(capsys, command, "--scheme", str(path))
+        assert (rc, out) == (3, ""), command
+        line = _one_line_error(err)
+        assert len(line.encode()) < 300, command
+        assert line == (
+            "error: scheme rows are not independent: [2] subfile symbols "
+            "[(0, 1), (5, 1), (6, 1), (7, 1), (8, 1)] repeat at server 2; "
+            "... 695 in all: 1 of condition 2, 1 of condition 3, 693 of "
+            "condition 4")
 
 
 def test_extract_rejects_dependent_scheme(capsys):
@@ -447,7 +481,11 @@ def _shadow_k3_scheme(doc):
     """Replace the transform `doc` by the K3 scheme with shadowed rows."""
     doc.clear()
     doc.update(load_json("k3_scheme.json"))
-    _shadow(doc["queries"], [{"terms": []}])
+    _shadow(doc["queries"], _NO_ROWS)
+
+
+# an empty block of v2 columns
+_NO_ROWS = {"file": [], "subfile": [], "sign": [], "ends": []}
 
 
 def _one_line_error(err):
@@ -553,8 +591,8 @@ def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
 @pytest.mark.parametrize("command,edit,message", [
     ("extract", lambda doc: doc.update(theta="x"),
      "error: theta must be an integer, got 'x'"),
-    ("extract", lambda doc: doc["queries"]["1"][0].update(terms=[[0, 1]]),
-     "error: term [0, 1] is not [file, subfile, sign]"),
+    ("extract", lambda doc: doc["queries"]["1"]["sign"].__setitem__(0, 2),
+     "error: bad sign in term (0, 1, 2)"),
     ("simulate", lambda doc: doc.update(theta="x"),
      "error: theta must be an integer, got 'x'"),
     ("simulate", lambda doc: doc["rows"][0]["q"].update({"1": [[0]]}),
@@ -571,11 +609,12 @@ def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
      "error: theta must be an integer, got True"),
     ("extract", lambda doc: doc.update(L=2.9),
      "error: L must be an integer, got 2.9"),
+    # stored patterns are refused before they are read
     ("extract", lambda doc: doc.update(
         patterns=[{"target": 0, "selections": {"1": 0.2}}]),
-     "error: pattern selection must be an integer, got 0.2"),
-    ("extract", lambda doc: doc["queries"]["1"][0]["terms"][0].__setitem__(
-        0, True), "error: bad file id in term (True, 1, 1)"),
+     _stored_line("patterns")),
+    ("extract", lambda doc: doc["queries"]["1"]["file"].__setitem__(0, True),
+     "error: bad file id in term (True, 1, 1)"),
     ("simulate", lambda doc: doc["rows"][0]["q"].update({"1": [[0.4, 1]]}),
      "error: combo file must be an integer, got 0.4"),
     ("simulate", lambda doc: doc.update(theta=0.9),
@@ -598,18 +637,17 @@ def test_simulate_all_idle_scheme(capsys, tmp_path, trials, message):
      "attribute 'items'"),
     ("extract", lambda doc: doc.update(
         patterns=[{"target": 7, "selections": {}}]),
-     "error: patterns do not follow from the rows"),
+     _stored_line("patterns")),
     # exact probabilities: a float or bool p is refused, though these sum to 1
     ("simulate", lambda doc: _two_rows(doc, 0.5, 0.5),
      "error: p must be a fraction string or an integer, got 0.5"),
     ("simulate", lambda doc: _two_rows(doc, True, 0),
      "error: p must be a fraction string or an integer, got True"),
-    # a pattern's class is not read, but its target and selections differ
     ("extract", lambda doc: doc.update(
         patterns=[{"target": 1, "selections": {}, "class": [1]}]),
-     "error: patterns do not follow from the rows"),
+     _stored_line("patterns")),
     # a second spelling of a server key never replaces the first
-    ("extract", lambda doc: _shadow(doc["queries"], [{"terms": []}]),
+    ("extract", lambda doc: _shadow(doc["queries"], _NO_ROWS),
      "error: server key '01' is not a plain decimal"),
     ("simulate", _shadow_k3_scheme,
      "error: server key '01' is not a plain decimal"),
@@ -653,7 +691,7 @@ def test_document_must_be_an_object(capsys, tmp_path, argv, text, kind):
 
 def test_simulate_rejects_subfile_beyond_l(capsys, tmp_path):
     path, doc = tmp_path / "k3.json", load_json("k3_scheme.json")
-    doc["queries"]["1"][0]["terms"][0][1] = 7
+    doc["queries"]["1"]["subfile"][0] = 7
     path.write_text(json.dumps(doc))
     rc, out, err = run_cli(capsys, "simulate", "--scheme", str(path))
     assert rc == 2

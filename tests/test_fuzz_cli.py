@@ -1,26 +1,28 @@
 """Mutation fuzz of the command line's input boundary.
 
-Hypothesis takes a valid K3 scheme (in the v2 column layout and in the v1
-layout of one object per row, each with its patterns and side information
-stored), K3 transform or graph document, swaps one value at a random path
-for a value of another kind (or deletes a key) and runs a command that
-reads the document, in process.  Whatever the mutation, `main` returns 0,
-2, 3 or 4, raises nothing, and a non-zero exit prints exactly one `error:`
-line after the schema line.  A mutation that puts a non-integer where the
-document held an integer makes the document malformed: it exits 2, never
-with an "ok".  A pattern's `step` and `class` are not read, so a mutation
-there need not.
+Hypothesis takes a valid K3 scheme (the `pirlab/build/v2` rows that
+`build` writes, the v1 layout of one object per row and the v2 columns
+with patterns and side information stored), K3 transform or graph
+document, swaps one value at a random path for a value of another kind
+(or deletes a key) and runs a command that reads the document, in
+process.  Whatever the mutation, `main` returns 0, 2, 3 or 4, raises
+nothing, and a non-zero exit prints exactly one `error:` line after the
+schema line.  A mutation that puts a non-integer where the document held
+an integer makes the document malformed: it exits 2, never with an
+"ok".  The v1 and the annotated documents are refused whatever the
+mutation: it exits 2.  No line of stderr is longer than 512 bytes.
 
 A meaning oracle keeps the types but breaks the scheme: in a K3 or K4
-scheme document, a term gets another subfile in 1..L or another file its
-server stores, or two rows at a server swap places.  `simulate`,
-`extract` and `transform` then exit 0, 2 or 3, and print `"ok":true` only
-if `analyze` accepts the mutated scheme, read from either layout.
+scheme, a term gets another subfile in 1..L or another file its server
+stores, or two rows at a server swap places.  `simulate`, `extract` and
+`transform` then exit 0, 2 or 3 on the v2 document of those rows, and
+print `"ok":true` only if `analyze` accepts them; the v1 document of the
+same rows exits 2.
 
 Targeted mutations of the v2 columns (columns of unequal length, row ends
-that fall or end off the columns, a bool, float or negative entry, a
-selection column of the wrong length, one pattern selection edited) exit 2
-from all three commands with one line.
+that fall or end off the columns, a bool, float or negative entry) exit 2
+from all three commands with one line; so does any edit of the stored
+pattern and side-information columns, which are refused unread.
 
 A last test fuzzes the flags instead: it draws a subcommand, one of its
 numeric flags set to 0, -3, 1, nan or a value too large for it, and for
@@ -48,22 +50,26 @@ from pirlab.scheme import DeterministicScheme
 from pirlab.sequences import BOUNDS_CAP, BUILDER_CAP
 from pirlab.transform import transform
 
-from reference_scheme import v1_document, v2_document
+from reference_scheme import v1_document, v1_rows_as_columns, v2_document
 
 _SCHEME = build_scheme(3, 0)
 # read back from their text, as the CLI reads them: `_mutate` descends
 # into lists and dicts only
 _DOCS = {kind: json.loads(canonical_json(doc)) for kind, doc in (
-    ("scheme", v1_document(_SCHEME)),
-    ("scheme_v2", v2_document(_SCHEME)),
+    ("scheme", _SCHEME.to_json()),
+    ("scheme_v1", v1_document(_SCHEME)),
+    ("scheme_annotated", v2_document(_SCHEME)),
     ("transform", transform(_SCHEME).to_json()),
     ("graph", make_graph("complete", [3]).to_json()))}
+# the documents pirlab no longer reads
+_REFUSED = {"scheme_v1", "scheme_annotated"}
 _SCHEME_COMMANDS = [["extract", "--scheme", "{path}"],
                     ["transform", "--scheme", "{path}"],
                     ["simulate", "--scheme", "{path}", "--seed", "1"]]
 _COMMANDS = {
     "scheme": _SCHEME_COMMANDS,
-    "scheme_v2": _SCHEME_COMMANDS,
+    "scheme_v1": _SCHEME_COMMANDS,
+    "scheme_annotated": _SCHEME_COMMANDS,
     "transform": [["simulate", "--scheme", "{path}", "--seed", "1"],
                   ["simulate", "--scheme", "{path}", "--seed", "1",
                    "--trials", "20"]],
@@ -95,17 +101,30 @@ def _mutate(doc, data):
     return doc, path, node, value
 
 
-def _malformed(path, old, new):
-    """Whether replacing `old` by `new` at `path` must make the document
-    malformed; a pattern's step and class are not read."""
-    if new is _DELETE or "step" in path or "class" in path:
-        return False
-    return type(old) is int and type(new) is not int
+def _malformed(old, new):
+    """Whether replacing `old` by `new` must make the document malformed."""
+    return new is not _DELETE and type(old) is int and type(new) is not int
+
+
+def _run(argv):
+    """`main(argv)` in process: its exit code, stdout and stderr lines,
+    each line held to 512 bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refuses "nan" for an int flag
+            rc = exc.code
+    lines = err.getvalue().splitlines()
+    assert all(len(line.encode()) <= 512 for line in lines), lines
+    return rc, out.getvalue(), lines
 
 
 def test_fuzzed_term_arrays_are_lists():
-    # _mutate walks dicts and lists only, so terms must be lists to be hit
-    assert type(_DOCS["scheme"]["queries"]["1"][0]["terms"][0]) is list
+    # _mutate walks dicts and lists only, so terms and columns must be
+    # lists to be hit
+    assert type(_DOCS["scheme_v1"]["queries"]["1"][0]["terms"][0]) is list
+    assert type(_DOCS["scheme"]["queries"]["1"]["file"]) is list
 
 
 @settings(max_examples=600, deadline=None,
@@ -117,22 +136,20 @@ def test_mutated_documents_exit_cleanly(tmp_path, data):
     path = tmp_path / "doc.json"
     doc, path_in_doc, old, new = _mutate(_DOCS[kind], data)
     path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main([a.format(path=path) for a in argv])
+    rc, out, lines = _run([a.format(path=path) for a in argv])
     assert rc in (0, 2, 3, 4)
-    lines = err.getvalue().splitlines()
     if rc:
         assert len(lines) == 2 and lines[1].startswith("error: "), lines
-        assert out.getvalue() == ""
-    if _malformed(path_in_doc, old, new):
+        assert out == ""
+    if kind in _REFUSED or _malformed(old, new):
         assert rc == 2, (path_in_doc, old, new)
-        assert '"ok":true' not in out.getvalue()
+        assert '"ok":true' not in out
 
 
 def _meaning_mutation(doc, rng):
-    """`doc` with one term given another subfile in 1..L or another file
-    its server stores, or with two rows at one server swapped."""
+    """The v1 document `doc` with one term given another subfile in 1..L
+    or another file its server stores, or with two rows at one server
+    swapped."""
     doc = copy.deepcopy(doc)
     srv = rng.choice(sorted(doc["queries"]))
     rows = doc["queries"][srv]
@@ -160,15 +177,6 @@ def _analysis_accepts(doc):
     return analyze(scheme)[0].ok
 
 
-def _layouts(doc):
-    """`doc`, and its v2 rendering when it loads."""
-    try:
-        scheme = DeterministicScheme.from_json(doc)
-    except ParameterError:
-        return [doc]
-    return [doc, json.loads(canonical_json(scheme.to_json()))]
-
-
 @pytest.mark.parametrize("n,count", [(3, 100), (4, 40)])
 def test_mutated_schemes_pass_only_if_analysis_accepts(tmp_path, n, count):
     base = json.loads(canonical_json(v1_document(build_scheme(n, 0))))
@@ -176,17 +184,14 @@ def test_mutated_schemes_pass_only_if_analysis_accepts(tmp_path, n, count):
     path = tmp_path / "doc.json"
     for _ in range(count):
         mutated = _meaning_mutation(base, rng)
-        accepted = _analysis_accepts(mutated)
-        for doc in _layouts(mutated):
+        columns = v1_rows_as_columns(mutated)
+        accepted = _analysis_accepts(columns)
+        for doc, refused in ((mutated, True), (columns, False)):
             path.write_text(json.dumps(doc))
             for argv in _SCHEME_COMMANDS:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    rc = main([a.format(path=path) for a in argv])
-                assert rc in (0, 2, 3), (argv, doc)
-                assert accepted or '"ok":true' not in out.getvalue(), \
-                    (argv, doc)
+                rc, out, _lines = _run([a.format(path=path) for a in argv])
+                assert rc in ((2,) if refused else (0, 2, 3)), (argv, doc)
+                assert accepted or '"ok":true' not in out, (argv, doc)
 
 
 # ============================================================
@@ -214,14 +219,6 @@ def _unequal_columns(doc, data):
             f"entries, not {len(cols['file'])}")
 
 
-def _unequal_side_info(doc, data):
-    name = data.draw(st.sampled_from(["server", "index"]), label="column")
-    doc["side_info"][name].append(1)
-    side = doc["side_info"]
-    return (f"the side_info index column has {len(side['index'])} entries, "
-            f"not {len(side['server'])}")
-
-
 def _falling_ends(doc, data):
     srv, cols = _server(doc, data)
     i = data.draw(st.integers(0, len(cols["ends"]) - 2), label="row")
@@ -245,73 +242,39 @@ def _bad_entry(doc, data):
     """A bool, a float or a negative number in an integer column."""
     kind = data.draw(st.sampled_from(["bool", "float", "negative"]),
                      label="kind")
-    where = data.draw(st.sampled_from(
-        ["file", "subfile", "sign", "ends", "target", "selections",
-         "side_info server", "side_info index"]), label="where")
-
-    def bad(old):
-        return {"bool": True, "float": float(old),
-                "negative": -2 if where == "sign" else -1}[kind]
-
-    if where in ("file", "subfile", "sign", "ends"):
-        srv, cols = _server(doc, data)
-        i = data.draw(st.integers(0, len(cols[where]) - 1), label="entry")
-        cols[where][i] = new = bad(cols[where][i])
-        if where == "ends":
-            return _ends_message(srv, cols) if kind == "negative" \
-                else f"row end must be an integer, got {new!r}"
-        term = tuple(cols[name][i] for name in ("file", "subfile", "sign"))
-        what = {"file": "file id", "subfile": "subfile index",
-                "sign": "sign"}[where]
-        return f"bad {what} in term {term}"
-    # a negative target, selection or side-information entry is an
-    # integer, but not one the rows give
-    differs = "patterns do not follow from the rows"
-    pats = doc["patterns"]
-    if where == "target":
-        i = data.draw(st.integers(0, len(pats["target"]) - 1), label="entry")
-        pats["target"][i] = new = bad(pats["target"][i])
-        return differs if kind == "negative" \
-            else f"pattern target must be an integer, got {new!r}"
-    if where == "selections":
-        srv = data.draw(st.sampled_from(sorted(pats["selections"])),
-                        label="server")
-        column = pats["selections"][srv]
-        i = data.draw(st.integers(0, len(column) - 1), label="entry")
-        column[i] = new = bad(column[i] if column[i] is not None else 0)
-        return differs if kind == "negative" \
-            else f"pattern selection must be an integer, got {new!r}"
-    side = doc["side_info"]
-    side["server"].append(1)
-    side["index"].append(0)
-    name = where.split()[1]
-    side[name][-1] = new = bad(side[name][-1])
-    return differs if kind == "negative" \
-        else f"side info {name} must be an integer, got {new!r}"
+    where = data.draw(st.sampled_from(["file", "subfile", "sign", "ends"]),
+                      label="where")
+    srv, cols = _server(doc, data)
+    i = data.draw(st.integers(0, len(cols[where]) - 1), label="entry")
+    old = cols[where][i]
+    cols[where][i] = new = {"bool": True, "float": float(old),
+                            "negative": -2 if where == "sign" else -1}[kind]
+    if where == "ends":
+        return _ends_message(srv, cols) if kind == "negative" \
+            else f"row end must be an integer, got {new!r}"
+    term = tuple(cols[name][i] for name in ("file", "subfile", "sign"))
+    what = {"file": "file id", "subfile": "subfile index",
+            "sign": "sign"}[where]
+    return f"bad {what} in term {term}"
 
 
-def _selection_column_length(doc, data):
-    pats = doc["patterns"]
-    srv = data.draw(st.sampled_from(sorted(pats["selections"])),
-                    label="server")
-    column = pats["selections"][srv]
-    column.append(None) if data.draw(st.booleans(), label="longer") \
-        else column.pop()
-    return (f"the selections column of server {srv} has {len(column)} "
-            f"entries, not {len(pats['target'])}")
-
-
-def _selection_edited(doc, data):
-    pats = doc["patterns"]
-    srv = data.draw(st.sampled_from(sorted(pats["selections"])),
-                    label="server")
-    column = pats["selections"][srv]
-    i = data.draw(st.integers(0, len(column) - 1), label="entry")
-    rows = len(doc["queries"][srv]["ends"])
-    column[i] = data.draw(st.sampled_from(
-        [idx for idx in [None, *range(rows)] if idx != column[i]]),
-        label="row")
-    return "patterns do not follow from the rows"
+def _annotation_edited(doc, data):
+    """An entry of a stored pattern or side-information column set to a
+    bool, a float, a negative number, null or another row, or a column made
+    longer: the document stores them, so it is refused unread."""
+    columns = [doc["patterns"]["target"],
+               *doc["patterns"]["selections"].values(),
+               doc["side_info"]["server"], doc["side_info"]["index"]]
+    column = data.draw(st.sampled_from(columns), label="column")
+    value = data.draw(st.sampled_from([True, 0.5, -1, None, 0, 1, 2, 3]),
+                      label="value")
+    if column and data.draw(st.booleans(), label="in place"):
+        column[data.draw(st.integers(0, len(column) - 1),
+                         label="entry")] = value
+    else:
+        column.append(value)
+    return ("scheme document stores patterns and side_info; a "
+            "pirlab/build/v2 document holds its rows alone")
 
 
 @settings(max_examples=150, deadline=None,
@@ -319,21 +282,17 @@ def _selection_edited(doc, data):
 @given(data=st.data())
 def test_v2_column_mutations_exit_2(tmp_path, data):
     mutation = data.draw(st.sampled_from([
-        _unequal_columns, _unequal_side_info, _falling_ends,
-        _ends_off_the_columns, _bad_entry, _selection_column_length,
-        _selection_edited]), label="mutation")
-    doc = copy.deepcopy(_DOCS["scheme_v2"])
+        _unequal_columns, _falling_ends, _ends_off_the_columns, _bad_entry,
+        _annotation_edited]), label="mutation")
+    doc = copy.deepcopy(_DOCS["scheme_annotated" if mutation is
+                              _annotation_edited else "scheme"])
     message = mutation(doc, data)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     for argv in _SCHEME_COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([a.format(path=path) for a in argv])
-        assert (rc, out.getvalue()) == (2, ""), (argv, message)
-        assert "Traceback" not in err.getvalue()
-        assert err.getvalue().splitlines()[1:] == [f"error: {message}"], \
-            argv
+        rc, out, lines = _run([a.format(path=path) for a in argv])
+        assert (rc, out) == (2, ""), (argv, message)
+        assert lines[1:] == [f"error: {message}"], argv
 
 
 # per subcommand: its argv, and each numeric flag with a value too large
@@ -373,17 +332,12 @@ def test_flag_values_exit_cleanly(tmp_path, data):
     fields = {"doc": path,
               "family": data.draw(st.sampled_from(_FAMILIES), label="family"),
               "mode": data.draw(st.sampled_from(_MODES), label="mode")}
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main([a.format(**fields) for a in argv] + [flag, value])
-        except SystemExit as exc:  # argparse refuses "nan" for an int flag
-            rc = exc.code
+    rc, out, lines = _run([a.format(**fields) for a in argv] + [flag, value])
     assert rc in (0, 2, 3)
-    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
-    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
-    if rc and not out.getvalue():
-        assert len(errors) == 1, err.getvalue()
+    assert "NaN" not in out and "Infinity" not in out
+    errors = [line for line in lines if "error:" in line]
+    if rc and not out:
+        assert len(errors) == 1, lines
     else:  # a document; exit code 3 marks an audit that reports a breach
-        assert not errors, err.getvalue()
-        assert rc == 0 or '"ok":false' in out.getvalue()
+        assert not errors, lines
+        assert rc == 0 or '"ok":false' in out

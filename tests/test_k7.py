@@ -21,7 +21,8 @@ pytestmark = pytest.mark.slow
 # sha256 of `_digest`'s text: the rows, each pattern's target and sorted
 # selections, and the side information.  Recorded with the builder that
 # stored its patterns, whose stored copy gives the same text as the
-# analysis of the rows.
+# analysis of the rows, and while a row block's repr was the tuple of its
+# Summations, the text `_rows_text` gives.
 K7_THETA0_SHA256 = \
     "70baa91d55acd697741afbc9be563e82a7563542936e3e4a9f99f4d6b1856734"
 
@@ -36,15 +37,22 @@ def k7_prob(k7):
     return transform(k7)
 
 
-def _sha256(value):
-    return hashlib.sha256(repr(value).encode()).hexdigest()
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _rows_text(scheme):
+    """The repr of the list of (server, its rows as a tuple of Summations)
+    in server order, made one server at a time."""
+    return "[" + ", ".join(f"({srv}, {tuple(rows)!r})" for srv, rows
+                           in sorted(scheme.queries.items())) + "]"
 
 
 def _digest(scheme):
     patterns = [(p.target, sorted(p.selections.items()))
                 for p in scheme.patterns]
-    return _sha256((sorted(scheme.queries.items()), patterns,
-                    scheme.side_info))
+    return _sha256(f"({_rows_text(scheme)}, {patterns!r}, "
+                   f"{scheme.side_info!r})")
 
 
 def test_k7_build_pinned(k7):
@@ -58,10 +66,10 @@ def test_k7_theta_is_theta_zero_relabeled(k7):
     # order, which give the patterns and the side information, so neither
     # scheme is analyzed.  Each scheme is dropped once digested, so at most
     # two K7 schemes are alive.
-    relabeled = _sha256(sorted(relabel(k7, 11).queries.items()))
+    relabeled = _sha256(_rows_text(relabel(k7, 11)))
     built = build_scheme(7, 11)
     assert built.graph.endpoints(11) == (3, 4)
-    assert _sha256(sorted(built.queries.items())) == relabeled
+    assert _sha256(_rows_text(built)) == relabeled
 
 
 def test_k7_verifies(k7):

@@ -1,7 +1,5 @@
 """Pattern extraction, independence checking, and the source-symmetry report."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,15 +10,15 @@ from pirlab.patterns import (
     check_srp,
     extract_patterns,
 )
-from pirlab.scheme import DeterministicScheme, Summation
+from pirlab.scheme import Summation
 
-from conftest import load_json
+from conftest import load_scheme, row_at
 
 
 def _pattern_sets(scheme, patterns):
     out = set()
     for p in patterns:
-        out.add(frozenset((srv, scheme.queries[srv][idx].terms)
+        out.add(frozenset((srv, row_at(scheme.queries[srv], idx).terms)
                           for srv, idx in p.selections.items()))
     return out
 
@@ -48,7 +46,7 @@ def test_k3_extraction(k3_scheme):
         6: {2: ((0, 6, 1), (2, 3, 1)), 1: ((1, 3, 1),),
             3: ((1, 3, 1), (2, 3, 1))},
     }
-    got = {p.target: {srv: k3_scheme.queries[srv][idx].terms
+    got = {p.target: {srv: row_at(k3_scheme.queries[srv], idx).terms
                       for srv, idx in p.selections.items()}
            for p in ex.patterns}
     assert got == expected
@@ -71,7 +69,8 @@ def test_star_extraction(star4_scheme):
     assert len(ex.side_info) == 1
     srv, idx = ex.side_info[0]
     assert srv == 1
-    assert star4_scheme.queries[1][idx].terms == ((1, 3, 1), (2, 3, 1), (3, 3, 1))
+    assert row_at(star4_scheme.queries[1], idx).terms == \
+        ((1, 3, 1), (2, 3, 1), (3, 3, 1))
     # targets 1..3 recovered through the center, 4..5 directly
     by_target = {p.target: sorted(p.selections) for p in ex.patterns}
     assert by_target == {1: [1, 3, 4], 2: [1, 3, 5], 3: [1, 4, 5],
@@ -91,10 +90,11 @@ def test_star_srp_fails(star4_scheme):
 def _mutate(fixture_name, server, index, new_terms, *more):
     """Load a fixture with row `index` at `server` replaced; `more` holds
     further (server, index, new_terms) edits."""
-    doc = load_json(fixture_name)
+    scheme = load_scheme(fixture_name)
+    queries = {srv: list(rows) for srv, rows in scheme.queries.items()}
     for srv, idx, terms in ((server, index, new_terms),) + more:
-        doc["queries"][str(srv)][idx]["terms"] = terms
-    return DeterministicScheme.from_json(doc)
+        queries[srv][idx] = Summation(terms)
+    return scheme.replace(queries=queries)
 
 
 def test_condition2_duplicate_subfile_at_server():

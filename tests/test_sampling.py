@@ -9,7 +9,10 @@ state.  The digests pin CLI stdout as produced by the direct forms
 (re-rendered with json.dumps(indent=2), the form it was recorded in); the
 K4 `simulate` pins of that time read a per-pattern transform document
 (`reference_transform`), and SIMULATE_K4_MERGED_SHA256 pins the same runs
-on today's merged one.
+on today's merged one.  Both K4 `simulate` pins were first recorded on
+transforms of v1 build documents; the transform document carries the
+scheme document's digest, so they were recorded again on transforms of
+the rows-only `build` output, before the v1 reader was removed.
 """
 
 import dataclasses
@@ -40,7 +43,6 @@ from reference_general import (
     reference_sample_trials,
     reference_statistical_audit,
 )
-from reference_scheme import v1_build_text
 from reference_transform import reference_transform
 
 # the graph mix of the benchmark's statistical audits
@@ -345,17 +347,17 @@ DISTRIBUTIONAL_STAR6_Q257_SHA256 = \
     "9467639ed14fb483d095157df2e963769592b04a0c1be23f4ce53c13031c8d96"
 SIMULATE_K4_SHA256 = {
     (0, "0"):
-        "ae7bb44b64d98bd0881527f9378c1b856eadcb63493de2180da6392a013ad0e6",
+        "1734387b1c85f44b800f2707c88dbca2289c44a74d0283ca2859c4a9d6c01570",
     (4, "9"):
-        "c173118070627b2138a9a822c2705c72590fe7faee61026352b04f23911c73d9",
+        "8e03ebd4933b8bb0b2b4ae71c4100abfb4f7836f5a513f3f995af2bf0989113a",
 }
 
 # the same runs on the merged transform document, as written
 SIMULATE_K4_MERGED_SHA256 = {
     (0, "0"):
-        "39041c1c556482d3650b7b2b6c225b5d2dcde90854244e0d96110d4bfa486e8e",
+        "3607aac70a97ff6d91dfd435b3e1780e033c29c0db6058dca4ae7dd3f93aa80f",
     (4, "9"):
-        "a5645b99c5789c7549dd2d8d79cfa1794373eac15bbe3782cee96ac18012945e",
+        "0023df17d773fbe645889318465d557e865f065556ef33c25116ff0361b62740",
 }
 
 
@@ -381,9 +383,9 @@ def test_distributional_audit_bytes_unchanged(capsys):
 
 
 def _simulate_k4(capsys, tmp_path, theta, seed):
-    # the pins were recorded on transforms of v1 build documents
     det, prob = tmp_path / "k4.json", tmp_path / "k4_prob.json"
-    det.write_text(v1_build_text(4, theta))
+    assert cli.main(["build", "--n", "4", "--theta", str(theta),
+                     "--out", str(det)]) == 0
     assert cli.main(["transform", "--scheme", str(det),
                      "--out", str(prob)]) == 0
     capsys.readouterr()

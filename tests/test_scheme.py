@@ -1,5 +1,6 @@
-"""Scheme data model: term validation, both deterministic document
-layouts, and probabilistic row checks."""
+"""Scheme data model: term validation, the deterministic document (v2
+columns read, the v1 layout and stored annotations refused), and
+probabilistic row checks."""
 
 import dataclasses
 import json
@@ -23,7 +24,7 @@ from pirlab.scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
 from pirlab.transform import transform
 
 from conftest import load_json
-from reference_scheme import v1_document
+from reference_scheme import v1_document, v1_rows_as_columns, v2_document
 from relabel import relabel
 
 
@@ -110,12 +111,10 @@ def _k3_doc(queries):
 @example([[(5, 1, 1)], [(0, 0, 1), (1.5, 1, 1)]])
 @example([[(0, 1, 1), (0, 1)]])
 def test_block_and_summation_share_one_term_check(rows):
-    # the v1 rows and, when every term has three entries, the v2 columns of
-    # the same rows read as the rows through Summation do: the same terms
-    # in order, or the same first refusal
+    # when every term has three entries, the v2 columns of the rows read as
+    # the rows through Summation do: the same terms in order, or the same
+    # first refusal
     want = _per_row(rows)
-    v1 = _k3_doc([{"terms": [list(t) for t in row]} for row in rows])
-    assert _read_rows(v1) == want
     if all(len(t) == 3 for row in rows for t in row):
         terms = [t for row in rows for t in row]
         v2 = _k3_doc({"file": [t[0] for t in terms],
@@ -165,7 +164,7 @@ for argv in (["extract"], ["transform"], ["simulate", "--seed", "1"]):
         [argv[0], "--scheme", path, *argv[1:], "--out", path + ".out"]))
 # the probe sees both ways a Summation is made
 counts["probe"] = count(lambda: (scheme.Summation(((0, 1, 1),)),
-                                 build_scheme(3).queries[1][0]))
+                                 next(iter(build_scheme(3).queries[1]))))
 print(json.dumps(counts))
 """
 
@@ -284,20 +283,54 @@ def test_probabilistic_rows_reject(second, message):
 
 
 # ============================================================
-# deterministic documents: the v2 columns and the v1 rows
+# deterministic documents: the v2 columns, the v1 rows refused
 # ============================================================
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_both_layouts_read_as_the_built_scheme(n):
+    # the v2 document reads as the scheme and writes the same bytes; the
+    # v1 document is refused, and its rows put into columns read as the
+    # scheme too
     for theta in range(n * (n - 1) // 2):
         scheme = build_scheme(n, theta)
-        v1 = canonical_json(v1_document(scheme))
+        v1 = json.loads(canonical_json(v1_document(scheme)))
         v2 = canonical_json(scheme.to_json())
-        from_v1 = DeterministicScheme.from_json(json.loads(v1))
         from_v2 = DeterministicScheme.from_json(json.loads(v2))
-        assert from_v1 == from_v2 == scheme, theta
+        assert from_v2 == scheme, theta
         assert canonical_json(from_v2.to_json()) == v2
-        assert canonical_json(v1_document(from_v1)) == v1
+        with pytest.raises(ParameterError, match="v1 layout"):
+            DeterministicScheme.from_json(v1)
+        assert DeterministicScheme.from_json(v1_rows_as_columns(v1)) == \
+            scheme
+
+
+_V1_LINE = ("scheme document holds the v1 layout, an array of rows per "
+            "server; pirlab reads pirlab/build/v2 columns")
+
+
+def _stored_line(stored):
+    return (f"scheme document stores {stored}; a pirlab/build/v2 document "
+            f"holds its rows alone")
+
+
+def _side_info_only(scheme):
+    doc = v2_document(scheme)
+    del doc["patterns"]
+    return doc
+
+
+@pytest.mark.parametrize("write,message", [
+    (v1_document, _V1_LINE),
+    (v2_document, _stored_line("patterns and side_info")),
+    (_side_info_only, _stored_line("side_info")),
+], ids=["v1", "patterns", "side-info"])
+def test_from_json_refuses_v1_and_stored_annotations(write, message):
+    # stored patterns and side information that do follow from the rows
+    # are refused too: a scheme document is its rows
+    doc = json.loads(canonical_json(write(build_scheme(3, 1))))
+    with pytest.raises(ParameterError) as exc:
+        DeterministicScheme.from_json(doc)
+    assert str(exc.value) == message
 
 
 def test_v2_columns_hold_no_array_per_term_or_row():
@@ -314,12 +347,14 @@ def test_schemes_without_pattern_annotations_round_trip(layout, k3_scheme,
                                                         star4_scheme):
     # schemes build_scheme does not give: the v1 writer stores their
     # extracted patterns without a step or class, to_json stores none, and
-    # either document reads back as the scheme
+    # the rows of either document read back as the scheme
     for scheme in (k3_scheme, star4_scheme):
         doc = json.loads(canonical_json(layout(scheme)))
-        assert DeterministicScheme.from_json(doc) == scheme
         assert all(set(p) == {"target", "selections"}
                    for p in doc.get("patterns", ()))
+        if layout is v1_document:
+            doc = v1_rows_as_columns(doc)
+        assert DeterministicScheme.from_json(doc) == scheme
 
 
 def _k3_prob_doc():

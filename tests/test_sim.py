@@ -23,6 +23,8 @@ from pirlab.sim import (
 )
 from pirlab.transform import transform
 
+from conftest import row_at
+
 
 # ============================================================
 # deterministic trials
@@ -286,7 +288,7 @@ def test_structural_audit_catches_missing_row():
     schemes = {theta: build_scheme(3, theta) for theta in range(3)}
     s = schemes[0]
     bad = dict(s.queries)
-    bad[1] = bad[1][:-1]
+    bad[1] = tuple(bad[1])[:-1]
     schemes[0] = s.replace(queries=bad)
     report = privacy_audit(schemes, mode="structural")
     assert not report.ok
@@ -296,7 +298,7 @@ def test_structural_audit_counts_a_repeated_file():
     # a row summing two subfiles of file 0 differs from one summing one
     schemes = {theta: build_scheme(3, theta) for theta in range(3)}
     s = schemes[0]
-    row = s.queries[1][0]
+    row = row_at(s.queries[1], 0)
     assert row.files == (0,)
     other = row.terms[0][1] % s.L + 1
     schemes[0] = _with_row(s, row.terms + ((0, other, 1),))
