@@ -20,11 +20,10 @@ from .general import (GeneralScheme, answer_distribution, answers,
                       build_general_query, general_rate,
                       random_general_scheme, reconstruct)
 from .graphs import Graph, make_graph, matching_number
-from .patterns import (IndependenceError, analyze, check_independence,
-                       check_srp, extract_patterns)
+from .patterns import (IndependenceError, RecoveryPattern, analyze,
+                       check_independence, check_srp, extract_patterns)
 from .rows import Rows, Summation
-from .scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
-                     RecoveryPattern)
+from .scheme import DeterministicScheme, ProbabilisticScheme, ProbRow
 from .sequences import (answer_count, build_sequences, rate, step_ledger,
                         subpacketization)
 from .sim import (Storage, privacy_audit, random_permutations,

@@ -162,7 +162,8 @@ def _cmd_extract(args):
     scheme, ex, source = _load_scheme(args.scheme)
     srp = check_srp(scheme, ex)
     doc = {
-        "patterns": [p.to_json() for p in ex.patterns],
+        "patterns": [{"target": target, "selections": chosen}
+                     for target, chosen in ex.chosen(name=str)],
         "side_info": [{"server": srv, "index": idx}
                       for srv, idx in ex.side_info],
         "srp": {**{str(srv): cnt for srv, cnt in sorted(srp.counts.items())},

@@ -27,28 +27,36 @@ total count gives its parity there, and desired terms are bucketed by
 component.  `check_independence` and `extract_patterns` are views of that
 one result.
 
+The extraction is integer columns too (`Extraction`), and a
+`RecoveryPattern` is made only for `Extraction.patterns`.
+
 A scheme object is walked once: `analyze` keeps its result on the
 instance, outside the dataclass fields, and serves it again only while
 `scheme.queries` still maps every server to the very row block it walked.
 `replace()` gives a new object with no result kept.
 
 Every list a violation names is cut short by `_listed`, and past as many
-violations `IndependenceError` names the first and a count per condition,
-so a refusal's line does not grow with the scheme; the full report stays
-on the error and on `check_independence`.
+violations, or _CHARS characters, `IndependenceError` names the first and
+a count per condition, so a refusal's line does not grow with the scheme;
+the full report stays on the error and on `check_independence`.
 """
 
+from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import add, and_, eq, not_, sub
 
 from .rows import in_row
-from .scheme import RecoveryPattern, gc_paused
+from .scheme import gc_paused
 
-# a message cuts a list of more than _MOST items short (`_listed`)
+# a message cuts a list of more than _MOST items short (`_listed`); the
+# command line's "error: scheme rows are not independent: " and _CHARS
+# more characters fit in 512 bytes
 _MOST = 12
+_CHARS = 470
 
 
 @dataclass(frozen=True)
@@ -63,10 +71,30 @@ class IndependenceReport:
     violations: tuple
 
 
+@dataclass(frozen=True, slots=True)
+class RecoveryPattern:
+    target: int
+    selections: dict  # server -> row index
+
+
 @dataclass(frozen=True)
 class Extraction:
-    patterns: tuple
+    """`selections[srv][t - 1]` is the row server srv gives in the pattern
+    of target t, or -1; an accepted scheme has one pattern per target 1..L
+    (condition 3).  `side_info` is the (server, index) of each other row."""
+    selections: dict  # server -> array('q') of length L
     side_info: tuple
+
+    @cached_property
+    def patterns(self):
+        """A RecoveryPattern per target, made on the first read."""
+        return tuple(RecoveryPattern(*pair) for pair in self.chosen())
+
+    def chosen(self, name=int):
+        """Each target and its {name(server): row index}, servers in order."""
+        names = list(map(name, self.selections))
+        for target, picks in enumerate(zip(*self.selections.values()), 1):
+            yield target, {k: idx for k, idx in zip(names, picks) if idx >= 0}
 
 
 class IndependenceError(RuntimeError):
@@ -74,12 +102,12 @@ class IndependenceError(RuntimeError):
 
     def __init__(self, report):
         lines = [f"[{v.condition}] {v.detail}" for v in report.violations]
-        if len(lines) > _MOST:  # the first one and a count per condition
+        text = "; ".join(lines)
+        if len(lines) > _MOST or len(lines) > 1 and len(text) > _CHARS:
             counts = Counter(v.condition for v in report.violations)
-            lines[1:] = [f"... {len(lines)} in all: " + ", ".join(
-                f"{c} of condition {k}" for k, c in sorted(counts.items()))]
-        super().__init__("scheme rows are not independent: " +
-                         "; ".join(lines))
+            text = f"{lines[0]}; ... {len(lines)} in all: " + ", ".join(
+                f"{c} of condition {k}" for k, c in sorted(counts.items()))
+        super().__init__("scheme rows are not independent: " + text)
         self.report = report
 
 
@@ -111,18 +139,18 @@ def analyze(scheme):
 
 
 def _walk(scheme):
-    graph, theta = scheme.graph, scheme.theta
+    graph, theta, L = scheme.graph, scheme.theta, scheme.L
     nfiles = len(graph.edges)
     violations = []
-    refs = []           # row id -> (server, index)
+    blocks = []         # (server, its first row id, its number of rows)
     keys = []           # every non-desired symbol key, once per occurrence
     key_rows = []       # the row id of each of those occurrences
     desired = []        # (row id, subfile) for every desired term
 
+    base = 0
     for srv, rows in sorted(scheme.queries.items()):
         files, subs, ends = rows.file, rows.subfile, rows.ends
-        base = len(refs)
-        refs += zip(repeat(srv), range(len(ends)))
+        blocks.append((srv, base, len(ends)))
         stored = set(graph.incident(srv))
         # terms are sorted, so a file twice in a row is there side by side
         if not stored.issuperset(files) or any(in_row(eq, files, ends)):
@@ -144,12 +172,13 @@ def _walk(scheme):
             here, rids = compress(here, linked), compress(rids, linked)
         keys += here
         key_rows += rids
+        base += len(ends)
 
     # union-find over row ids, each row joined to the first row holding a
     # symbol it holds.  A root is its set's min, so parent[x] <= x, and one
     # pass in increasing order then points every row at its root.
     first = dict(zip(reversed(keys), reversed(key_rows)))
-    parent = list(range(len(refs)))
+    parent = list(range(base))
     for a, b in zip(map(first.__getitem__, keys), key_rows):
         if a != b:
             while parent[a] != a:
@@ -165,7 +194,7 @@ def _walk(scheme):
 
     short = rows_short_of_l(scheme)
     theta_subs = Counter(s for _rid, s in desired)
-    expected = set() if short else set(range(1, scheme.L + 1))
+    expected = set() if short else set(range(1, L + 1))
     missing = sorted(expected - set(theta_subs))
     extra = sorted(s for s, c in theta_subs.items()
                    if c > 1 or s not in expected)
@@ -175,9 +204,9 @@ def _walk(scheme):
                f"{_listed(missing)}, repeated or out of range "
                f"{_listed(extra)}"))
 
-    components = {}
-    for root, ref in zip(parent, refs):
-        components.setdefault(root, []).append(ref)
+    # a component with no desired term is side information; one with one
+    # desired subfile left over, no other symbol left over and one row per
+    # server is that subfile's pattern; any other breaks condition 4
     desired_in = defaultdict(list)
     for rid, s in desired:
         desired_in[parent[rid]].append(s)
@@ -185,27 +214,38 @@ def _walk(scheme):
     counts = Counter(keys)
     for key in compress(counts, map(and_, counts.values(), repeat(1))):
         odd_in[parent[first[key]]].append((key % nfiles, key // nfiles))
-
-    patterns = []
-    side_info = []
-    for root, component in components.items():
-        verdict = _classify(component, desired_in.get(root),
-                            odd_in.get(root, []), theta, scheme.L)
-        if verdict[0] == "pattern":
-            patterns.append(RecoveryPattern(target=verdict[1],
-                                            selections=dict(component)))
-        elif verdict[0] == "side":
-            side_info.extend(component)
-        else:
-            violations.append(Violation(4, verdict[1]))
+    target_of = {}
+    for root, subs in desired_in.items():
+        if len(subs) > 1:
+            subs = [s for s, c in Counter(subs).items() if c % 2]
+        if len(subs) == 1 and root not in odd_in:
+            target_of[root] = subs[0]
+    bad = desired_in.keys() - target_of.keys()
+    for _srv, start, size in blocks:  # a server twice in one component
+        bad.update(root for root, c in Counter(parent[start:start + size])
+                   .items() if c > 1 and root in desired_in)
+    components = defaultdict(list)  # a bad one's rows, for its message
+    for srv, start, size in blocks if bad else ():
+        for idx, root in enumerate(parent[start:start + size]):
+            if root in bad:
+                components[root].append((srv, idx))
+    violations += [Violation(4, _why_bad(
+        components[root], desired_in[root], odd_in.get(root, []), theta, L))
+        for root in sorted(bad)]
 
     report = IndependenceReport(ok=not violations,
                                 violations=tuple(violations))
     if not report.ok:
         return report, None
-    patterns.sort(key=lambda p: p.target)
-    return report, Extraction(patterns=tuple(patterns),
-                              side_info=tuple(sorted(side_info)))
+    selections, side_info = {}, []  # a pattern per target (condition 3)
+    for srv, start, size in blocks:
+        column = selections[srv] = array("q", [-1]) * L
+        for idx, root in enumerate(parent[start:start + size]):
+            if root in target_of:
+                column[target_of[root] - 1] = idx
+            else:
+                side_info.append((srv, idx))
+    return report, Extraction(selections, tuple(side_info))
 
 
 def _listed(items, most=_MOST, head=3):
@@ -245,28 +285,20 @@ def _row_violations(srv, rows, stored, graph):
     return out
 
 
-def _classify(component, desired, odd_other, theta, L):
-    """Return ("pattern", target) / ("side",) / ("bad", detail).
-
-    `component` is the sorted list of (server, index) rows, `desired` the
-    desired subfiles in those rows, and `odd_other` the non-desired
-    symbols left over an odd number of times.
-    """
-    if not desired:
-        return ("side",)
+def _why_bad(component, desired, odd_other, theta, L):
+    """Condition 4's detail for a component that holds desired terms but
+    is no pattern: `component` is its sorted (server, index) rows,
+    `desired` the desired subfiles in them, and `odd_other` the
+    non-desired symbols left over an odd number of times."""
     servers = [srv for srv, _idx in component]
     if len(set(servers)) != len(servers):
         crowded = sorted(srv for srv, c in Counter(servers).items() if c > 1)
-        return ("bad", f"servers {_listed(crowded)} each contribute "
-                       f"several rows to one component")
-    if len(desired) > 1:
-        desired = [s for s, c in Counter(desired).items() if c % 2]
-    if len(desired) == 1 and not odd_other:
-        return ("pattern", desired[0])
-    leftover = sorted(odd_other + [(theta, s) for s in desired
-                                   if not 1 <= s <= L])
-    return ("bad", f"rows {_listed(component)} leave uncancelled symbols "
-                   f"{_listed(leftover)}")
+        return (f"servers {_listed(crowded)} each contribute several rows "
+                f"to one component")
+    leftover = sorted(odd_other + [(theta, s) for s, c in Counter(
+        desired).items() if c % 2 and not 1 <= s <= L])
+    return (f"rows {_listed(component)} leave uncancelled symbols "
+            f"{_listed(leftover)}")
 
 
 # ============================================================
@@ -311,6 +343,5 @@ def check_srp(scheme, extraction):
         # the rows holding file theta, from the term indices where it is
         holding = {bisect_right(rows.ends, i) for i in compress(
             count(), map(theta.__eq__, rows.file))}
-        counts[srv] = sum(p.selections.get(srv) in holding
-                          for p in extraction.patterns)
+        counts[srv] = sum(map(holding.__contains__, extraction.selections[srv]))
     return SrpReport(counts=counts, ok=counts[t1] == counts[t2])

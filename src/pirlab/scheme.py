@@ -56,30 +56,6 @@ def gc_paused(fn):
 
 
 # ============================================================
-# recovery patterns
-# ============================================================
-
-@dataclass(frozen=True, slots=True)
-class RecoveryPattern:
-    target: int
-    selections: dict
-
-    def __post_init__(self):
-        check_int(self.target, "pattern target")
-        sel = dict(self.selections)
-        for srv, idx in sel.items():
-            if type(srv) is not int or type(idx) is not int:
-                check_int(srv, "server")
-                check_int(idx, "pattern selection")
-        object.__setattr__(self, "selections", sel)
-
-    def to_json(self):
-        return {"target": self.target,
-                "selections": {str(srv): idx
-                               for srv, idx in sorted(self.selections.items())}}
-
-
-# ============================================================
 # deterministic scheme
 # ============================================================
 

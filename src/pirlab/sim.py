@@ -157,10 +157,11 @@ def run_deterministic_trial(scheme, storage, perms=None):
                         if f not in symbols or s >= len(symbols[f]))
             raise ParameterError(f"a row asks for subfile {s} of file {f}, "
                                  f"which storage does not hold") from None
-        # a row's answer is the XOR of two prefix XORs of its values
+        # a row's answer is the XOR of two prefix XORs of its values; the
+        # trailing 0 is what a selection of -1 (no row) reads
         prefix = list(accumulate(values, xor, initial=0))
-        answered[srv] = list(map(xor, map(prefix.__getitem__, rows.starts),
-                                 map(prefix.__getitem__, rows.ends)))
+        answered[srv] = [*map(xor, map(prefix.__getitem__, rows.starts),
+                              map(prefix.__getitem__, rows.ends)), 0]
     # storage shorter than the scheme's L is named above, by the first row
     # that reads past it; recovery places L subfiles, so storage of any
     # other length is refused here
@@ -168,14 +169,13 @@ def run_deterministic_trial(scheme, storage, perms=None):
         raise ParameterError(f"storage splits each file into {storage.L} "
                              f"subfiles, the scheme into {scheme.L}")
 
+    # target t's value, the XOR of the answers its pattern selects, is
+    # subfile place[t - 1]
+    values = [0] * scheme.L
+    for srv, column in extract_patterns(scheme).selections.items():
+        values = list(map(xor, values, map(answered[srv].__getitem__, column)))
     place = range(1, scheme.L + 1) if perms is None else perms[scheme.theta]
-    recovered = [None] * scheme.L
-    for p in extract_patterns(scheme).patterns:
-        value = 0
-        for srv, idx in p.selections.items():
-            value ^= answered[srv][idx]
-        recovered[place[p.target - 1] - 1] = value
-    recovered = tuple(recovered)
+    recovered = tuple(value for _at, value in sorted(zip(place, values)))
 
     downloaded = sum(len(rows) for rows in scheme.queries.values())
     return TrialReport(ok=recovered == storage.contents[scheme.theta],

@@ -13,6 +13,7 @@ the denominator L.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from operator import lt
 
 from .errors import (InfeasibleError, InternalConsistencyError,
@@ -37,44 +38,35 @@ def transform(scheme, extraction=None):
                 f"summations but only {scheme.L} slots exist", server=srv)
 
     ex = extraction if extraction is not None else extract_patterns(scheme)
-    # each distinct combo gets a small int, from 1 (0 is an idle server),
-    # so a slot's joint query is a tuple of ints.  A row's (file, sign)
-    # pairs, in term order, are sorted into a combo once per distinct
-    # sequence of them at the server.
+    # each distinct combo gets an id from 1 (0 is an idle server), sorted
+    # once per distinct (file, sign) sequence of a row.  Pattern t fills
+    # slot t; a server idle in it takes its next side-information combo,
+    # negated, so equal slots are equal (q, pattern_servers) and merge
+    # into one row, in first-seen slot order.
     combo_ids = {}      # combo -> id
-    ids = {}            # server -> the combo id of each of its rows
-    for srv, rows in scheme.queries.items():
+    columns = []        # per server, the entry of each slot
+    for srv in scheme.graph.servers:
+        rows = scheme.queries[srv]
         pairs = tuple(zip(rows.file, rows.sign))
         keys = list(map(pairs.__getitem__,
                         map(slice, rows.starts, rows.ends)))
         key_ids = {key: combo_ids.setdefault(tuple(sorted(key)),
                                              len(combo_ids) + 1)
                    for key in dict.fromkeys(keys)}
-        ids[srv] = list(map(key_ids.__getitem__, keys))
-    combos = (None, *combo_ids)
-    spare = {srv: [] for srv in scheme.graph.servers}
-    for srv, idx in ex.side_info:
-        spare[srv].append(ids[srv][idx])
-    spare = {srv: iter(side) for srv, side in spare.items()}
-
-    # pattern t fills slot t; a server idle in it takes its next
-    # side-information combo, if any is left.  Equal slots merge into one
-    # row, in first-seen slot order.
-    counts = Counter()
-    for pattern in ex.patterns:
-        sel = pattern.selections
-        q = tuple([ids[srv][sel[srv]] if srv in sel else next(side, 0)
-                   for srv, side in spare.items()])
-        counts[q, tuple(sorted(sel))] += 1
-    for srv, side in spare.items():
+        ids = list(map(key_ids.__getitem__, keys))
+        side = iter([ids[idx] for at, idx in ex.side_info if at == srv])
+        columns.append([ids[idx] if idx >= 0 else -next(side, 0)
+                        for idx in ex.selections[srv]])
         if next(side, 0):
             raise InternalConsistencyError(
                 f"no idle row left at server {srv} for side information")
+    combos = (None, *combo_ids)
 
-    rows = tuple(ProbRow(mass=count,
-                         q=dict(zip(spare, map(combos.__getitem__, q))),
-                         pattern_servers=servers)
-                 for (q, servers), count in counts.items())
+    servers = scheme.graph.servers
+    rows = tuple(ProbRow(mass=count, q=dict(zip(servers, map(
+        combos.__getitem__, map(abs, slot)))), pattern_servers=tuple(
+            compress(servers, map((0).__lt__, slot))))
+        for slot, count in Counter(zip(*columns)).items())
     return ProbabilisticScheme(graph=scheme.graph, theta=scheme.theta,
                                rows=rows, denominator=scheme.L)
 

@@ -9,8 +9,7 @@ mutated schemes, violation text included.
 
 from collections import Counter, defaultdict
 
-from pirlab.patterns import Extraction, IndependenceReport, Violation
-from pirlab.scheme import RecoveryPattern
+from pirlab.patterns import IndependenceReport, RecoveryPattern, Violation
 
 from conftest import row_at
 
@@ -120,7 +119,8 @@ def reference_check(scheme):
 
 
 def reference_extract(scheme):
-    """The pattern partition of a scheme that passes reference_check."""
+    """The pattern partition of a scheme that passes reference_check: its
+    patterns in target order and its side-information rows."""
     patterns = []
     side_info = []
     for component in _components(scheme):
@@ -131,5 +131,4 @@ def reference_extract(scheme):
         else:
             side_info.extend(component)
     patterns.sort(key=lambda p: p.target)
-    return Extraction(patterns=tuple(patterns),
-                      side_info=tuple(sorted(side_info)))
+    return tuple(patterns), tuple(sorted(side_info))

@@ -56,8 +56,9 @@ def v1_document(scheme):
                       for srv, rows in sorted(scheme.queries.items())}
     ex = extract_patterns(scheme)
     doc["patterns"] = []
-    for p, tag in zip(ex.patterns, _classes(scheme) or repeat(None)):
-        pattern = p.to_json()
+    for (target, chosen), tag in zip(ex.chosen(name=str),
+                                     _classes(scheme) or repeat(None)):
+        pattern = {"target": target, "selections": chosen}
         if tag:
             pattern["step"], pattern["class"] = tag
         doc["patterns"].append(pattern)
@@ -87,14 +88,14 @@ def v2_document(scheme):
     stored, as `build` wrote it before the scheme was its rows alone."""
     doc = scheme.to_json()
     ex = extract_patterns(scheme)
-    cols = {"target": [p.target for p in ex.patterns]}
+    cols = {"target": [*range(1, scheme.L + 1)]}
     classes = _classes(scheme)
     if classes:
         cols["step"] = [step for step, _ in classes]
         cols["class"] = [cls for _, cls in classes]
-    cols["selections"] = {str(srv): [p.selections.get(srv)
-                                     for p in ex.patterns]
-                          for srv in sorted(scheme.queries)}
+    cols["selections"] = {str(srv): [None if idx < 0 else idx
+                                     for idx in column]
+                          for srv, column in ex.selections.items()}
     doc["patterns"] = cols
     doc["side_info"] = {"server": [s for s, _ in ex.side_info],
                         "index": [i for _, i in ex.side_info]}

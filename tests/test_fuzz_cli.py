@@ -17,7 +17,8 @@ scheme, a term gets another subfile in 1..L or another file its server
 stores, or two rows at a server swap places.  `simulate`, `extract` and
 `transform` then exit 0, 2 or 3 on the v2 document of those rows, and
 print `"ok":true` only if `analyze` accepts them; the v1 document of the
-same rows exits 2.
+same rows exits 2.  A seeded corpus of 1 to 12 subfile edits of the K5
+and K6 rows holds each refusal to the same 512 bytes.
 
 Targeted mutations of the v2 columns (columns of unequal length, row ends
 that fall or end off the columns, a bool, float or negative entry) exit 2
@@ -192,6 +193,36 @@ def test_mutated_schemes_pass_only_if_analysis_accepts(tmp_path, n, count):
                 rc, out, _lines = _run([a.format(path=path) for a in argv])
                 assert rc in ((2,) if refused else (0, 2, 3)), (argv, doc)
                 assert accepted or '"ok":true' not in out, (argv, doc)
+
+
+def _subfile_edits(doc, rng, edits):
+    """The v2 document `doc` with `edits` terms, drawn at random, each given
+    a subfile drawn from 1..L."""
+    doc = copy.deepcopy(doc)
+    for _ in range(edits):
+        cols = doc["queries"][rng.choice(sorted(doc["queries"]))]
+        cols["subfile"][rng.randrange(len(cols["subfile"]))] = \
+            rng.randint(1, doc["L"])
+    return doc
+
+
+@pytest.mark.parametrize("n,count", [(5, 24), (6, 12)])
+def test_multi_edit_refusals_stay_short(tmp_path, n, count):
+    # 1 to 12 subfile edits of the K5 and K6 rows break up to a dozen
+    # conditions, each naming lists of up to 12 entries: every refusal is
+    # still one line within `_run`'s 512 bytes
+    base = json.loads(canonical_json(build_scheme(n, 0).to_json()))
+    rng = random.Random(n)
+    path = tmp_path / "doc.json"
+    for i in range(count):
+        path.write_text(json.dumps(_subfile_edits(base, rng, 1 + i % 12)))
+        for argv in _SCHEME_COMMANDS:
+            rc, out, lines = _run([a.format(path=path) for a in argv])
+            assert rc in (0, 3), (argv, i)
+            if rc:
+                assert out == "" and len(lines) == 2, (argv, i)
+                assert lines[1].startswith(
+                    "error: scheme rows are not independent: "), lines
 
 
 # ============================================================

@@ -2,13 +2,19 @@
 
 Deselected by default; run with `python -m pytest -m slow`.  One build is
 shared by the module: it takes about 10 s and most of a 1 GB peak RSS.
-The relabeling check holds at most one more K7 scheme at a time.
+The relabeling check holds at most one more K7 scheme at a time, and the
+refusal of a dependent K7 document runs in a child process.
 """
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pirlab
 from pirlab.builder import build_scheme, verify_scheme
 from pirlab.sequences import rate
 from pirlab.sim import run_probabilistic_trials
@@ -91,3 +97,40 @@ def test_k7_transform_rate(k7_prob):
 def test_k7_exact_probabilistic_trial(k7_prob):
     contents = [1 - f % 2 for f in k7_prob.graph.files]
     assert run_probabilistic_trials(k7_prob, contents, mode="exact").ok
+
+
+# the K7 document with every subfile at server 2 set to 1, written and
+# then read by `extract` in one process
+_K7_DEPENDENT = """
+import sys
+from pirlab.builder import build_scheme
+from pirlab.cli import main
+from pirlab.render import canonical_json
+
+doc = build_scheme(7, 0).to_json()
+doc["queries"]["2"]["subfile"] = [1] * len(doc["queries"]["2"]["subfile"])
+with open(sys.argv[1], "w") as fh:
+    fh.write(canonical_json(doc))
+del doc
+sys.exit(main(["extract", "--scheme", sys.argv[1]]))
+"""
+
+
+def test_k7_dependent_line_stays_short(tmp_path):
+    # the K6 edit of test_cli.py at K7: one short line names the first
+    # violation and a count per condition.  It runs in a child process, so
+    # that the module's K7 scheme is not alive beside a second one.
+    src = pathlib.Path(pirlab.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _K7_DEPENDENT, str(tmp_path / "k7.json")],
+        capture_output=True, text=True, env={**os.environ,
+                                             "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "schema: pirlab/extract/v1"
+    assert len(lines) == 2 and len(lines[1].encode()) <= 512, lines
+    assert lines[1] == (
+        "error: scheme rows are not independent: [2] subfile symbols "
+        "[(0, 1), (6, 1), (7, 1), (8, 1), (9, 1), (10, 1)] repeat at server "
+        "2; ... 31167 in all: 1 of condition 2, 1 of condition 3, 31165 of "
+        "condition 4")

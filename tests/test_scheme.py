@@ -15,12 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import pirlab
 from pirlab.builder import build_scheme
-from pirlab.errors import ParameterError, check_int
+from pirlab.errors import ParameterError
 from pirlab.general import GeneralScheme
 from pirlab.graphs import Graph, make_graph
 from pirlab.render import canonical_json
 from pirlab.scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
-                           RecoveryPattern, Summation)
+                           Summation)
 from pirlab.transform import transform
 
 from conftest import load_json
@@ -126,7 +126,7 @@ def test_block_and_summation_share_one_term_check(rows):
 
 _NO_SUMMATION_PROBE = """
 import json, random, sys
-from pirlab import cli, scheme
+from pirlab import cli, patterns, scheme
 from pirlab.builder import build_scheme, verify_scheme
 from pirlab.patterns import check_srp, extract_patterns
 from pirlab.render import canonical_json
@@ -138,6 +138,7 @@ def counting_new(cls, *args, **kwargs):
     made.append(cls)
     return object.__new__(cls)
 scheme.Summation.__new__ = staticmethod(counting_new)
+patterns.RecoveryPattern.__new__ = staticmethod(counting_new)
 
 def count(step):
     before = len(made)
@@ -162,16 +163,17 @@ counts = {"library": count(library_pass),
 for argv in (["extract"], ["transform"], ["simulate", "--seed", "1"]):
     counts[argv[0]] = count(lambda: cli.main(
         [argv[0], "--scheme", path, *argv[1:], "--out", path + ".out"]))
-# the probe sees both ways a Summation is made
+# the probe sees both ways a Summation is made, and the patterns view
 counts["probe"] = count(lambda: (scheme.Summation(((0, 1, 1),)),
                                  next(iter(build_scheme(3).queries[1]))))
+counts["pattern probe"] = count(lambda: build_scheme(3).patterns)
 print(json.dumps(counts))
 """
 
 
 def test_k5_pass_and_v2_commands_make_no_summation(tmp_path):
-    # Summation.__new__ is replaced in a child process, which cannot leave
-    # it replaced for other tests
+    # Summation.__new__ and RecoveryPattern.__new__ are replaced in a
+    # child process, which cannot leave them replaced for other tests
     src = pathlib.Path(pirlab.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SUMMATION_PROBE, str(tmp_path / "k5.json")],
@@ -180,12 +182,12 @@ def test_k5_pass_and_v2_commands_make_no_summation(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "library": 0, "build": 0, "extract": 0, "transform": 0,
-        "simulate": 0, "probe": 2}
+        "simulate": 0, "probe": 2, "pattern probe": 6}
 
 
 _NO_PATTERN_PROBE = """
 import json
-from pirlab import scheme
+from pirlab import patterns
 from pirlab.builder import build_scheme
 from pirlab.patterns import extract_patterns
 
@@ -193,7 +195,7 @@ made = []
 def counting_new(cls, *args, **kwargs):
     made.append(cls)
     return object.__new__(cls)
-scheme.RecoveryPattern.__new__ = staticmethod(counting_new)
+patterns.RecoveryPattern.__new__ = staticmethod(counting_new)
 
 def count(step):
     before = len(made)
@@ -202,52 +204,28 @@ def count(step):
 
 counts = {f"k6 theta={theta}": count(lambda: build_scheme(6, theta))
           for theta in (0, 14)}
-# the probe sees the patterns the analysis makes
-counts["probe"] = count(lambda: extract_patterns(build_scheme(3)))
+# the analysis makes none; the first read of the patterns view makes
+# them, and a second read gives the kept ones
+s = build_scheme(3)
+counts["analysis"] = count(lambda: extract_patterns(s))
+ex = extract_patterns(s)
+counts["first read"] = count(lambda: ex.patterns)
+counts["second read"] = count(lambda: ex.patterns)
 print(json.dumps(counts))
 """
 
 
 def test_k6_build_makes_no_recovery_pattern():
-    # a scheme is its rows: patterns are made only by the analysis
+    # a scheme is its rows, and its analysis is columns: patterns are
+    # made only by the first read of the patterns view
     src = pathlib.Path(pirlab.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_PATTERN_PROBE], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"k6 theta=0": 0, "k6 theta=14": 0,
-                                       "probe": 6}
-
-
-def _reference_selections(selections):
-    """The selection checks through `check_int`, key before value."""
-    return {check_int(srv, "server"): check_int(idx, "pattern selection")
-            for srv, idx in dict(selections).items()}
-
-
-_entry = st.booleans() | st.floats() | st.text(max_size=2) \
-    | st.integers(-2, 9)
-_selections = st.dictionaries(_entry, _entry, max_size=4) \
-    | st.lists(st.tuples(_entry, _entry), max_size=4)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_selections)
-@example({1: 0, 2: True})
-@example({1: 0.5, "2": 1})
-@example([(3, 1), (True, 2)])
-def test_pattern_matches_check_int_selections(selections):
-    try:
-        want = _reference_selections(selections)
-    except ParameterError as exc:
-        with pytest.raises(ParameterError) as got:
-            RecoveryPattern(target=1, selections=selections)
-        assert str(got.value) == str(exc)
-    else:
-        got = RecoveryPattern(target=1, selections=selections).selections
-        assert type(got) is dict
-        assert list(got.items()) == list(want.items())
-        assert got is not selections
+                                       "analysis": 0, "first read": 6,
+                                       "second read": 0}
 
 
 def _k3_rows(**second):
@@ -456,8 +434,6 @@ def _k3(**fields):
 
 @pytest.mark.parametrize("build,message", [
     (lambda: Graph(3, ((1, 2.9),)), "edge end must be an integer, got 2.9"),
-    (lambda: RecoveryPattern(target=1, selections={1: 0.5}),
-     "pattern selection must be an integer, got 0.5"),
     # p is read by the document mapping, which hands ProbRow a mass
     (lambda: ProbabilisticScheme.from_json(
         {**_k3_prob_doc(), "rows": [{"p": 0.1, "q": {}}]}),
@@ -471,7 +447,7 @@ def _k3(**fields):
     (lambda: _k3(queries={9: ()}), "no server 9 in the graph"),
     (lambda: _k3(queries={1: ((0, 1, 1),)}),
      "queries must contain Summation rows"),
-], ids=["edge-float", "selection-float", "p-float", "p-bool", "mu-bool",
+], ids=["edge-float", "p-float", "p-bool", "mu-bool",
         "queries-server", "queries-row"])
 def test_constructors_refuse_what_documents_refuse(build, message):
     # from_json hands document values to these constructors, so a
