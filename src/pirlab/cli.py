@@ -108,16 +108,11 @@ def _parse_graph(spec):
 
 def _parse_theta(text, graph):
     """A file id, or an endpoint pair u,v resolved against the graph."""
-    if "," in text:
-        try:
-            u, v = (int(p) for p in text.split(","))
-        except ValueError:
-            raise ParameterError(f"bad theta {text!r}")
-        return graph.file_id(u, v)
     try:
-        return int(text)
+        u, v = map(int, text.split(",")) if "," in text else (int(text), None)
     except ValueError:
         raise ParameterError(f"bad theta {text!r}")
+    return u if v is None else graph.file_id(u, v)
 
 
 # ============================================================
@@ -163,7 +158,7 @@ def _cmd_extract(args):
     srp = check_srp(scheme, ex)
     doc = {
         "patterns": [{"target": target, "selections": chosen}
-                     for target, chosen in ex.chosen(name=str)],
+                     for target, chosen in ex.chosen()],
         "side_info": [{"server": srv, "index": idx}
                       for srv, idx in ex.side_info],
         "srp": {**{str(srv): cnt for srv, cnt in sorted(srp.counts.items())},
@@ -413,14 +408,17 @@ def main(argv=None):
         # the collector would only walk it again and again (gc_paused)
         return gc_paused(args.func)(args)
     except (InfeasibleError, IndependenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        rc, line = 3, f"error: {exc}"
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        rc, line = 2, f"error: {exc}"
     except InternalConsistencyError as exc:
-        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
-        return 4
+        rc, line = 4, f"error: internal self-check failed: {exc}"
+    # one line of at most 512 bytes, however many digits its numbers have
+    data, mark = line.encode(), " ... (line cut)"
+    if len(data) > 512:
+        line = data[:512 - len(mark)].decode(errors="ignore") + mark
+    print(line, file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

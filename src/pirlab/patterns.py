@@ -20,12 +20,12 @@ get integer ids in (server, index) order, and union-find runs over a flat
 parent list.  Symbols are keyed by one integer each.  Each server's columns
 are checked in bulk for conditions 1 and 2 against its set of stored
 files, and only a server that breaks one is read row by row for the
-report; the desired subfiles are collected for condition 3.  Afterwards
-each component is classified once, without reading its terms again: all
-occurrences of a non-desired symbol lie in one component, so the symbol's
-total count gives its parity there, and desired terms are bucketed by
-component.  `check_independence` and `extract_patterns` are views of that
-one result.
+report; the desired subfiles are collected for condition 3.  One table
+maps each non-desired symbol to the first row holding it, which each
+later row holding it joins as it is read, and the entry's sign flips at
+each read, so it gives the symbol's parity in that row's component.
+Each component is then classified once, without reading its terms again.
+`check_independence` and `extract_patterns` are views of that one result.
 
 The extraction is integer columns too (`Extraction`), and a
 `RecoveryPattern` is made only for `Extraction.patterns`.
@@ -47,7 +47,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import add, and_, eq, not_, sub
+from operator import add, eq, not_, sub
 
 from .rows import in_row
 from .scheme import gc_paused
@@ -90,11 +90,11 @@ class Extraction:
         """A RecoveryPattern per target, made on the first read."""
         return tuple(RecoveryPattern(*pair) for pair in self.chosen())
 
-    def chosen(self, name=int):
-        """Each target and its {name(server): row index}, servers in order."""
-        names = list(map(name, self.selections))
+    def chosen(self):
+        """Each target and its {server: row index}, servers in order."""
         for target, picks in enumerate(zip(*self.selections.values()), 1):
-            yield target, {k: idx for k, idx in zip(names, picks) if idx >= 0}
+            yield target, {srv: idx for srv, idx
+                           in zip(self.selections, picks) if idx >= 0}
 
 
 class IndependenceError(RuntimeError):
@@ -143,14 +143,18 @@ def _walk(scheme):
     nfiles = len(graph.edges)
     violations = []
     blocks = []         # (server, its first row id, its number of rows)
-    keys = []           # every non-desired symbol key, once per occurrence
-    key_rows = []       # the row id of each of those occurrences
     desired = []        # (row id, subfile) for every desired term
+    # union-find over row ids: `seen` maps a non-desired symbol key to the
+    # first row holding it, which later rows join, as ~row while it has been
+    # read an even number of times.  A root is its set's min, so parent[x]
+    # <= x, and a last pass in increasing order points rows at their roots.
+    seen, parent = {}, []
 
-    base = 0
     for srv, rows in sorted(scheme.queries.items()):
         files, subs, ends = rows.file, rows.subfile, rows.ends
+        base = len(parent)
         blocks.append((srv, base, len(ends)))
+        parent += range(base, base + len(ends))
         stored = set(graph.incident(srv))
         # terms are sorted, so a file twice in a row is there side by side
         if not stored.issuperset(files) or any(in_row(eq, files, ends)):
@@ -170,25 +174,20 @@ def _walk(scheme):
                            compress(subs, is_desired))
             linked = list(map(not_, is_desired))
             here, rids = compress(here, linked), compress(rids, linked)
-        keys += here
-        key_rows += rids
-        base += len(ends)
+        for key, b in zip(here, rids):
+            a = seen.get(key)
+            seen[key] = b if a is None else ~a
+            if a is not None:
+                a = a if a >= 0 else ~a
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]  # path halving
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
 
-    # union-find over row ids, each row joined to the first row holding a
-    # symbol it holds.  A root is its set's min, so parent[x] <= x, and one
-    # pass in increasing order then points every row at its root.
-    first = dict(zip(reversed(keys), reversed(key_rows)))
-    parent = list(range(base))
-    for a, b in zip(map(first.__getitem__, keys), key_rows):
-        if a != b:
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]  # path halving
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
     for x, up in enumerate(parent):
         parent[x] = parent[up]
 
@@ -211,9 +210,9 @@ def _walk(scheme):
     for rid, s in desired:
         desired_in[parent[rid]].append(s)
     odd_in = defaultdict(list)
-    counts = Counter(keys)
-    for key in compress(counts, map(and_, counts.values(), repeat(1))):
-        odd_in[parent[first[key]]].append((key % nfiles, key // nfiles))
+    for key, row in seen.items():
+        if row >= 0:
+            odd_in[parent[row]].append((key % nfiles, key // nfiles))
     target_of = {}
     for root, subs in desired_in.items():
         if len(subs) > 1:

@@ -56,7 +56,7 @@ def v1_document(scheme):
                       for srv, rows in sorted(scheme.queries.items())}
     ex = extract_patterns(scheme)
     doc["patterns"] = []
-    for (target, chosen), tag in zip(ex.chosen(name=str),
+    for (target, chosen), tag in zip(ex.chosen(),
                                      _classes(scheme) or repeat(None)):
         pattern = {"target": target, "selections": chosen}
         if tag:

@@ -31,7 +31,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pirlab.patterns
 from pirlab import cli
@@ -400,8 +400,28 @@ def _outcome(fn, scheme):
         return ("ParameterError", str(exc))
 
 
+def _b1_read_at(*places):
+    """The K3 fixture with the non-desired symbol b1 (file 1, subfile 1),
+    which rows 2 of server 1 and 0 of server 3 hold, added to the row at
+    each (server, index) of `places`: read 3 or 4 times in all, so its
+    parity has to flip at every read, also twice in one row."""
+    k3 = SOURCE_SCHEMES[0]
+    queries = {srv: list(rows) for srv, rows in k3.queries.items()}
+    for srv, idx in places:
+        queries[srv][idx] = Summation(queries[srv][idx].terms + ((1, 1, 1),))
+    return k3.replace(queries=queries)
+
+
 @settings(max_examples=300, deadline=None)
 @given(mutated_schemes())
+# b1 read 3 times: again at server 3, in another row or in the same one,
+# or at server 2, which does not store file 1; then 4 times
+@example(_b1_read_at((3, 1)))
+@example(_b1_read_at((3, 0)))
+@example(_b1_read_at((2, 0)))
+@example(_b1_read_at((3, 1), (3, 2)))
+@example(_b1_read_at((3, 0), (3, 0)))
+@example(_b1_read_at((2, 0), (3, 0)))
 def test_analyze_agrees_with_reference(scheme):
     got = _outcome(analyze, scheme)
     want = _outcome(reference_check, scheme)

@@ -18,7 +18,8 @@ stores, or two rows at a server swap places.  `simulate`, `extract` and
 `transform` then exit 0, 2 or 3 on the v2 document of those rows, and
 print `"ok":true` only if `analyze` accepts them; the v1 document of the
 same rows exits 2.  A seeded corpus of 1 to 12 subfile edits of the K5
-and K6 rows holds each refusal to the same 512 bytes.
+and K6 rows holds each refusal to the same 512 bytes, and so do two
+documents whose one violation names numbers of hundreds of digits.
 
 Targeted mutations of the v2 columns (columns of unequal length, row ends
 that fall or end off the columns, a bool, float or negative entry) exit 2
@@ -223,6 +224,37 @@ def test_multi_edit_refusals_stay_short(tmp_path, n, count):
                 assert out == "" and len(lines) == 2, (argv, i)
                 assert lines[1].startswith(
                     "error: scheme rows are not independent: "), lines
+
+
+def _long_subfiles():
+    """The K4 rows with 12 desired terms at server 1 given 61-digit
+    subfiles."""
+    doc = json.loads(canonical_json(build_scheme(4, 0).to_json()))
+    cols = doc["queries"]["1"]
+    desired = [i for i, f in enumerate(cols["file"]) if f == 0][:12]
+    for j, i in enumerate(desired):
+        cols["subfile"][i] = 10 ** 60 + j
+    return doc
+
+
+def _long_l():
+    """The K3 rows with L = 10**600."""
+    return {**_DOCS["scheme"], "L": 10 ** 600}
+
+
+@pytest.mark.parametrize("make_doc,codes", [(_long_subfiles, (3, 3, 2)),
+                                            (_long_l, (3, 3, 3))])
+def test_refusals_naming_long_numbers_stay_short(tmp_path, make_doc, codes):
+    # one violation names numbers of hundreds of digits: the line past 512
+    # bytes is cut, with a marker, and still held to `_run`'s 512 bytes
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make_doc()))
+    for argv, code in zip(_SCHEME_COMMANDS, codes):
+        rc, out, lines = _run([a.format(path=path) for a in argv])
+        assert (rc, out, len(lines)) == (code, "", 2), (argv, lines)
+        assert lines[1].startswith("error: "), lines
+        if code == 3:
+            assert lines[1].endswith(" ... (line cut)"), lines
 
 
 # ============================================================

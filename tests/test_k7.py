@@ -3,7 +3,8 @@
 Deselected by default; run with `python -m pytest -m slow`.  One build is
 shared by the module: it takes about 10 s and most of a 1 GB peak RSS.
 The relabeling check holds at most one more K7 scheme at a time, and the
-refusal of a dependent K7 document runs in a child process.
+refusal of a dependent K7 document and the walk's memory guard run in
+child processes.
 """
 
 import hashlib
@@ -134,3 +135,27 @@ def test_k7_dependent_line_stays_short(tmp_path):
         "[(0, 1), (6, 1), (7, 1), (8, 1), (9, 1), (10, 1)] repeat at server "
         "2; ... 31167 in all: 1 of condition 2, 1 of condition 3, 31165 of "
         "condition 4")
+
+
+# a K7 build, then its analysis under tracemalloc; prints the traced peak
+_K7_WALK = """
+import tracemalloc
+from pirlab.builder import build_scheme
+from pirlab.patterns import analyze
+
+scheme = build_scheme(7, 0)
+tracemalloc.start()
+assert analyze(scheme)[0].ok
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_k7_walk_memory():
+    # the walk's traced peak was 215 MiB on a 2-vCPU VM (Python 3.11); a
+    # child process measures it, so that nothing the module holds counts
+    src = pathlib.Path(pirlab.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _K7_WALK], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 250 * 2 ** 20
