@@ -7,7 +7,7 @@ is min(max_degree/|E|, 1/matching_number).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParameterError, UnsupportedSizeError, check_replication
@@ -79,11 +79,8 @@ def multigraph_lower_bound(base_rate, r):
 # comparison table
 # ============================================================
 
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    upper: Fraction
-    lower: Fraction
+class BoundReport(namedtuple("BoundReport", "n upper lower")):
+    __slots__ = ()
 
     @property
     def coefficient_upper(self):

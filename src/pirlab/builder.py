@@ -32,8 +32,7 @@ leftover side information continues from it.
 """
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .errors import (InternalConsistencyError, ParameterError,
                      UnsupportedSizeError, check_theta)
@@ -273,10 +272,7 @@ def build_scheme(n, theta=0):
 # reporting and verification
 # ============================================================
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    violations: tuple
+VerifyReport = namedtuple("VerifyReport", "ok violations")
 
 
 @gc_paused

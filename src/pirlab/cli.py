@@ -79,9 +79,11 @@ def _read_doc(path):
 def _load_scheme(path):
     """A deterministic scheme file as the scheme, the patterns its rows
     give, and what stands for it in the input digest: the sha256 of its
-    bytes as read, so that nothing is encoded again."""
+    bytes as read, so that nothing is encoded again.  The parsed document
+    is let go before the rows are walked: the scheme holds its own copy."""
     doc, sha256 = _read_doc(path)
     scheme = DeterministicScheme.from_json(doc)
+    del doc
     return scheme, extract_patterns(scheme), {"scheme_sha256": sha256}
 
 
@@ -233,6 +235,7 @@ def _cmd_simulate(args):
                              "with `pirlab audit --family general:...`")
     else:
         scheme = DeterministicScheme.from_json(source)
+        del source  # the scheme holds its own copy of the rows
         if rows_short_of_l(scheme):
             extract_patterns(scheme)  # exit 3 before storage that long
         storage = random_storage(scheme.graph, q=args.q, L=scheme.L, rng=rng)

@@ -7,8 +7,9 @@ given scheme rather than malformed.  InternalConsistencyError marks a failed
 self-check, that is a bug.  The command line maps ParameterError (and
 subclasses) to exit code 2, InfeasibleError to exit code 3 and
 InternalConsistencyError to exit code 4.  Constructors check their fields
-with `check_int` and `check_combo`; a `from_json` only maps JSON to fields,
-with `server_key` and `check_frac`, inside `malformed`.
+with `check_int` and `check_combo`, in the `__new__` of a `Checked`
+namedtuple; a `from_json` only maps JSON to fields, with `server_key` and
+`check_frac`, inside `malformed`.
 Every entry point that takes a parameter checks it with its rule's one
 check: `check_theta`, `check_q`, `check_replication`, `sequences.check_n`.
 """
@@ -36,6 +37,16 @@ class InfeasibleError(RuntimeError):
 
 class InternalConsistencyError(AssertionError):
     """A self-check inside a construction failed (indicates a bug)."""
+
+
+class Checked:
+    """Mixed into a namedtuple type that checks its fields in `__new__`, so
+    that `_make`, and `_replace` through it, check them too."""
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def check_int(value, field):

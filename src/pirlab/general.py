@@ -16,12 +16,12 @@ Mersenne Twister word per try.
 """
 
 import functools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .errors import (ParameterError, UnsupportedSizeError, check_combo,
-                     check_int, check_q, check_theta, malformed, server_key)
+from .errors import (Checked, ParameterError, UnsupportedSizeError,
+                     check_combo, check_int, check_q, check_theta, malformed,
+                     server_key)
 from .graphs import Graph
 
 DISTRIBUTION_DEGREE_CAP = 12
@@ -35,32 +35,27 @@ _BIT6 = bytes(b >> 6 & 1 for b in range(256))
 _REJECTED = bytes(range(128, 256))
 
 
-@dataclass(frozen=True)
-class GeneralScheme:
-    graph: Graph
-    theta: int
-    q: int
-    mu: tuple
-    lam: tuple
-
-    def __post_init__(self):
-        check_theta(self.theta, self.graph)
-        check_q(self.q)
-        m = len(self.graph.edges)
-        for name in ("mu", "lam"):
-            bits = tuple(check_int(b, f"{name} bit")
-                         for b in getattr(self, name))
+class GeneralScheme(Checked,
+                    namedtuple("GeneralScheme", "graph theta q mu lam")):
+    def __new__(cls, graph, theta, q, mu, lam):
+        check_theta(theta, graph)
+        check_q(q)
+        m = len(graph.edges)
+        fields = {}
+        for name, given in (("mu", mu), ("lam", lam)):
+            bits = fields[name] = tuple(check_int(b, f"{name} bit")
+                                        for b in given)
             if len(bits) != m:
                 raise ParameterError(f"{name} must carry one bit per file "
                                      f"({m}), got {len(bits)}")
             if bits.count(0) + bits.count(1) != m:
                 raise ParameterError(f"{name} entries must be 0 or 1")
-            object.__setattr__(self, name, bits)
+        return super().__new__(cls, graph, theta, q, **fields)
 
     @functools.cached_property
     def queries(self):
         """Each server's query combo, its (file, sign) terms in file-id
-        order; cached like `Graph._copies`, outside the dataclass fields."""
+        order; cached like `Graph._copies`, outside the tuple's fields."""
         queries = {}
         for v in self.graph.servers:
             terms = (_query_term(fid, self.theta, at_lower, self.mu[fid],

@@ -7,10 +7,10 @@ numbering used in scheme tables; file ids are 0-based.
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .errors import (ParameterError, UnsupportedSizeError, check_int,
-                     check_replication, malformed)
+from .errors import (Checked, ParameterError, UnsupportedSizeError,
+                     check_int, check_replication, malformed)
 
 MATCHING_FILE_CAP = 64
 GRAPH_FILE_CAP = 10_000  # `general --graph star:10000 --enumerate`: ~0.3 s
@@ -29,31 +29,27 @@ def _check_size(vertices, files):
 # graph type
 # ============================================================
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    edges: tuple = ()
-    multigraph: bool = False
-
-    def __post_init__(self):
-        if check_int(self.n, "n") < 1:
-            raise ParameterError(f"vertex count must be a positive int, got {self.n}")
-        if type(self.multigraph) is not bool:
+class Graph(Checked, namedtuple("Graph", "n edges multigraph")):
+    def __new__(cls, n, edges=(), multigraph=False):
+        if check_int(n, "n") < 1:
+            raise ParameterError(f"vertex count must be a positive int, "
+                                 f"got {n}")
+        if type(multigraph) is not bool:
             raise ParameterError(f"multigraph must be true or false, "
-                                 f"got {self.multigraph!r}")
+                                 f"got {multigraph!r}")
         edges = tuple((check_int(u, "edge end"), check_int(v, "edge end"))
-                      for u, v in self.edges)
-        _check_size(self.n, len(edges))
-        object.__setattr__(self, "edges", edges)
+                      for u, v in edges)
+        _check_size(n, len(edges))
         seen = set()
         for u, v in edges:
-            if not 1 <= u < v <= self.n:
+            if not 1 <= u < v <= n:
                 raise ParameterError(
-                    f"edge ({u},{v}) must satisfy 1 <= u < v <= {self.n}")
-            if (u, v) in seen and not self.multigraph:
+                    f"edge ({u},{v}) must satisfy 1 <= u < v <= {n}")
+            if (u, v) in seen and not multigraph:
                 raise ParameterError(
                     f"duplicate edge ({u},{v}) requires the multigraph flag")
             seen.add((u, v))
+        return super().__new__(cls, n, edges, multigraph)
 
     # ---- basic queries ------------------------------------------------
 
@@ -91,7 +87,7 @@ class Graph:
 
     @functools.cached_property
     def _file_ids(self):
-        # Kept in the instance __dict__, outside the dataclass fields, so
+        # Kept in the instance __dict__, outside the tuple's fields, so
         # equality, hashing, repr and to_json do not see it.
         ids = {}
         for i, e in enumerate(self.edges):
@@ -108,7 +104,7 @@ class Graph:
 
     @functools.cached_property
     def _copies(self):
-        # cached like _file_ids, outside the dataclass fields
+        # cached like _file_ids, outside the tuple's fields
         out = {v: [] for v in self.servers}
         for fid, (lo, hi) in enumerate(self.edges):
             out[lo].append((fid, True))

@@ -31,7 +31,7 @@ The extraction is integer columns too (`Extraction`), and a
 `RecoveryPattern` is made only for `Extraction.patterns`.
 
 A scheme object is walked once: `analyze` keeps its result on the
-instance, outside the dataclass fields, and serves it again only while
+instance, outside the tuple's fields, and serves it again only while
 `scheme.queries` still maps every server to the very row block it walked.
 `replace()` gives a new object with no result kept.
 
@@ -43,8 +43,7 @@ the full report stays on the error and on `check_independence`.
 
 from array import array
 from bisect import bisect_right
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import add, eq, not_, sub
@@ -59,31 +58,19 @@ _MOST = 12
 _CHARS = 470
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: int
-    detail: str
+Violation = namedtuple("Violation", "condition detail")
+
+IndependenceReport = namedtuple("IndependenceReport", "ok violations")
+
+# selections: server -> row index
+RecoveryPattern = namedtuple("RecoveryPattern", "target selections")
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    ok: bool
-    violations: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class RecoveryPattern:
-    target: int
-    selections: dict  # server -> row index
-
-
-@dataclass(frozen=True)
-class Extraction:
+class Extraction(namedtuple("Extraction", "selections side_info")):
     """`selections[srv][t - 1]` is the row server srv gives in the pattern
     of target t, or -1; an accepted scheme has one pattern per target 1..L
-    (condition 3).  `side_info` is the (server, index) of each other row."""
-    selections: dict  # server -> array('q') of length L
-    side_info: tuple
+    (condition 3).  `side_info` is the (server, index) of each other row;
+    `selections` maps a server to an array('q') of length L."""
 
     @cached_property
     def patterns(self):
@@ -321,10 +308,7 @@ def extract_patterns(scheme):
     return extraction
 
 
-@dataclass(frozen=True)
-class SrpReport:
-    counts: dict
-    ok: bool
+SrpReport = namedtuple("SrpReport", "counts ok")
 
 
 def check_srp(scheme, extraction):

@@ -15,12 +15,11 @@ gets the same text wherever it comes from.
 
 import math
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate, chain, compress, count
 from operator import ge, le
 
-from .errors import ParameterError, check_int
+from .errors import Checked, ParameterError, check_int
 
 
 def _terms_valid(file, subfile, sign):
@@ -46,17 +45,16 @@ def _refuse_first_term(terms):
             raise ParameterError(f"bad sign in term {term}")
 
 
-@dataclass(frozen=True, slots=True)
-class Summation:
-    terms: tuple
+class Summation(Checked, namedtuple("Summation", "terms")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, terms):
         """Check the terms as a block's columns are, and sort them."""
-        terms = tuple(self.terms)
+        terms = tuple(terms)
         if not (set(map(len, terms)) <= {3}
                 and _terms_valid(*(tuple(zip(*terms)) or ((), (), ())))):
             _refuse_first_term(terms)
-        object.__setattr__(self, "terms", tuple(sorted(map(tuple, terms))))
+        return super().__new__(cls, tuple(sorted(map(tuple, terms))))
 
     @property
     def files(self):
@@ -64,26 +62,47 @@ class Summation:
 
 
 def _summation(terms):
-    """A Summation of terms read from a checked block, not checked again.
-    It is made through `Summation.__new__`, as `Summation(...)` makes one."""
-    row = Summation.__new__(Summation)
-    object.__setattr__(row, "terms", terms)
-    return row
+    """A Summation of terms read from a checked block, not checked again."""
+    return tuple.__new__(Summation, (terms,))
 
 
-@dataclass(frozen=True, slots=True)
 class Rows:
     """One server's rows as flat columns: the `file`, `subfile` and `sign`
     of every term, row after row, and the `ends` of the rows in them, the
     layout of a v2 document.  Iterating gives each row as a Summation, made
-    on access; equality compares the columns.
+    on access; equality compares the columns.  A block is immutable.
 
     A block is checked when a DeterministicScheme is made from it
     (`checked_rows`), which also gives every row its terms in order."""
-    file: tuple
-    subfile: tuple
-    sign: tuple
-    ends: tuple
+    __slots__ = ("file", "subfile", "sign", "ends")
+
+    def __init__(self, file, subfile, sign, ends):
+        for name, column in zip(self.__slots__, (file, subfile, sign, ends)):
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _columns(self):
+        return self.file, self.subfile, self.sign, self.ends
+
+    def __eq__(self, other):
+        if type(other) is not Rows:
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __hash__(self):
+        return hash(self._columns())
+
+    def __repr__(self):
+        return (f"Rows(file={self.file!r}, subfile={self.subfile!r}, "
+                f"sign={self.sign!r}, ends={self.ends!r})")
+
+    def __reduce__(self):
+        return Rows, self._columns()
 
     @property
     def starts(self):

@@ -20,7 +20,7 @@ patterns or side information, each with one line that names it.
 
 `gc_paused` runs the functions that allocate scheme data in bulk with
 CPython's cyclic collector paused.  That is safe because the data holds no
-cycles (tuples, dicts and frozen dataclasses that only point down), so
+cycles (tuples, dicts and namedtuples that only point down), so
 reference counting frees all of it, and the collector would only traverse
 it again and again.
 """
@@ -28,11 +28,11 @@ it again and again.
 import functools
 import gc
 import math
-from dataclasses import dataclass, replace as _dc_replace
+from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (ParameterError, check_combo, check_frac, check_int,
-                     check_theta, malformed, server_key)
+from .errors import (Checked, ParameterError, check_combo, check_frac,
+                     check_int, check_theta, malformed, server_key)
 from .graphs import Graph
 from .render import frac_str
 # Summation is part of this module's interface too
@@ -59,25 +59,20 @@ def gc_paused(fn):
 # deterministic scheme
 # ============================================================
 
-@dataclass(frozen=True)
-class DeterministicScheme:
-    graph: Graph
-    theta: int
-    L: int
-    queries: dict
-
-    def __post_init__(self):
-        check_theta(self.theta, self.graph)
-        if check_int(self.L, "L") < 1:
-            raise ParameterError(f"subpacketization must be >= 1, got {self.L}")
+class DeterministicScheme(
+        Checked, namedtuple("DeterministicScheme", "graph theta L queries")):
+    def __new__(cls, graph, theta, L, queries):
+        check_theta(theta, graph)
+        if check_int(L, "L") < 1:
+            raise ParameterError(f"subpacketization must be >= 1, got {L}")
         queries = {check_int(srv, "server"): checked_rows(rows, srv)
-                   for srv, rows in dict(self.queries).items()}
-        for srv in self.graph.servers:
+                   for srv, rows in dict(queries).items()}
+        for srv in graph.servers:
             queries.setdefault(srv, NO_ROWS)
         for srv in queries:
-            if srv not in self.graph.servers:
+            if srv not in graph.servers:
                 raise ParameterError(f"no server {srv} in the graph")
-        object.__setattr__(self, "queries", queries)
+        return super().__new__(cls, graph, theta, L, queries)
 
     @property
     def patterns(self):
@@ -92,8 +87,9 @@ class DeterministicScheme:
         return extract_patterns(self).side_info
 
     def replace(self, **overrides):
-        """A copy with `overrides`; it is analyzed afresh."""
-        return _dc_replace(self, **overrides)
+        """A copy with `overrides`, made and checked by the constructor; it
+        is analyzed afresh."""
+        return self._replace(**overrides)
 
     @gc_paused
     def to_json(self):
@@ -135,37 +131,30 @@ class DeterministicScheme:
 # probabilistic scheme
 # ============================================================
 
-@dataclass(frozen=True)
-class ProbRow:
-    mass: int
-    q: dict
-    pattern_servers: tuple = ()
+class ProbRow(Checked, namedtuple("ProbRow", "mass q pattern_servers")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_int(self.mass, "mass")
-        object.__setattr__(self, "q", {
-            check_int(srv, "server"):
-                None if combo is None else check_combo(combo, srv)
-            for srv, combo in dict(self.q).items()})
+    def __new__(cls, mass, q, pattern_servers=()):
+        check_int(mass, "mass")
+        q = {check_int(srv, "server"):
+             None if combo is None else check_combo(combo, srv)
+             for srv, combo in dict(q).items()}
         servers = tuple(check_int(s, "pattern server")
-                        for s in self.pattern_servers)
+                        for s in pattern_servers)
         if len(set(servers)) != len(servers):
             raise ParameterError(f"pattern servers {list(servers)} name a "
                                  f"server twice")
-        object.__setattr__(self, "pattern_servers", servers)
+        return super().__new__(cls, mass, q, servers)
 
 
-@dataclass(frozen=True)
-class ProbabilisticScheme:
+class ProbabilisticScheme(Checked, namedtuple(
+        "ProbabilisticScheme", "graph theta rows denominator")):
     """Rows of probability mass / denominator, reduced by their gcd."""
-    graph: Graph
-    theta: int
-    rows: tuple
-    denominator: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        check_theta(self.theta, self.graph)
+    def __new__(cls, graph, theta, rows, denominator):
+        self = super().__new__(cls, graph, theta, tuple(rows), denominator)
+        check_theta(theta, graph)
         den = self.denominator
         if check_int(den, "denominator") < 1:
             raise ParameterError(f"denominator must be >= 1, got {den}")
@@ -186,9 +175,10 @@ class ProbabilisticScheme:
                                  f"{frac_str(Fraction(total, den))}, not 1")
         g = math.gcd(den, *(row.mass for row in self.rows))
         if g > 1:
-            object.__setattr__(self, "rows", tuple(
-                _dc_replace(row, mass=row.mass // g) for row in self.rows))
-            object.__setattr__(self, "denominator", den // g)
+            reduced = tuple(row._replace(mass=row.mass // g)
+                            for row in self.rows)
+            self = super().__new__(cls, graph, theta, reduced, den // g)
+        return self
 
     def p(self, row):
         """The probability of drawing `row`, one of the scheme's rows."""

@@ -14,7 +14,7 @@ whole numbers of summations.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (InternalConsistencyError, ParameterError,
@@ -95,18 +95,9 @@ def _raw_sequences(n):
 # per-step application ledger (normalized to M = 1)
 # ============================================================
 
-@dataclass(frozen=True)
-class StepCounts:
-    k: int
-    alpha_per: Fraction
-    alpha_realizations: int
-    beta_per: Fraction
-    beta_realizations: int
-    gamma_per: Fraction
-    gamma_realizations: int
-    zeta_per: Fraction
-    zeta_realizations: int
-    leftover_per_type: Fraction
+StepCounts = namedtuple("StepCounts", (
+    "k alpha_per alpha_realizations beta_per beta_realizations gamma_per "
+    "gamma_realizations zeta_per zeta_realizations leftover_per_type"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,15 +174,8 @@ def scaling_M(n):
 # assembled ledger and derived quantities
 # ============================================================
 
-@dataclass(frozen=True)
-class SequenceLedger:
-    n: int
-    x: dict
-    y: dict
-    z: dict
-    k0: int
-    m_scale: int
-    subpacketization: int
+SequenceLedger = namedtuple("SequenceLedger",
+                            "n x y z k0 m_scale subpacketization")
 
 
 @functools.lru_cache(maxsize=None)

@@ -30,13 +30,12 @@ Privacy audits come in three strengths:
 
 import math
 from bisect import bisect_right
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import getitem, xor
 
-from .errors import ParameterError, check_q
+from .errors import Checked, ParameterError, check_q
 from .general import (GeneralScheme, answer_counts, random_bits,
                       sample_combo_counts)
 from .graphs import Graph
@@ -54,24 +53,21 @@ _GRID = 2 ** 53
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Storage:
-    graph: Graph
-    q: int
-    L: int
-    contents: tuple  # one tuple of L symbols per file
+class Storage(Checked, namedtuple("Storage", "graph q L contents")):
+    """`contents` holds one tuple of L symbols per file."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_q(self.q)
-        contents = tuple(map(tuple, self.contents))
-        object.__setattr__(self, "contents", contents)
-        if len(contents) != len(self.graph.edges):
+    def __new__(cls, graph, q, L, contents):
+        check_q(q)
+        contents = tuple(map(tuple, contents))
+        if len(contents) != len(graph.edges):
             raise ParameterError("storage must hold one row per file")
         for fid, row in enumerate(contents):
-            if len(row) != self.L:
+            if len(row) != L:
                 raise ParameterError(f"every file must split into exactly "
-                                     f"{self.L} subfiles")
-            _check_symbols(f"file {fid}", row, self.q - 1)
+                                     f"{L} subfiles")
+            _check_symbols(f"file {fid}", row, q - 1)
+        return super().__new__(cls, graph, q, L, contents)
 
 
 def _check_symbols(where, row, top=math.inf):
@@ -115,12 +111,8 @@ def random_permutations(graph, L, rng):
 # ============================================================
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    ok: bool
-    recovered: tuple
-    downloaded_symbols: int
-    measured_rate: Fraction
+TrialReport = namedtuple("TrialReport",
+                         "ok recovered downloaded_symbols measured_rate")
 
 
 @gc_paused
@@ -189,12 +181,8 @@ def run_deterministic_trial(scheme, storage, perms=None):
 # ============================================================
 
 
-@dataclass(frozen=True)
-class ProbTrialReport:
-    ok: bool
-    mode: str
-    rate: Fraction
-    trials: int = None
+ProbTrialReport = namedtuple("ProbTrialReport", "ok mode rate trials",
+                             defaults=(None,))
 
 
 def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
@@ -263,12 +251,8 @@ def run_probabilistic_trials(pscheme, contents, mode="exact", trials=None,
 # ============================================================
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    ok: bool
-    mode: str
-    max_deviation: object = None
-    epsilon: object = None
+AuditReport = namedtuple("AuditReport", "ok mode max_deviation epsilon",
+                         defaults=(None, None))
 
 
 def _answer_weights(member, theta, q):

@@ -5,7 +5,6 @@ table; the K4 anchors (subscript values of selected rows) were worked out by
 hand from the subscript rules before implementation.
 """
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction as F
 
@@ -327,14 +326,13 @@ def test_class_counts_match_the_ledger(n):
 def test_plan_refuses_an_unbalanced_ledger():
     # one row (1/M) short of x_1 starves the first step-2 alpha
     led = build_sequences(5)
-    short = dataclasses.replace(
-        led, x={**led.x, 1: led.x[1] - F(1, led.m_scale)})
+    short = led._replace(x={**led.x, 1: led.x[1] - F(1, led.m_scale)})
     with pytest.raises(InternalConsistencyError) as exc:
         _plan(5, 0, short)
     assert str(exc.value) == \
         "consumed missing type [1] at server 3 in step 2 (alpha)"
     # no size-2 quota at all: the rows step 2 creates have nowhere to go
-    none = dataclasses.replace(led, x={**led.x, 2: F(0)})
+    none = led._replace(x={**led.x, 2: F(0)})
     with pytest.raises(InternalConsistencyError) as exc:
         _plan(5, 0, none)
     assert str(exc.value) == "over-created type [1, 4] at server 3"

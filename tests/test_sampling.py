@@ -15,7 +15,6 @@ scheme document's digest, so they were recorded again on transforms of
 the rows-only `build` output, before the v1 reader was removed.
 """
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -247,8 +246,8 @@ def test_distributional_audit_matches_reference_across_denominators():
     member = family[2]
     first, *rest = member.rows
     family[2] = ProbabilisticScheme(member.graph, member.theta, (
-        first, dataclasses.replace(first, mass=2 * first.mass),
-        *(dataclasses.replace(row, mass=3 * row.mass) for row in rest)),
+        first, first._replace(mass=2 * first.mass),
+        *(row._replace(mass=3 * row.mass) for row in rest)),
         3 * member.denominator)
     assert len({member.denominator for member in family.values()}) == 2
     assert len({member.p(row).denominator for member in family.values()

@@ -2,7 +2,6 @@
 columns read, the v1 layout and stored annotations refused), and
 probabilistic row checks."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -21,6 +20,7 @@ from pirlab.graphs import Graph, make_graph
 from pirlab.render import canonical_json
 from pirlab.scheme import (DeterministicScheme, ProbabilisticScheme, ProbRow,
                            Summation)
+from pirlab.sim import Storage
 from pirlab.transform import transform
 
 from conftest import load_json
@@ -126,7 +126,7 @@ def test_block_and_summation_share_one_term_check(rows):
 
 _NO_SUMMATION_PROBE = """
 import json, random, sys
-from pirlab import cli, patterns, scheme
+from pirlab import cli, patterns, rows, scheme
 from pirlab.builder import build_scheme, verify_scheme
 from pirlab.patterns import check_srp, extract_patterns
 from pirlab.render import canonical_json
@@ -134,11 +134,13 @@ from pirlab.sim import random_storage, run_deterministic_trial
 from pirlab.transform import entropy_proxy_ok, transform
 
 made = []
-def counting_new(cls, *args, **kwargs):
+def counting_new(cls, *args):
     made.append(cls)
-    return object.__new__(cls)
+    return tuple.__new__(cls, args)
 scheme.Summation.__new__ = staticmethod(counting_new)
 patterns.RecoveryPattern.__new__ = staticmethod(counting_new)
+# a row read from a checked block is made unchecked, by rows._summation
+rows._summation = lambda terms: counting_new(scheme.Summation, terms)
 
 def count(step):
     before = len(made)
@@ -172,8 +174,9 @@ print(json.dumps(counts))
 
 
 def test_k5_pass_and_v2_commands_make_no_summation(tmp_path):
-    # Summation.__new__ and RecoveryPattern.__new__ are replaced in a
-    # child process, which cannot leave them replaced for other tests
+    # Summation.__new__, rows._summation and RecoveryPattern.__new__ are
+    # replaced in a child process, which cannot leave them replaced for
+    # other tests
     src = pathlib.Path(pirlab.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SUMMATION_PROBE, str(tmp_path / "k5.json")],
@@ -192,9 +195,9 @@ from pirlab.builder import build_scheme
 from pirlab.patterns import extract_patterns
 
 made = []
-def counting_new(cls, *args, **kwargs):
+def counting_new(cls, *args):
     made.append(cls)
-    return object.__new__(cls)
+    return tuple.__new__(cls, args)
 patterns.RecoveryPattern.__new__ = staticmethod(counting_new)
 
 def count(step):
@@ -356,7 +359,7 @@ def test_probabilistic_round_trip_at_every_theta(n):
 def _scaled(p, k):
     return ProbabilisticScheme(
         p.graph, p.theta,
-        [dataclasses.replace(row, mass=k * row.mass) for row in p.rows],
+        [row._replace(mass=k * row.mass) for row in p.rows],
         k * p.denominator)
 
 
@@ -374,8 +377,8 @@ def test_split_row_survives_the_round_trip(k3_scheme):
     dead = ProbRow(mass=0, q={srv: None for srv in p.graph.servers})
     split = ProbabilisticScheme(
         p.graph, p.theta,
-        [first, dataclasses.replace(first, mass=2 * first.mass), dead,
-         *(dataclasses.replace(row, mass=3 * row.mass) for row in rest)],
+        [first, first._replace(mass=2 * first.mass), dead,
+         *(row._replace(mass=3 * row.mass) for row in rest)],
         3 * p.denominator)
     assert split.denominator == 18
     assert [doc["p"] for doc in split.to_json()["rows"][:3]] == \
@@ -392,7 +395,7 @@ def test_split_row_survives_the_round_trip(k3_scheme):
         "float-denominator"])
 def test_probabilistic_scheme_refuses_masses(masses, den, message):
     graph, rows = _k3_rows()
-    rows = [dataclasses.replace(row, mass=m) for row, m in zip(rows, masses)]
+    rows = [row._replace(mass=m) for row, m in zip(rows, masses)]
     with pytest.raises(ParameterError) as exc:
         ProbabilisticScheme(graph, 0, rows, den)
     assert str(exc.value) == message
@@ -455,3 +458,68 @@ def test_constructors_refuse_what_documents_refuse(build, message):
     with pytest.raises(ParameterError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def _validated_values():
+    """A value of each type that checks its fields, one bad field for it,
+    the constructor's text for that field, and a document holding the bad
+    field for a type that reads documents (None for the others)."""
+    k3 = load_json("k3_scheme.json")
+    scheme = DeterministicScheme.from_json(k3)
+    graph, prob = scheme.graph, transform(scheme)
+    general = GeneralScheme(graph, 0, 2, (0, 1, 0), (1, 0, 0))
+    return {
+        "Graph": (graph, {"multigraph": 1},
+                  "multigraph must be true or false, got 1",
+                  {**graph.to_json(), "multigraph": 1}),
+        "Summation": (Summation(((0, 1, 1),)), {"terms": ((0, 0, 1),)},
+                      "bad subfile index in term (0, 0, 1)", None),
+        "DeterministicScheme": (scheme, {"L": 0},
+                                "subpacketization must be >= 1, got 0",
+                                {**k3, "L": 0}),
+        "ProbRow": (prob.rows[0], {"mass": 0.5},
+                    "mass must be an integer, got 0.5", None),
+        "ProbabilisticScheme": (prob, {"theta": 3},
+                                "theta 3 is not a file id (0..2)",
+                                {**prob.to_json(), "theta": 3}),
+        "GeneralScheme": (general, {"q": 1}, "alphabet size q must be an "
+                                             "integer >= 2, got 1",
+                          {**general.to_json(), "q": 1}),
+        "Storage": (Storage(graph, 2, 1, ((0,), (1,), (0,))), {"L": 2},
+                    "every file must split into exactly 2 subfiles", None),
+    }
+
+
+@pytest.mark.parametrize("name", list(_validated_values()))
+def test_a_bad_field_is_refused_however_the_value_is_made(name):
+    # namedtuple's _replace makes a value through _make, which Checked
+    # routes through the constructor, so no way around its checks is left
+    value, bad, message, doc = _validated_values()[name]
+    cls = type(value)
+    assert cls.__name__ == name
+    assert cls(**value._asdict()) == value
+    makes = [lambda: cls(**{**value._asdict(), **bad}),
+             lambda: value._replace(**bad),
+             lambda: cls._make({**value._asdict(), **bad}.values())]
+    if name == "DeterministicScheme":
+        makes.append(lambda: value.replace(**bad))
+    if doc is not None:
+        makes.append(lambda: cls.from_json(doc))
+    for make in makes:
+        with pytest.raises(ParameterError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # the value types are namedtuples, so importing the package or its
+    # command line builds no dataclass and imports neither module; -S
+    # keeps site's start-up imports out of the child
+    src = pathlib.Path(pirlab.__file__).parents[1]
+    probe = ("import sys, pirlab, pirlab.cli; print(sorted("
+             "{'dataclasses', 'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

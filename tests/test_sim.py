@@ -1,6 +1,5 @@
 """End-to-end simulation and privacy audits."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -248,14 +247,13 @@ def test_probabilistic_scheme_rejects_bad_mass(k3_scheme):
     p = transform(k3_scheme)
     rows = p.rows
     with pytest.raises(ParameterError, match="sum to 5/6, not 1"):
-        dataclasses.replace(p, rows=rows[:-1])
+        p._replace(rows=rows[:-1])
     with pytest.raises(ParameterError, match="sum to 0, not 1"):
-        dataclasses.replace(p, rows=())
-    flipped = (dataclasses.replace(rows[0], mass=-rows[0].mass),
-               dataclasses.replace(rows[1],
-                                   mass=rows[1].mass + 2 * rows[0].mass))
+        p._replace(rows=())
+    flipped = (rows[0]._replace(mass=-rows[0].mass),
+               rows[1]._replace(mass=rows[1].mass + 2 * rows[0].mass))
     with pytest.raises(ParameterError, match="row 0 has negative"):
-        dataclasses.replace(p, rows=flipped + rows[2:])
+        p._replace(rows=flipped + rows[2:])
 
 
 @pytest.mark.parametrize("trials", [-3, 2.5, True])
@@ -312,10 +310,8 @@ def test_distributional_audit_on_transforms():
     # move the last row's mass onto the first: still a distribution, but
     # no longer the same one at every server
     rows = schemes[0].rows
-    heavier = dataclasses.replace(rows[0],
-                                  mass=rows[0].mass + rows[-1].mass)
-    schemes[0] = dataclasses.replace(schemes[0],
-                                     rows=(heavier,) + rows[1:-1])
+    heavier = rows[0]._replace(mass=rows[0].mass + rows[-1].mass)
+    schemes[0] = schemes[0]._replace(rows=(heavier,) + rows[1:-1])
     assert not privacy_audit(schemes, mode="distributional").ok
 
 
