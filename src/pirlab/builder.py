@@ -38,7 +38,7 @@ from .errors import (InternalConsistencyError, ParameterError,
                      UnsupportedSizeError, check_theta)
 from .graphs import make_graph
 from .rows import Rows, row_shapes
-from .scheme import DeterministicScheme, gc_paused
+from .scheme import DeterministicScheme
 from .sequences import BUILDER_CAP, build_sequences, check_n, step_ledger
 
 
@@ -213,7 +213,6 @@ def class_plan(graph, theta, led):
     return variants, pool
 
 
-@gc_paused
 def build_scheme(n, theta=0):
     check_build_n(n)
     graph = make_graph("complete", [n])
@@ -275,7 +274,6 @@ def build_scheme(n, theta=0):
 VerifyReport = namedtuple("VerifyReport", "ok violations")
 
 
-@gc_paused
 def verify_scheme(scheme):
     """Structural verification of a built scheme.
 

@@ -11,6 +11,7 @@ table document to stdout (or --out), and exits with:
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import random
@@ -28,7 +29,7 @@ from .graphs import Graph, make_graph
 from .patterns import (IndependenceError, check_srp, extract_patterns,
                        rows_short_of_l)
 from .render import canonical_json, frac_str, meta_header
-from .scheme import DeterministicScheme, ProbabilisticScheme, gc_paused
+from .scheme import DeterministicScheme, ProbabilisticScheme
 from .sequences import build_sequences, rate
 from .sim import (check_audit_member, privacy_audit, random_permutations,
                   random_storage, run_deterministic_trial,
@@ -70,6 +71,12 @@ def _read_doc(path):
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}")
+    except ValueError:  # int() of more digits than the interpreter allows
+        raise ParameterError(f"{path} holds an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits")
+    except RecursionError:
+        raise ParameterError(f"{path} nests arrays or objects past the "
+                             f"recursion limit {sys.getrecursionlimit()}")
     if type(doc) is not dict:
         raise ParameterError(f"{path} holds a JSON {type(doc).__name__}, "
                              f"not an object")
@@ -406,16 +413,24 @@ def main(argv=None):
     args = _parse_args(argv)
     version = SCHEMA_VERSION.get(args.command, 1)
     print(f"schema: pirlab/{args.command}/v{version}", file=sys.stderr)
+    # the command runs with CPython's cyclic collector paused, and the
+    # caller gets its collector state back, after a raise too.  A command's
+    # data holds no cycles (ints, tuples, dicts, arrays and namedtuples that
+    # only point down), so reference counting frees all of it, and the
+    # collector would only walk it again and again.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        # reference counting frees a command's data, which holds no cycles;
-        # the collector would only walk it again and again (gc_paused)
-        return gc_paused(args.func)(args)
+        return args.func(args)
     except (InfeasibleError, IndependenceError) as exc:
         rc, line = 3, f"error: {exc}"
     except ParameterError as exc:
         rc, line = 2, f"error: {exc}"
     except InternalConsistencyError as exc:
         rc, line = 4, f"error: internal self-check failed: {exc}"
+    finally:
+        if enabled:
+            gc.enable()
     # one line of at most 512 bytes, however many digits its numbers have
     data, mark = line.encode(), " ... (line cut)"
     if len(data) > 512:

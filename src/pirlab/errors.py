@@ -90,14 +90,15 @@ def check_frac(value, field):
 
 def check_combo(combo, server):
     """A query combo [(file, sign), ...] for `server` as a tuple of int
-    pairs with signs +1 or -1."""
-    combo = tuple((check_int(f, "combo file"), check_int(sign, "combo sign"))
+    pairs with signs +1 or -1; a combo that is one already is kept, so
+    rows can share it."""
+    pairs = tuple((check_int(f, "combo file"), check_int(sign, "combo sign"))
                   for f, sign in combo)
-    for pair in combo:
+    for pair in pairs:
         if pair[1] not in (1, -1):
             raise ParameterError(f"bad sign in combo entry {list(pair)} for "
                                  f"server {server}")
-    return combo
+    return combo if combo == pairs else pairs
 
 
 def server_key(key):

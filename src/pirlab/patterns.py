@@ -49,7 +49,6 @@ from itertools import chain, compress, count, repeat
 from operator import add, eq, not_, sub
 
 from .rows import in_row
-from .scheme import gc_paused
 
 # a message cuts a list of more than _MOST items short (`_listed`); the
 # command line's "error: scheme rows are not independent: " and _CHARS
@@ -102,7 +101,6 @@ class IndependenceError(RuntimeError):
 # the single row walk
 # ============================================================
 
-@gc_paused
 def analyze(scheme):
     """Check independence and extract patterns in one walk over the rows.
 
@@ -130,7 +128,8 @@ def _walk(scheme):
     nfiles = len(graph.edges)
     violations = []
     blocks = []         # (server, its first row id, its number of rows)
-    desired = []        # (row id, subfile) for every desired term
+    # the row id and the subfile of every desired term
+    desired_rows, desired_subs = [], []
     # union-find over row ids: `seen` maps a non-desired symbol key to the
     # first row holding it, which later rows join, as ~row while it has been
     # read an even number of times.  A root is its set's min, so parent[x]
@@ -157,8 +156,8 @@ def _walk(scheme):
                                          map(sub, ends, rows.starts)))]
         if theta in stored or theta in files:
             is_desired = list(map(theta.__eq__, files))
-            desired += zip(compress(rids, is_desired),
-                           compress(subs, is_desired))
+            desired_rows += compress(rids, is_desired)
+            desired_subs += compress(subs, is_desired)
             linked = list(map(not_, is_desired))
             here, rids = compress(here, linked), compress(rids, linked)
         for key, b in zip(here, rids):
@@ -179,7 +178,7 @@ def _walk(scheme):
         parent[x] = parent[up]
 
     short = rows_short_of_l(scheme)
-    theta_subs = Counter(s for _rid, s in desired)
+    theta_subs = Counter(desired_subs)
     expected = set() if short else set(range(1, L + 1))
     missing = sorted(expected - set(theta_subs))
     extra = sorted(s for s, c in theta_subs.items()
@@ -192,32 +191,37 @@ def _walk(scheme):
 
     # a component with no desired term is side information; one with one
     # desired subfile left over, no other symbol left over and one row per
-    # server is that subfile's pattern; any other breaks condition 4
-    desired_in = defaultdict(list)
-    for rid, s in desired:
-        desired_in[parent[rid]].append(s)
+    # server is that subfile's pattern; any other breaks condition 4.  Each
+    # root keeps the subfile of its first desired term, and a list of the
+    # others only when it holds several.
+    first, more = {}, defaultdict(list)
+    for root, s in zip(map(parent.__getitem__, desired_rows), desired_subs):
+        if root in first:
+            more[root].append(s)
+        else:
+            first[root] = s
     odd_in = defaultdict(list)
     for key, row in seen.items():
         if row >= 0:
             odd_in[parent[row]].append((key % nfiles, key // nfiles))
-    target_of = {}
-    for root, subs in desired_in.items():
-        if len(subs) > 1:
-            subs = [s for s, c in Counter(subs).items() if c % 2]
+    target_of = {root: s for root, s in first.items()
+                 if root not in more and root not in odd_in}
+    for root, subs in more.items():
+        subs = [s for s, c in Counter([first[root], *subs]).items() if c % 2]
         if len(subs) == 1 and root not in odd_in:
             target_of[root] = subs[0]
-    bad = desired_in.keys() - target_of.keys()
+    bad = first.keys() - target_of.keys()
     for _srv, start, size in blocks:  # a server twice in one component
         bad.update(root for root, c in Counter(parent[start:start + size])
-                   .items() if c > 1 and root in desired_in)
+                   .items() if c > 1 and root in first)
     components = defaultdict(list)  # a bad one's rows, for its message
     for srv, start, size in blocks if bad else ():
         for idx, root in enumerate(parent[start:start + size]):
             if root in bad:
                 components[root].append((srv, idx))
     violations += [Violation(4, _why_bad(
-        components[root], desired_in[root], odd_in.get(root, []), theta, L))
-        for root in sorted(bad)]
+        components[root], [first[root], *more.get(root, ())],
+        odd_in.get(root, []), theta, L)) for root in sorted(bad)]
 
     report = IndependenceReport(ok=not violations,
                                 violations=tuple(violations))

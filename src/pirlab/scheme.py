@@ -17,16 +17,8 @@ server the `file`, `subfile` and `sign` of every term, row after row, and
 the `ends` of the rows in those columns.  `from_json` refuses the v1
 layout (an array of row objects per server) and a document that stores
 patterns or side information, each with one line that names it.
-
-`gc_paused` runs the functions that allocate scheme data in bulk with
-CPython's cyclic collector paused.  That is safe because the data holds no
-cycles (tuples, dicts and namedtuples that only point down), so
-reference counting frees all of it, and the collector would only traverse
-it again and again.
 """
 
-import functools
-import gc
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -37,22 +29,6 @@ from .graphs import Graph
 from .render import frac_str
 # Summation is part of this module's interface too
 from .rows import NO_ROWS, Rows, Summation, checked_rows
-
-
-def gc_paused(fn):
-    """`fn` run with the cyclic collector paused.  Only the outermost call
-    turns it back on, so nested calls and a caller that turned it off
-    themselves keep it off; it is turned back on after a raise too."""
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-    return run
 
 
 # ============================================================
@@ -91,7 +67,6 @@ class DeterministicScheme(
         is analyzed afresh."""
         return self._replace(**overrides)
 
-    @gc_paused
     def to_json(self):
         """The `pirlab/build/v2` document: flat integer columns."""
         return {
@@ -106,7 +81,6 @@ class DeterministicScheme(
         }
 
     @classmethod
-    @gc_paused
     def from_json(cls, doc):
         """A scheme from the rows of a `pirlab/build/v2` document."""
         with malformed("scheme"):

@@ -41,7 +41,7 @@ from .general import (GeneralScheme, answer_counts, random_bits,
 from .graphs import Graph
 from .patterns import extract_patterns
 from .rows import row_shapes
-from .scheme import DeterministicScheme, ProbabilisticScheme, gc_paused
+from .scheme import DeterministicScheme, ProbabilisticScheme
 from .transform import prob_rate
 
 # sampled trials compare draws with row edges on this grid: random()
@@ -81,7 +81,6 @@ def _check_symbols(where, row, top=math.inf):
                              f"be ints in 0..{top}")
 
 
-@gc_paused
 def random_storage(graph, q, L, rng):
     """Uniform symbols in 0..q-1, file by file: the draws of one
     `rng.randrange(q)` call per symbol, made in bulk when q = 2."""
@@ -115,7 +114,6 @@ TrialReport = namedtuple("TrialReport",
                          "ok recovered downloaded_symbols measured_rate")
 
 
-@gc_paused
 def run_deterministic_trial(scheme, storage, perms=None):
     """Answer every query row and reconstruct the desired file.
 
@@ -162,12 +160,16 @@ def run_deterministic_trial(scheme, storage, perms=None):
                              f"subfiles, the scheme into {scheme.L}")
 
     # target t's value, the XOR of the answers its pattern selects, is
-    # subfile place[t - 1]
+    # subfile t, or subfile perm[t - 1] under the desired file's perm
     values = [0] * scheme.L
     for srv, column in extract_patterns(scheme).selections.items():
         values = list(map(xor, values, map(answered[srv].__getitem__, column)))
-    place = range(1, scheme.L + 1) if perms is None else perms[scheme.theta]
-    recovered = tuple(value for _at, value in sorted(zip(place, values)))
+    if perms is not None:
+        placed = [0] * scheme.L
+        for at, value in zip(perms[scheme.theta], values):
+            placed[at - 1] = value
+        values = placed
+    recovered = tuple(values)
 
     downloaded = sum(len(rows) for rows in scheme.queries.values())
     return TrialReport(ok=recovered == storage.contents[scheme.theta],

@@ -14,15 +14,14 @@ the denominator L.
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
-from operator import lt
+from operator import add, lt
 
 from .errors import (InfeasibleError, InternalConsistencyError,
                      ParameterError)
 from .patterns import analyze, extract_patterns
-from .scheme import ProbabilisticScheme, ProbRow, gc_paused
+from .scheme import ProbabilisticScheme, ProbRow
 
 
-@gc_paused
 def transform(scheme, extraction=None):
     """Build the probabilistic scheme induced by a deterministic one.
 
@@ -38,29 +37,34 @@ def transform(scheme, extraction=None):
                 f"summations but only {scheme.L} slots exist", server=srv)
 
     ex = extraction if extraction is not None else extract_patterns(scheme)
-    # each distinct combo gets an id from 1 (0 is an idle server), sorted
-    # once per distinct (file, sign) sequence of a row.  Pattern t fills
-    # slot t; a server idle in it takes its next side-information combo,
-    # negated, so equal slots are equal (q, pattern_servers) and merge
-    # into one row, in first-seen slot order.
-    combo_ids = {}      # combo -> id
+    # a term's code 2 * file + (sign > 0) sorts the way (file, sign) does,
+    # and a row's key is the slice of its codes.  Each distinct combo, the
+    # sorted codes of a row, gets an id from 1 (0 is an idle server),
+    # sorted once per distinct key of a server.  Pattern t fills slot t; a
+    # server idle in it takes its next side-information combo, negated, so
+    # equal slots are equal (q, pattern_servers) and merge into one row, in
+    # first-seen slot order.
+    combo_ids = {}      # sorted codes -> id
     columns = []        # per server, the entry of each slot
     for srv in scheme.graph.servers:
         rows = scheme.queries[srv]
-        pairs = tuple(zip(rows.file, rows.sign))
-        keys = list(map(pairs.__getitem__,
-                        map(slice, rows.starts, rows.ends)))
-        key_ids = {key: combo_ids.setdefault(tuple(sorted(key)),
-                                             len(combo_ids) + 1)
-                   for key in dict.fromkeys(keys)}
-        ids = list(map(key_ids.__getitem__, keys))
+        codes = tuple(map(add, map((2).__mul__, rows.file),
+                          map((0).__lt__, rows.sign)))
+        key_ids, ids = {}, []
+        for key in map(codes.__getitem__, map(slice, rows.starts, rows.ends)):
+            i = key_ids.get(key)
+            if i is None:
+                i = key_ids[key] = combo_ids.setdefault(tuple(sorted(key)),
+                                                        len(combo_ids) + 1)
+            ids.append(i)
         side = iter([ids[idx] for at, idx in ex.side_info if at == srv])
         columns.append([ids[idx] if idx >= 0 else -next(side, 0)
                         for idx in ex.selections[srv]])
         if next(side, 0):
             raise InternalConsistencyError(
                 f"no idle row left at server {srv} for side information")
-    combos = (None, *combo_ids)
+    combos = (None, *(tuple((code >> 1, code % 2 * 2 - 1) for code in combo)
+                      for combo in combo_ids))
 
     servers = scheme.graph.servers
     rows = tuple(ProbRow(mass=count, q=dict(zip(servers, map(

@@ -10,10 +10,12 @@ It prints the sha256 of the rows (the `queries` object as `build --n 8`
 writes it, hashed one server at a time), L, the rows per server, the
 number of merged rows `transform` gives, whether the transform's rate is
 rate(8), the seconds of each phase and the process's peak RSS, and exits
-1 when the peak passes 2,048 MB.  The collector is paused throughout, as
-the command line runs a command.  `main(7)` runs the same checks on K7.
+1 when the peak passes 2,048 MB.  The cyclic collector is off throughout
+(`gc.disable()`), as `cli.main` runs a command.  `main(7)` runs the same
+checks on K7.
 """
 
+import gc
 import hashlib
 import resource
 import sys
@@ -22,7 +24,6 @@ import time
 from pirlab.builder import build_scheme
 from pirlab.patterns import analyze
 from pirlab.render import canonical_json
-from pirlab.scheme import gc_paused
 from pirlab.sequences import rate
 from pirlab.transform import prob_rate, transform
 
@@ -42,7 +43,6 @@ def rows_sha256(scheme):
     return digest.hexdigest()
 
 
-@gc_paused
 def main(n=8):
     clock = time.perf_counter()
     scheme = build_scheme(n, 0)
@@ -70,4 +70,5 @@ def main(n=8):
 
 
 if __name__ == "__main__":
+    gc.disable()
     sys.exit(main())

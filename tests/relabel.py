@@ -6,10 +6,9 @@ increasing order.  It maps edge (1, 2), file 0, to theta, so relabeling the
 theta = 0 scheme by pi_theta gives a scheme for theta.
 """
 
-from pirlab.scheme import DeterministicScheme, Summation, gc_paused
+from pirlab.scheme import DeterministicScheme, Summation
 
 
-@gc_paused
 def relabel(scheme, theta):
     """`scheme` with each server v renamed pi_theta(v).
 

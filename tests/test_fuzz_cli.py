@@ -26,6 +26,10 @@ that fall or end off the columns, a bool, float or negative entry) exit 2
 from all three commands with one line; so does any edit of the stored
 pattern and side-information columns, which are refused unread.
 
+A document holding an integer of 5,000 digits, or an array nested
+200,000 deep, exits 2 from every command that reads a document path, with
+one line that names the limit it passes.
+
 A last test fuzzes the flags instead: it draws a subcommand, one of its
 numeric flags set to 0, -3, 1, nan or a value too large for it, and for
 `audit` a family and a mode.  The exit code is 0, 2 or 3, an exit without
@@ -38,6 +42,7 @@ import copy
 import io
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -356,6 +361,37 @@ def test_v2_column_mutations_exit_2(tmp_path, data):
         rc, out, lines = _run([a.format(path=path) for a in argv])
         assert (rc, out) == (2, ""), (argv, message)
         assert lines[1:] == [f"error: {message}"], argv
+
+
+# ============================================================
+# documents past the JSON reader's limits
+# ============================================================
+
+# the K3 rows with L written as 5,000 digits, past the default limit of
+# 4,300 digits of an int read from text; and a document whose graph is an
+# array nested 200,000 deep, past any recursion limit
+_PAST_LIMITS = {
+    "long_int": canonical_json({**_DOCS["scheme"], "L": 0}).replace(
+        '"L":0', '"L":' + "9" * 5000),
+    "deep": '{"graph":' + "[" * 200_000 + "]" * 200_000 + "}",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *_SCHEME_COMMANDS, ["general", "--graph", "{path}", "--enumerate"],
+    ["audit", "--family", "general:{path}", "--mode", "distributional"]],
+    ids=["extract", "transform", "simulate", "general", "audit"])
+@pytest.mark.parametrize("kind", sorted(_PAST_LIMITS))
+def test_documents_past_the_reader_limits_exit_2(tmp_path, argv, kind):
+    path = tmp_path / "doc.json"
+    path.write_text(_PAST_LIMITS[kind])
+    rc, out, lines = _run([a.format(path=path) for a in argv])
+    assert (rc, out, len(lines)) == (2, "", 2), lines
+    assert lines[1] == f"error: {path} " + {
+        "long_int": f"holds an integer of more than "
+                    f"{sys.get_int_max_str_digits()} digits",
+        "deep": f"nests arrays or objects past the recursion limit "
+                f"{sys.getrecursionlimit()}"}[kind]
 
 
 # per subcommand: its argv, and each numeric flag with a value too large

@@ -1,9 +1,13 @@
-"""The cyclic collector pause (`scheme.gc_paused`) and what makes it safe.
+"""The cyclic collector pause in `cli.main` and what makes it safe.
 
-Scheme data holds no reference cycles, so reference counting frees all of
-it and the pause cannot leave garbage behind.  The first tests check that
-invariant over full library passes and CLI runs; the rest check that the
-pause hands the caller back the collector state it had.
+`cli.main` runs a command with CPython's cyclic collector paused; the
+library itself never touches the collector.  Scheme data holds no
+reference cycles, so reference counting frees all of it and the pause
+cannot leave garbage behind.  The first tests check that invariant over
+full library passes and CLI runs; the next check that `main` hands the
+caller back the collector state it had, whatever the exit; the last that
+a library pass with the collector on makes few collections, since it
+allocates no GC-tracked container per row or term.
 """
 
 import gc
@@ -12,12 +16,11 @@ import random
 
 import pytest
 
-from pirlab import cli, patterns
+from pirlab import cli
 from pirlab.builder import build_scheme, verify_scheme
-from pirlab.errors import ParameterError
-from pirlab.patterns import analyze, check_srp, extract_patterns
+from pirlab.patterns import check_srp, extract_patterns
 from pirlab.render import canonical_json
-from pirlab.scheme import DeterministicScheme, ProbabilisticScheme, gc_paused
+from pirlab.scheme import DeterministicScheme, ProbabilisticScheme
 from pirlab.sim import (random_storage, run_deterministic_trial,
                         run_probabilistic_trials)
 from pirlab.transform import entropy_proxy_ok, prob_rate, transform
@@ -40,7 +43,9 @@ def _cyclic_garbage(run):
         gc.garbage.clear()
 
 
-def _library_pass(n, theta):
+def _kn_pass(n, theta):
+    """The library's share of a K_n pass: build, verify, analyze,
+    transform, the scheme's JSON round trip and a trial."""
     scheme = build_scheme(n, theta)
     assert verify_scheme(scheme).ok
     ex = extract_patterns(scheme)
@@ -50,10 +55,15 @@ def _library_pass(n, theta):
     prob_rate(pscheme)
     text = canonical_json(scheme.to_json())
     again = DeterministicScheme.from_json(json.loads(text))
-    ProbabilisticScheme.from_json(json.loads(
-        canonical_json(pscheme.to_json())))
     storage = random_storage(again.graph, 2, again.L, random.Random(n))
     assert run_deterministic_trial(again, storage).ok
+    return pscheme, storage
+
+
+def _library_pass(n, theta):
+    pscheme, storage = _kn_pass(n, theta)
+    ProbabilisticScheme.from_json(json.loads(
+        canonical_json(pscheme.to_json())))
     contents = [row[0] for row in storage.contents]
     assert run_probabilistic_trials(pscheme, contents).ok
 
@@ -97,53 +107,93 @@ def test_a_planted_cycle_is_found():
 
 
 # ============================================================
-# the collector state around a paused call
+# the collector state around a command
 # ============================================================
 
-@gc_paused
-def _state():
-    return gc.isenabled()
+def _argv(outcome, tmp_path):
+    """A command that exits 0, 2 or 3, or (for "raise") one whose handler
+    raises an error `main` does not catch."""
+    if outcome == 3:  # dependent rows: a term's subfile moved to another
+        doc = build_scheme(3, 0).to_json()
+        doc["queries"]["3"]["subfile"][0] += 1
+        path = tmp_path / "dependent.json"
+        path.write_text(canonical_json(doc))
+        return ["extract", "--scheme", str(path)]
+    return {0: ["sequences", "--n", "4"], 2: ["build", "--n", "2"],
+            "raise": ["sequences", "--n", "4"]}[outcome]
 
 
-def test_pause_turns_an_enabled_collector_back_on():
-    assert gc.isenabled()
-    assert _state() is False
-    assert gc.isenabled()
+def _main_seeing_the_collector(argv, monkeypatch, raises=False):
+    """`cli.main(argv)`, and whether the collector was on while its handler
+    ran; with `raises`, the handler raises KeyError, which `main` lets
+    through."""
+    seen, parse = [], cli._parse_args
 
+    def parse_with_probe(argv):
+        args = parse(argv)
+        handler = args.func
 
-def test_pause_keeps_a_callers_disabled_collector_off():
-    gc.disable()
-    try:
-        assert _state() is False
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
+        def probe(args):
+            seen.append(gc.isenabled())
+            if raises:
+                raise KeyError("not caught by main")
+            return handler(args)
+        args.func = probe
+        return args
 
-
-def test_nested_calls_leave_the_collector_paused(monkeypatch):
-    seen = []
-
-    def probe(scheme):
-        result = analyze(scheme)
-        seen.append(gc.isenabled())  # after the inner call returned
-        return result
-
-    monkeypatch.setattr(patterns, "analyze", probe)
-    assert verify_scheme(build_scheme(4, 1)).ok
-    assert seen == [False]
-    assert gc.isenabled()
+    monkeypatch.setattr(cli, "_parse_args", parse_with_probe)
+    if raises:
+        with pytest.raises(KeyError):
+            cli.main(argv)
+        return None, seen
+    return cli.main(argv), seen
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_pause_restores_the_state_after_a_raise(enabled):
+@pytest.mark.parametrize("outcome", [0, 2, 3, "raise"])
+def test_main_gives_the_caller_its_collector_back(outcome, enabled, tmp_path,
+                                                  monkeypatch, capsys):
+    # paused while the handler runs; then a caller's enabled collector
+    # comes back on, and a disabled one stays off
+    argv = _argv(outcome, tmp_path)
     if not enabled:
         gc.disable()
     try:
-        with pytest.raises(ParameterError):
-            build_scheme(2)
-        assert gc.isenabled() is enabled
-        with pytest.raises(ParameterError, match="malformed"):
-            DeterministicScheme.from_json({"graph": {}})
+        rc, seen = _main_seeing_the_collector(argv, monkeypatch,
+                                              raises=outcome == "raise")
+        assert (rc, seen) == (None if outcome == "raise" else outcome,
+                              [False])
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
+    capsys.readouterr()
+
+
+# ============================================================
+# the library with the collector on
+# ============================================================
+
+def test_kn_pass_collects_rarely(monkeypatch):
+    # the library never pauses the collector, so turning it off fails here.
+    # A collection starts once 700 more GC-tracked objects are alive than
+    # at the last one, and a K6 pass keeps few: no tuple or list per row or
+    # term.  It makes about 4; the probabilistic document's round trip,
+    # left out, makes about 12 for its lists and tuples per row and combo.
+    def refuse():
+        raise AssertionError("the library turned the collector off")
+
+    monkeypatch.setattr(gc, "disable", refuse)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        _kn_pass(6, 0)
+    finally:
+        gc.callbacks.remove(count)
+    assert gc.isenabled()
+    assert len(starts) <= 10, starts
